@@ -508,11 +508,19 @@ def run_bootstrap_panel_bench(**overrides):
                 if full is None or any(e is None for e in fold_ests):
                     continue
                 row = dict(kind=kind, penalty=penalty, seed=s)
-                row["r2s1_cv"] = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds, 1)
-                row["r2s3_cv"] = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds, kmax)
-                row["R2s3_cv"] = cv_cc_agg("subspace", "sq_sum", data, fold_ests, folds, kmax)
-                row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1], full.v_dirs[:, :1])
-                err = estimation_error(boot_cov, truth, full, kmax)
+                try:
+                    row["r2s1_cv"] = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds, 1)
+                    row["r2s3_cv"] = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds,
+                                               kmax)
+                    row["R2s3_cv"] = cv_cc_agg("subspace", "sq_sum", data, fold_ests, folds, kmax)
+                    row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1],
+                                              full.v_dirs[:, :1])
+                    err = estimation_error(boot_cov, truth, full, kmax)
+                except ValueError:
+                    # degenerate estimates make some criteria undefined; sweep skips them too
+                    if not any(e.provenance.degenerate for e in fold_ests + [full]):
+                        raise
+                    continue
                 row["vt_U3"] = err["vt_Uk"]
                 row["wt_U3"] = err["wt_Uk"]
                 records.append(row)

@@ -24,7 +24,7 @@ import numpy as np
 from .cca_core import CcaEstimate, Provenance, cca_from_covariance
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, center_and_covariance, split_fold
 from .glasso import GlassoConvergenceError, glasso_fit
-from .linalg import thin_svd
+from .linalg import soft_threshold, thin_svd
 
 __all__ = [
     "EstimatorSpec",
@@ -146,7 +146,7 @@ def _l1_ball_unit_vector(z, s, bisect_iters=100):
         return np.zeros_like(z)
 
     def candidate(delta):
-        u = np.sign(z) * np.maximum(np.abs(z) - delta, 0.0)
+        u = soft_threshold(z, delta)
         nrm = np.linalg.norm(u)
         return u / nrm if nrm > 0 else u
 
@@ -249,10 +249,6 @@ def _operator_norm_sq(mat, tol=1e-8, max_iter=500):
     return val
 
 
-def _soft(x, thr):
-    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
-
-
 def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
     """n_steps linearised-ADMM updates for one weight vector.
 
@@ -265,7 +261,7 @@ def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
     for _ in range(n_steps):
         r = xt @ u
         r[:n] -= z
-        u = _soft(u - coef * (xt.T @ (r + xi)) + mu * c, mu * tau)
+        u = soft_threshold(u - coef * (xt.T @ (r + xi)) + mu * c, mu * tau)
         w = xdata @ u + xi[:n]
         nw = np.linalg.norm(w)
         z = w / nw if nw > 1.0 else w
@@ -281,7 +277,7 @@ def _scca_init(cxy, tau, k):
     Falls back to the unthresholded SVD when thresholding leaves too little
     rank behind.
     """
-    thresholded = _soft(cxy, tau)
+    thresholded = soft_threshold(cxy, tau)
     dec = thin_svd(thresholded)
     if dec.singular_values.size > k - 1 and dec.singular_values[k - 1] > 0:
         return dec.left[:, k - 1].copy(), dec.right[:, k - 1].copy()

@@ -1,20 +1,46 @@
-"""Graphical Lasso by ADMM with a KKT stationarity certificate.
+"""Graphical Lasso by Anderson-accelerated ADMM with a KKT stationarity certificate.
 
 Solves, for symmetric input C and penalty lam > 0,
 
     maximise_{Omega PD}  log det(Omega) - trace(C @ Omega) - lam * ||offdiag(Omega)||_1
 
-Diagonal entries are never penalised.  The log-det proximal step is exact
-(symmetric eigendecomposition); the penalty step is elementwise off-diagonal
-soft-thresholding.  Convergence is certified by the first-order optimality
-residual rather than by ADMM residuals alone.
+Diagonal entries are never penalised.
+
+The solver is scaled ADMM on the split X = Z, written as the equivalent
+Douglas-Rachford fixed-point iteration on S = Z + U (U the scaled dual):
+
+    Z    = soft(S, lam / rho)          off-diagonal soft-threshold, diagonal kept
+    X    = logdet-prox(2 Z - S, rho)   exact, by one symmetric eigendecomposition
+    T(S) = X + S - Z
+
+Taking S <- T(S) at every step is plain ADMM.  Type-II Anderson acceleration
+(Walker & Ni 2011; Fu, Zhang & Boyd 2020) instead steps to the affine
+combination of the last few images T(S_j) whose fixed-point residuals
+T(S_j) - S_j combine to the least norm, with weights from a regularised
+least-squares solve.  A safeguard keeps the method no worse than ADMM: when
+the residual at an extrapolated point exceeds the residual at the point it
+was extrapolated from, the extrapolation is dropped and the plain step from
+that point is taken instead.
+
+rho is adapted by residual balancing (factor 2 when one ADMM residual
+exceeds the other tenfold), which rescales U and clears the Anderson memory.
+Convergence is certified by the first-order optimality (KKT) residual, not
+by the ADMM or fixed-point residuals.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import soft_threshold
+
 __all__ = ["PrecisionEstimate", "GlassoConvergenceError", "glasso_fit", "kkt_residual"]
+
+# Anderson memory: how many recent fixed-point residuals are mixed.
+ANDERSON_MEMORY = 5
+# Tikhonov weight of the mixing least-squares solve, relative to the mean
+# squared residual norm in memory; keeps nearly collinear residuals solvable.
+ANDERSON_REG = 1e-10
 
 
 class GlassoError(ValueError):
@@ -39,10 +65,15 @@ class PrecisionEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _soft_threshold_offdiag(a, thr):
-    out = np.sign(a) * np.maximum(np.abs(a) - thr, 0.0)
-    np.fill_diagonal(out, np.diagonal(a))
-    return out
+def _pd_inverse(a):
+    """Inverse of a symmetric matrix from its Cholesky factor L, as
+    inv(L).T @ inv(L); None when the matrix is not positive definite."""
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    inv_factor = np.linalg.inv(factor)
+    return inv_factor.T @ inv_factor
 
 
 def kkt_residual(c, omega, lam):
@@ -54,25 +85,77 @@ def kkt_residual(c, omega, lam):
     """
     c = np.asarray(c, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    try:
-        np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError as exc:
-        raise GlassoError("omega is not positive definite") from exc
-    g = np.linalg.inv(omega) - c
+    inv = _pd_inverse(omega)
+    if inv is None:
+        raise GlassoError("omega is not positive definite")
+    g = inv - c
     g = 0.5 * (g + g.T)
-    res = float(np.max(np.abs(np.diagonal(g))))
-    off = ~np.eye(omega.shape[0], dtype=bool)
-    zero = off & (omega == 0.0)
-    nonzero = off & (omega != 0.0)
-    if np.any(zero):
-        res = max(res, float(np.max(np.abs(g[zero]) - lam)))
-    if np.any(nonzero):
-        res = max(res, float(np.max(np.abs(g[nonzero] - lam * np.sign(omega[nonzero])))))
-    return max(res, 0.0)
+    violation = np.where(omega == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(omega)))
+    np.fill_diagonal(violation, np.abs(np.diagonal(g)))
+    return max(float(np.max(violation)), 0.0)
+
+
+def _penalty_prox(s, thr):
+    """Soft-threshold the off-diagonal entries; keep the diagonal."""
+    z = soft_threshold(s, thr)
+    np.fill_diagonal(z, np.diagonal(s))
+    return z
+
+
+def _logdet_prox(v, c, rho):
+    """argmin_X -log det X + trace(C X) + rho/2 ||X - v||^2, by one eigh."""
+    w, q = np.linalg.eigh(rho * v - c)
+    xi = (w + np.sqrt(w**2 + 4.0 * rho)) / (2.0 * rho)
+    x = (q * xi) @ q.T
+    return 0.5 * (x + x.T)
+
+
+class _AndersonMemory:
+    """The last ANDERSON_MEMORY fixed-point residuals and images, flattened,
+    with the Gram matrix of the residuals updated one row per push."""
+
+    def __init__(self, shape):
+        size = int(np.prod(shape))
+        self.shape = shape
+        self.residuals = np.empty((ANDERSON_MEMORY, size))
+        self.images = np.empty((ANDERSON_MEMORY, size))
+        self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.count = self.head = 0
+
+    def clear(self):
+        self.count = self.head = 0
+
+    def push(self, residual, image):
+        i = self.head
+        self.residuals[i] = residual.ravel()
+        self.images[i] = image.ravel()
+        self.count = min(self.count + 1, ANDERSON_MEMORY)
+        self.head = (i + 1) % ANDERSON_MEMORY
+        # einsum rather than BLAS: OpenBLAS threads these long, thin products
+        row = np.einsum("ij,j->i", self.residuals[: self.count], self.residuals[i])
+        self.gram[i, : self.count] = row
+        self.gram[: self.count, i] = row
+
+    def extrapolate(self):
+        """Affine combination of the images whose residuals mix to least
+        norm: alpha minimises ||sum_j alpha_j f_j|| with sum_j alpha_j = 1."""
+        n = self.count
+        gram = self.gram[:n, :n].copy()
+        gram.flat[:: n + 1] += ANDERSON_REG * np.trace(gram) / n
+        y = np.linalg.solve(gram, np.ones(n))
+        return np.einsum("i,ij->j", y / np.sum(y), self.images[:n]).reshape(self.shape)
 
 
 def glasso_fit(c, lam, tol=1e-7, max_iter=5000, rho=1.0):
-    """ADMM solve of the off-diagonal l1-penalised Gaussian log-likelihood.
+    """Anderson-accelerated ADMM solve of the off-diagonal l1-penalised
+    Gaussian log-likelihood (see the module docstring for the iteration).
+
+    Each iteration costs one eigendecomposition.  An extrapolated point
+    whose fixed-point residual exceeds the one at the point it came from is
+    rejected in favour of the plain ADMM step from that point.  The KKT
+    residual of the symmetrised iterate is checked every 10 iterations, and
+    whenever both ADMM residuals fall below 10 * tol; the solve stops as
+    soon as it is at most ``tol``.
 
     Parameters
     ----------
@@ -87,6 +170,13 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000, rho=1.0):
     rho : float
         Initial ADMM penalty parameter; rescaled adaptively by residual
         balancing (factor 2 when one residual exceeds the other tenfold).
+
+    The returned ``diagnostics`` hold ``iterations`` (eigendecompositions,
+    including those spent on rejected extrapolations),
+    ``extrapolations_accepted`` and ``extrapolations_rejected`` (Anderson
+    steps kept and dropped by the safeguard), the last ADMM ``primal_residual``
+    and ``dual_residual``, the ``kkt_residual``, the final ``rho`` and
+    ``converged``.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -99,30 +189,55 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000, rho=1.0):
     if lam <= 0:
         raise GlassoError("lam must be positive")
     c = 0.5 * (c + c.T)
-    d = c.shape[0]
 
     diag = np.maximum(np.diagonal(c), 1e-12)
-    x = np.diag(1.0 / diag)
-    z = x.copy()
-    u = np.zeros_like(c)
+    s = np.diag(1.0 / diag)
+    z = s.copy()
+    memory = _AndersonMemory(c.shape)
+    # the last point evaluated with a plain or accepted step: its fixed-point
+    # residual norm, its image T(S) and the soft-threshold of that image
+    base_res = np.inf
+    base_image = base_z = None
+    extrapolated = False
+    accepted = rejected = 0
 
     primal = dual = np.inf
     kkt = np.inf
     it = 0
     check_every = 10
     for it in range(1, max_iter + 1):
-        # log-det proximal step: exact via eigendecomposition
-        w, q = np.linalg.eigh(rho * (z - u) - c)
-        xi = (w + np.sqrt(w**2 + 4.0 * rho)) / (2.0 * rho)
-        x = (q * xi) @ q.T
-        x = 0.5 * (x + x.T)
-
-        z_old = z
-        z = _soft_threshold_offdiag(x + u, lam / rho)
-        u = u + x - z
-
-        primal = float(np.linalg.norm(x - z))
-        dual = float(np.linalg.norm(rho * (z - z_old)))
+        x = _logdet_prox(2.0 * z - s, c, rho)
+        f = x - z
+        res = float(np.linalg.norm(f))
+        factor = 1.0
+        if extrapolated and res > base_res:
+            # the extrapolation made the residual grow: take the plain step
+            # from the point it was extrapolated from (already evaluated, so
+            # there are no new ADMM residuals to balance)
+            rejected += 1
+            s, z = base_image, base_z
+            extrapolated = False
+        else:
+            if extrapolated:
+                accepted += 1
+            image = s + f
+            z_plain = _penalty_prox(image, lam / rho)
+            primal = float(np.linalg.norm(x - z_plain))
+            dual = float(np.linalg.norm(rho * (z_plain - z)))
+            base_res, base_image, base_z = res, image, z_plain
+            memory.push(f, image)
+            # residual balancing keeps the two ADMM residuals comparable
+            if primal > 10.0 * dual:
+                factor = 2.0
+            elif dual > 10.0 * primal:
+                factor = 0.5
+            if factor == 1.0 and memory.count > 1:
+                s = memory.extrapolate()
+                z = _penalty_prox(s, lam / rho)
+                extrapolated = True
+            else:
+                s, z = image, z_plain
+                extrapolated = False
 
         if it % check_every == 0 or (primal < tol * 10 and dual < tol * 10):
             try:
@@ -132,17 +247,17 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000, rho=1.0):
             if kkt <= tol:
                 break
 
-        # residual balancing keeps the two ADMM residuals comparable
-        if primal > 10.0 * dual:
-            rho *= 2.0
-            u /= 2.0
-        elif dual > 10.0 * primal:
-            rho /= 2.0
-            u *= 2.0
+        if factor != 1.0:
+            # rescale U = S - Z to the new rho; the memory belongs to the old map
+            rho *= factor
+            s = z + (s - z) / factor
+            memory.clear()
 
     omega = 0.5 * (z + z.T)
     diagnostics = {
         "iterations": it,
+        "extrapolations_accepted": accepted,
+        "extrapolations_rejected": rejected,
         "primal_residual": primal,
         "dual_residual": dual,
         "kkt_residual": kkt,
@@ -155,11 +270,10 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000, rho=1.0):
             f"(kkt_residual={kkt:.3e} > tol={tol:.1e})",
             diagnostics,
         )
-    w = np.linalg.eigvalsh(omega)
-    if w[0] <= 0:
+    sigma = _pd_inverse(omega)
+    if sigma is None:
         raise GlassoConvergenceError(
-            f"converged iterate is not PD (min eigenvalue {w[0]:.3e})", diagnostics
+            "converged iterate is not PD (Cholesky factorisation failed)", diagnostics
         )
-    sigma = np.linalg.inv(omega)
     sigma = 0.5 * (sigma + sigma.T)
     return PrecisionEstimate(omega=omega, sigma=sigma, lam=float(lam), diagnostics=diagnostics)

@@ -17,6 +17,7 @@ __all__ = [
     "compact_svd",
     "thin_svd",
     "sym_matrix_power",
+    "soft_threshold",
     "canonical_angles",
     "sin2_theta",
     "gram_schmidt_metric",
@@ -176,6 +177,12 @@ def sym_matrix_power(a, exponent, floor_eps=None):
     w = np.maximum(dec.eigenvalues, floor_eps)
     powered = (dec.eigenvectors * w**exponent) @ dec.eigenvectors.T
     return 0.5 * (powered + powered.T)
+
+
+def soft_threshold(a, thr):
+    """Elementwise soft-thresholding sign(a) * max(|a| - thr, 0), the
+    proximal map of thr * ||.||_1."""
+    return np.sign(a) * np.maximum(np.abs(a) - thr, 0.0)
 
 
 def canonical_angles(z, w, orth_tol=1e-8):

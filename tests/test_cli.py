@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from regcca.cli import main
+from regcca.cli import main, run_bootstrap_panel_bench
 from regcca.datamodel import center_and_covariance, load_two_view_csv, save_two_view_csv
 from regcca.linalg import thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
@@ -209,6 +209,11 @@ class TestSynthBench:
         lines = (out / "bench_canonical-pair.csv").read_text().strip().splitlines()
         # 2 seeds x 1 n x 1 kind x 2 penalties x 3 metrics + header
         assert len(lines) == 13
+
+    def test_bootstrap_panel_skips_degenerate_cell(self):
+        # scca at tau=5 zeroes the directions, so the cell's criteria are undefined
+        records = run_bootstrap_panel_bench(n_seeds=1, kinds=["scca"], grids={"scca": [5.0]})
+        assert records == []
 
     def test_unknown_preset_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bench.json", {

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from regcca.datamodel import center_and_covariance
 from regcca.glasso import GlassoConvergenceError, GlassoError, glasso_fit, kkt_residual
+from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
 def random_correlation(rng, d, extra=20):
@@ -49,6 +51,101 @@ def proximal_gradient_oracle(c, lam, steps=200_000, tol=1e-8):
             return omega
         prev = val
     return omega
+
+
+def reference_admm(c, lam, tol=1e-7, max_iter=5000, rho=1.0):
+    """Plain scaled ADMM with residual balancing and the same KKT stop rule:
+    the solver glasso_fit accelerates.  Returns (omega, iterations)."""
+    c = 0.5 * (c + c.T)
+    x = np.diag(1.0 / np.maximum(np.diagonal(c), 1e-12))
+    z = x.copy()
+    u = np.zeros_like(c)
+    for it in range(1, max_iter + 1):
+        w, q = np.linalg.eigh(rho * (z - u) - c)
+        xi = (w + np.sqrt(w**2 + 4.0 * rho)) / (2.0 * rho)
+        x = (q * xi) @ q.T
+        x = 0.5 * (x + x.T)
+        z_old = z
+        a = x + u
+        z = np.sign(a) * np.maximum(np.abs(a) - lam / rho, 0.0)
+        np.fill_diagonal(z, np.diagonal(a))
+        u = u + x - z
+        primal = float(np.linalg.norm(x - z))
+        dual = float(np.linalg.norm(rho * (z - z_old)))
+        if it % 10 == 0 or (primal < tol * 10 and dual < tol * 10):
+            try:
+                kkt = kkt_residual(c, 0.5 * (z + z.T), lam)
+            except GlassoError:
+                kkt = np.inf
+            if kkt <= tol:
+                return 0.5 * (z + z.T), it
+        if primal > 10.0 * dual:
+            rho *= 2.0
+            u /= 2.0
+        elif dual > 10.0 * primal:
+            rho /= 2.0
+            u *= 2.0
+    raise GlassoConvergenceError("reference ADMM did not certify", {"iterations": it})
+
+
+def canonical_pair_sample_covariance(n, seed):
+    """The joint sample covariance gcca_fit passes to glasso in the
+    criterion-3 experiment (p=q=30) at sample size n."""
+    cov, _ = canonical_pair_covariance(30, 30, [0.9], 5, within_view="suo_sp", seed=7)
+    data, _ = center_and_covariance(mvn_sample(cov, n, seed=seed))
+    _, sample = center_and_covariance(data)
+    return sample.joint()
+
+
+# Both solvers stop at a KKT residual <= tol, which places each within about
+# ||omega||^2 * tol of the optimum; at tol=1e-9 two certified solutions agree
+# to well inside 1e-6 (at the default 1e-7, solutions of either solver on
+# d=30 correlations at lam=0.01 can sit 2e-6 from the optimum).
+AGREEMENT_TOL = 1e-9
+
+
+def assert_matches_reference(c, lam):
+    ref, _ = reference_admm(c, lam, tol=AGREEMENT_TOL)
+    est = glasso_fit(c, lam, tol=AGREEMENT_TOL)
+    np.testing.assert_array_equal(est.omega != 0.0, ref != 0.0)
+    np.testing.assert_allclose(est.omega, ref, rtol=0.0, atol=1e-6)
+
+
+class TestAcceleration:
+    @pytest.mark.parametrize("d", [10, 30])
+    def test_matches_reference_on_random_correlations(self, d):
+        c = random_correlation(np.random.default_rng(d), d)
+        for lam in (0.01, 0.05, 0.1, 0.3):
+            assert_matches_reference(c, lam)
+
+    @pytest.mark.parametrize("n", [40, 100, 400])
+    def test_matches_reference_on_canonical_pair(self, n):
+        # n=40 < p+q=60: the sample covariance is singular
+        c = canonical_pair_sample_covariance(n, seed=n)
+        for lam in (0.05, 0.1, 0.2, 0.4):
+            assert_matches_reference(c, lam)
+
+    def test_at_most_half_the_reference_eigendecompositions(self):
+        # criterion 3, sample seed 0, at its four gcca penalties and the
+        # default tolerance gcca_fit uses
+        ref_total = total = rejected = 0
+        for n in (100, 400):
+            c = canonical_pair_sample_covariance(n, seed=n)
+            for lam in (0.05, 0.1, 0.2, 0.4):
+                ref, ref_iterations = reference_admm(c, lam)
+                est = glasso_fit(c, lam)
+                np.testing.assert_array_equal(est.omega != 0.0, ref != 0.0)
+                diag = est.diagnostics
+                assert diag["kkt_residual"] <= 1e-7
+                assert (diag["extrapolations_accepted"] + diag["extrapolations_rejected"]
+                        < diag["iterations"])
+                ref_total += ref_iterations
+                total += diag["iterations"]
+                rejected += diag["extrapolations_rejected"]
+        assert total <= ref_total / 2
+        assert rejected > 0  # the safeguard path ran
+
+
 
 
 class TestGlassoFit:
@@ -115,7 +212,10 @@ class TestGlassoFit:
         c = random_correlation(rng, 8)
         with pytest.raises(GlassoConvergenceError) as err:
             glasso_fit(c, 0.05, tol=1e-12, max_iter=3)
-        assert "kkt_residual" in err.value.diagnostics
+        diag = err.value.diagnostics
+        assert diag["iterations"] == 3
+        for key in ("kkt_residual", "extrapolations_accepted", "extrapolations_rejected"):
+            assert key in diag
 
     def test_invalid_inputs_rejected(self, rng):
         c = random_correlation(rng, 4)
