@@ -43,6 +43,9 @@ def main():
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     for kind, vals in summary.items():
+        if not vals["seeds_used"]:
+            print(f"{kind}: no seed with a scored cell")
+            continue
         print(f"{kind}: cv-oracle gap={vals['median_cv_oracle_gap_r2s1']:.3f} "
               f"vt_U3={vals['median_vt_U3']:.3f} wt_U3={vals['median_wt_U3']:.3f} "
               f"best R2s3-cv={vals['median_best_R2s3_cv']:.3f}")

@@ -270,6 +270,8 @@ def _cmd_sweep(config, outdir, seed, jobs):
                                    value=inst[key])
                 except ValueError as exc:
                     # degenerate fold estimates make some criteria undefined
+                    if not any(e.provenance.degenerate for e in fold_ests):
+                        raise
                     warning_count += 1
                     print(f"warning: {kind} penalty[{i}] k={k} metrics skipped: {exc}",
                           file=sys.stderr)
@@ -528,7 +530,12 @@ def run_bootstrap_panel_bench(**overrides):
 
 
 def summarise_bootstrap_panel(records, kinds):
-    """Medians over seeds of the panel's acceptance quantities."""
+    """Medians over seeds of the panel's acceptance quantities.
+
+    ``seeds_used`` counts the seeds with at least one record of the kind;
+    the medians are present only when it is positive (a kind whose cells
+    were all skipped has none).
+    """
     out = {}
     seeds = sorted({r["seed"] for r in records})
     for kind in kinds:
@@ -543,12 +550,14 @@ def summarise_bootstrap_panel(records, kinds):
             vt3.append(star3["vt_U3"])
             wt3.append(star3["wt_U3"])
             best_R.append(max(r["R2s3_cv"] for r in rows))
-        out[kind] = {
-            "median_cv_oracle_gap_r2s1": float(np.median(gap)),
-            "median_vt_U3": float(np.median(vt3)),
-            "median_wt_U3": float(np.median(wt3)),
-            "median_best_R2s3_cv": float(np.median(best_R)),
-        }
+        out[kind] = {"seeds_used": len(gap)}
+        if gap:
+            out[kind].update(
+                median_cv_oracle_gap_r2s1=float(np.median(gap)),
+                median_vt_U3=float(np.median(vt3)),
+                median_wt_U3=float(np.median(wt3)),
+                median_best_R2s3_cv=float(np.median(best_R)),
+            )
     return out
 
 

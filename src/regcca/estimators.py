@@ -16,6 +16,7 @@ are directly comparable across methods.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,34 +134,56 @@ def rcca_fit(data: PairedDataset, c, K, floor_eps=None):
 # sparse PLS (penalised matrix decomposition)
 # ---------------------------------------------------------------------------
 
-def _l1_ball_unit_vector(z, s, bisect_iters=100):
-    """argmax u.z subject to ||u||_2 <= 1 and ||u||_1 <= s.
+def _l1_ball_unit_vector(z, s):
+    """argmax u.z subject to ||u||_2 <= 1 and ||u||_1 <= s, for s >= 1.
 
-    The solution is a soft-threshold of z renormalised to the unit sphere,
-    with the threshold found by bisection so the l1 constraint binds (or is
-    already slack at threshold zero).
+    The solution is the soft-threshold S(z, delta) renormalised to the unit
+    sphere, with delta = 0 when the l1 constraint is slack and otherwise the
+    exact threshold at which ||S||_1 / ||S||_2 = s (Witten, Tibshirani &
+    Hastie 2009).  With |z| sorted in descending order, the ratio falls
+    continuously as delta grows; cumulative sums of |z| and |z|^2 give it at
+    every breakpoint, which locates the support size k, and on that bracket
+    the ratio equation is a quadratic in delta:
+
+        delta = m - s * sqrt(V / (k * (k - s^2)))
+
+    where m and V are the mean and the sum of squared deviations of the k
+    largest |z|.  When more than s^2 entries tie for the largest |z| no
+    threshold meets the radius and the zero vector (the limit
+    delta -> max|z|) is returned.
     """
     z = np.asarray(z, dtype=float)
-    zmax = float(np.max(np.abs(z)))
-    if zmax == 0.0:
+    if float(np.max(np.abs(z))) == 0.0:
         return np.zeros_like(z)
-
-    def candidate(delta):
-        u = soft_threshold(z, delta)
-        nrm = np.linalg.norm(u)
-        return u / nrm if nrm > 0 else u
-
-    u0 = candidate(0.0)
-    if np.sum(np.abs(u0)) <= s:
-        return u0
-    lo, hi = 0.0, zmax
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if np.sum(np.abs(candidate(mid))) > s:
-            lo = mid
-        else:
-            hi = mid
-    return candidate(hi)
+    u = z / np.linalg.norm(z)
+    if np.sum(np.abs(u)) <= s:
+        return u
+    a = np.sort(np.abs(z[z != 0.0]))[::-1]
+    s2 = s * s
+    if np.count_nonzero(a == a[0]) > s2:
+        return np.zeros_like(z)
+    sizes = np.arange(1, a.size + 1)
+    nxt = np.append(a[1:], 0.0)
+    cum = np.cumsum(a)
+    mean = cum / sizes
+    dev = np.maximum(np.cumsum(a * a) - cum * mean, 0.0)
+    # support size k keeps delta in [a[k], a[k-1]); the first nonempty
+    # bracket whose ratio at delta = a[k] reaches s holds the threshold.  The
+    # last bracket reaches it at delta = 0 (the constraint is not slack), so
+    # it is the answer whenever rounding hides the crossing.
+    reaches = (nxt < a) & (sizes * (sizes - s2) * (mean - nxt) ** 2 >= s2 * dev)
+    reaches[-1] = True
+    k = int(np.argmax(reaches)) + 1
+    lo, hi = float(nxt[k - 1]), float(a[k - 1])
+    if k <= s2:
+        delta = lo
+    else:
+        m = float(mean[k - 1])
+        v = float(np.sum((a[:k] - m) ** 2))
+        delta = min(max(m - s * math.sqrt(v / (k * (k - s2))), lo), hi)
+    u = soft_threshold(z, delta)
+    nrm = np.linalg.norm(u)
+    return u / nrm if nrm > 0 else u
 
 
 def _pmd_pair(cmat, s, max_sweeps=200, tol=1e-9):
@@ -255,19 +278,29 @@ def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
     xt stacks the data rows with the orthogonality-constraint rows; xdata is
     the plain data block (first n rows of xt).  The dual update uses the
     full constraint residual, which reduces to x.u - z for the first pair.
+
+    Each step costs two mat-vecs: the constraint residual r = xt.u - (z, 0)
+    that closes a step is the one that opens the next (u and z have not
+    moved in between), so it is carried across steps, and the z-update reads
+    x.u from the same product.  The iterates are those of the four-mat-vec
+    step bit for bit when xt is the data block (the first pair); below
+    constraint rows, BLAS may round the leading n entries of xt.u in the
+    last place differently from xdata.u.  xi is updated in place.
     """
     n = xdata.shape[0]
     coef = mu / lam_step
+    shift = mu * c
+    thr = mu * tau
+    r = xt @ u
+    r[:n] -= z
     for _ in range(n_steps):
+        u = soft_threshold(u - coef * (xt.T @ (r + xi)) + shift, thr)
         r = xt @ u
-        r[:n] -= z
-        u = soft_threshold(u - coef * (xt.T @ (r + xi)) + mu * c, mu * tau)
-        w = xdata @ u + xi[:n]
-        nw = np.linalg.norm(w)
+        w = r[:n] + xi[:n]
+        nw = math.sqrt(w @ w)
         z = w / nw if nw > 1.0 else w
-        r = xt @ u
         r[:n] -= z
-        xi = xi + r
+        xi += r
     return u, z, xi
 
 
@@ -302,7 +335,10 @@ def scca_fit(
     linearised-ADMM blocks for u and v.  Data matrices are downscaled by
     sqrt(n) internally so covariances are plain Gram matrices.  Dual
     variables persist across outer iterations (``recycle_duals``); the outer
-    loop stops when both weight vectors move less than ``tol`` in l2.
+    loop stops when both weight vectors move less than ``tol`` in l2.  Each
+    inner step costs two mat-vecs with the stacked constraint block; the
+    iterates are those of the textbook four-mat-vec step (see
+    ``_ladmm_block`` for the rounding caveat from the second pair on).
 
     Diagnostics in provenance record total inner iterations, for comparing
     solver configurations.

@@ -9,6 +9,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_joint_covariance, random_orthonormal
 from regcca.biplot import verify_biplot_bounds
@@ -84,6 +85,7 @@ def test_criterion_2_cca_exactness():
     _report("criterion 2: canonical-pair round-trip (12 configurations)", time.time() - t0, 10)
 
 
+@pytest.mark.slow
 def test_criterion_3_single_pair_experiment():
     t0 = time.time()
     records = run_canonical_pair_bench()
@@ -96,6 +98,7 @@ def test_criterion_3_single_pair_experiment():
     _report("criterion 3: scaled single-pair benchmark (10 seeds)", time.time() - t0, 300)
 
 
+@pytest.mark.slow
 def test_criterion_4_bootstrap_panel():
     t0 = time.time()
     kinds = ["rcca", "spls", "scca", "gcca"]

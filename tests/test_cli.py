@@ -1,10 +1,12 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from regcca.cli import main, run_bootstrap_panel_bench
+import regcca.cli
+from regcca.cli import main, run_bootstrap_panel_bench, summarise_bootstrap_panel
 from regcca.datamodel import center_and_covariance, load_two_view_csv, save_two_view_csv
 from regcca.linalg import thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
@@ -117,6 +119,33 @@ class TestSweepDeterminism:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warnings"] == 3  # 2 folds + full sample
 
+    def test_metric_fault_on_healthy_cell_raises(self, tmp_path, toy_csv, monkeypatch):
+        # only degenerate fold estimates excuse a criterion's ValueError
+        def broken(*args, **kwargs):
+            raise ValueError("metric fault")
+
+        monkeypatch.setattr(regcca.cli, "cv_cc_agg", broken)
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "rcca", "K": 1}],
+            "grid": {"values": [0.3]},
+            "folds": {"V": 2},
+        })
+        with pytest.raises(ValueError, match="metric fault"):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_degenerate_cell_metrics_skipped_with_warning(self, tmp_path, toy_csv, capsys):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "scca", "K": 1}],
+            "grid": {"values": [50.0]},
+            "folds": {"V": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert "metrics skipped" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == 1
+
     def test_input_files_unchanged(self, tmp_path, toy_csv):
         before = (open(toy_csv[0], "rb").read(), open(toy_csv[1], "rb").read())
         cfg = write_config(tmp_path, "sweep.json", {
@@ -214,6 +243,13 @@ class TestSynthBench:
         # scca at tau=5 zeroes the directions, so the cell's criteria are undefined
         records = run_bootstrap_panel_bench(n_seeds=1, kinds=["scca"], grids={"scca": [5.0]})
         assert records == []
+
+    def test_bootstrap_summary_of_all_skipped_kind(self):
+        records = run_bootstrap_panel_bench(n_seeds=1, kinds=["scca"], grids={"scca": [5.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarise_bootstrap_panel(records, ["scca"])
+        assert summary == {"scca": {"seeds_used": 0}}
 
     def test_unknown_preset_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bench.json", {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regcca import estimators
 from regcca.cca_core import cca_from_covariance, sample_cca
 from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance, make_folds
 from regcca.estimators import (
@@ -16,7 +17,8 @@ from regcca.estimators import (
     spls_fit,
     sweep_trajectory,
 )
-from regcca.linalg import sin2_theta, thin_svd
+from regcca.cli import CANONICAL_PAIR_DEFAULTS
+from regcca.linalg import sin2_theta, soft_threshold, thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
@@ -154,6 +156,121 @@ class TestSpls:
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-6)
 
 
+def reference_l1_ball_unit_vector(z, s, bisect_iters=100):
+    """The l1-ball unit vector by bisection on the threshold: the solver the
+    exact sort-based threshold replaces."""
+    z = np.asarray(z, dtype=float)
+    zmax = float(np.max(np.abs(z)))
+    if zmax == 0.0:
+        return np.zeros_like(z)
+
+    def candidate(delta):
+        u = soft_threshold(z, delta)
+        nrm = np.linalg.norm(u)
+        return u / nrm if nrm > 0 else u
+
+    u0 = candidate(0.0)
+    if np.sum(np.abs(u0)) <= s:
+        return u0
+    lo, hi = 0.0, zmax
+    for _ in range(bisect_iters):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.abs(candidate(mid))) > s:
+            lo = mid
+        else:
+            hi = mid
+    return candidate(hi)
+
+
+def criterion_3_sample(n, seed):
+    """The centred sample run_canonical_pair_bench fits at (n, seed)."""
+    cfg = CANONICAL_PAIR_DEFAULTS
+    cov, _ = canonical_pair_covariance(cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
+                                       within_view="suo_sp", seed=cfg["model_seed"])
+    data, _ = center_and_covariance(mvn_sample(cov, n, seed=1000 * seed + n))
+    return data
+
+
+class TestExactL1Threshold:
+    def assert_matches_bisection(self, z, s, same_support=True):
+        u = _l1_ball_unit_vector(z, s)
+        ref = reference_l1_ball_unit_vector(z, s)
+        if same_support:
+            np.testing.assert_array_equal(u != 0.0, ref != 0.0)
+        np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-12)
+        return u
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(3)
+        for trial in range(400):
+            p = int(rng.integers(2, 80))
+            z = rng.standard_normal(p)
+            if trial % 2:
+                z *= np.exp(rng.uniform(-20.0, 20.0))
+            s = rng.uniform(1.0, np.sqrt(p))
+            u = self.assert_matches_bisection(z, s)
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            assert np.sum(np.abs(u)) <= s + 1e-12
+
+    def test_ties_in_magnitude(self):
+        rng = np.random.default_rng(4)
+        z = np.array([3.0, -3.0, 2.0, 2.0, -2.0, 2.0, 1.0, -1.0, 0.5, 0.0])
+        for s in (1.5, 1.8, 2.0, 2.2, 2.5, 2.8):
+            self.assert_matches_bisection(z, s)
+        for _ in range(200):
+            z = np.round(rng.standard_normal(int(rng.integers(2, 40))), 1)
+            self.assert_matches_bisection(z, rng.uniform(1.0, np.sqrt(z.size)))
+
+    def test_more_ties_at_the_top_than_the_radius_allows(self):
+        # sqrt(3) > 1.5: no threshold reaches the radius, the limit is zero
+        z = np.array([2.0, -2.0, 2.0, 1.0])
+        np.testing.assert_array_equal(self.assert_matches_bisection(z, 1.5), 0.0)
+
+    def test_unit_radius_is_one_hot(self):
+        # bisection stops where the runner-up entry is below rounding of the
+        # l1 norm, not always at zero, so only the values are compared
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            z = rng.standard_normal(int(rng.integers(2, 40)))
+            u = self.assert_matches_bisection(z, 1.0, same_support=False)
+            expected = np.zeros_like(z)
+            i = int(np.argmax(np.abs(z)))
+            expected[i] = np.sign(z[i])
+            np.testing.assert_array_equal(u, expected)
+
+    def test_slack_radius_returns_normalised_input(self):
+        rng = np.random.default_rng(6)
+        for p in (1, 2, 7, 30):
+            z = rng.standard_normal(p)
+            u = self.assert_matches_bisection(z, np.sqrt(p))
+            np.testing.assert_array_equal(u, z / np.linalg.norm(z))
+
+    def test_zero_vector(self):
+        np.testing.assert_array_equal(self.assert_matches_bisection(np.zeros(5), 1.5), 0.0)
+
+    def test_one_hot_input(self):
+        z = np.zeros(6)
+        z[2] = -4.0
+        for s in (1.0, 1.5, 3.0):
+            u = self.assert_matches_bisection(z, s)
+            np.testing.assert_array_equal(u, [0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_spls_supports_match_bisection_on_criterion_3(self, monkeypatch, K):
+        samples = [criterion_3_sample(n, seed) for n in (100, 400) for seed in (0, 1)]
+        fits = {}
+        for solver in (_l1_ball_unit_vector, reference_l1_ball_unit_vector):
+            monkeypatch.setattr(estimators, "_l1_ball_unit_vector", solver)
+            fits[solver] = [spls_fit(data, s, K) for data in samples
+                            for s in CANONICAL_PAIR_DEFAULTS["grids"]["spls"]]
+        for est, ref in zip(fits[_l1_ball_unit_vector], fits[reference_l1_ball_unit_vector]):
+            np.testing.assert_array_equal(est.u_dirs != 0.0, ref.u_dirs != 0.0)
+            np.testing.assert_array_equal(est.v_dirs != 0.0, ref.v_dirs != 0.0)
+            np.testing.assert_allclose(est.u_dirs, ref.u_dirs, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(est.v_dirs, ref.v_dirs, rtol=0.0, atol=1e-10)
+            assert est.provenance.converged == ref.provenance.converged
+
+
 def _scca_objective(cov, tau, u, v):
     return float(-u @ cov.sxy @ v + tau * (np.sum(np.abs(u)) + np.sum(np.abs(v))))
 
@@ -221,6 +338,75 @@ class TestScca:
         assert not est.provenance.converged
         moves = est.provenance.info["last_outer_moves"]
         assert len(moves) == 1 and moves[0][0] > 1e-14
+
+
+def reference_ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
+    """The linearised-ADMM block with four mat-vecs per step: the textbook
+    form the fused block must reproduce bit for bit."""
+    n = xdata.shape[0]
+    coef = mu / lam_step
+    for _ in range(n_steps):
+        r = xt @ u
+        r[:n] -= z
+        u = soft_threshold(u - coef * (xt.T @ (r + xi)) + mu * c, mu * tau)
+        w = xdata @ u + xi[:n]
+        nw = np.linalg.norm(w)
+        z = w / nw if nw > 1.0 else w
+        r = xt @ u
+        r[:n] -= z
+        xi = xi + r
+    return u, z, xi
+
+
+class TestFusedLadmm:
+    def assert_bit_identical(self, monkeypatch, data, tau, K, **options):
+        est = scca_fit(data, tau, K, **options)
+        monkeypatch.setattr(estimators, "_ladmm_block", reference_ladmm_block)
+        ref = scca_fit(data, tau, K, **options)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(est.u_dirs, ref.u_dirs)
+        np.testing.assert_array_equal(est.v_dirs, ref.v_dirs)
+        np.testing.assert_array_equal(est.rho, ref.rho)
+        assert est.provenance.info == ref.provenance.info
+        assert est.provenance.converged == ref.provenance.converged
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_first_pair_on_criterion_3(self, monkeypatch, n):
+        data = criterion_3_sample(n, seed=0)
+        for tau in (0.02, 0.1):
+            self.assert_bit_identical(monkeypatch, data, tau, 1)
+
+    def test_fresh_duals(self, monkeypatch, toy_data):
+        self.assert_bit_identical(monkeypatch, toy_data, 0.02, 1, n_steps_admm=50,
+                                  recycle_duals=False)
+
+    def test_more_variables_than_samples(self, monkeypatch):
+        cov, _ = canonical_pair_covariance(30, 30, [0.9], 5, within_view="suo_sp", seed=7)
+        data, _ = center_and_covariance(mvn_sample(cov, 24, seed=8))
+        assert data.p >= data.n
+        self.assert_bit_identical(monkeypatch, data, 0.05, 1, max_outer=300)
+
+    @pytest.mark.parametrize("recycle", [True, False])
+    def test_three_pairs_agree_to_rounding(self, monkeypatch, recycle):
+        # from the second pair on, constraint rows sit below the data rows,
+        # and BLAS may round the leading n entries of that stacked product
+        # differently from the data-only product the reference's z-update
+        # reads (here n=150 is not a multiple of the 4-row gemv block)
+        cov, _ = canonical_pair_covariance(10, 8, [0.85, 0.6, 0.4], 2, seed=31)
+        data, _ = center_and_covariance(mvn_sample(cov, 150, seed=32))
+        options = {} if recycle else {"n_steps_admm": 50, "recycle_duals": False}
+        est = scca_fit(data, 0.02, 3, **options)
+        monkeypatch.setattr(estimators, "_ladmm_block", reference_ladmm_block)
+        ref = scca_fit(data, 0.02, 3, **options)
+        assert est.provenance.info["total_inner_iterations"] == \
+            ref.provenance.info["total_inner_iterations"]
+        assert est.provenance.converged == ref.provenance.converged
+        np.testing.assert_allclose(est.provenance.info["last_outer_moves"],
+                                   ref.provenance.info["last_outer_moves"], rtol=1e-6, atol=1e-13)
+        for a, b in ((est.u_dirs, ref.u_dirs), (est.v_dirs, ref.v_dirs)):
+            np.testing.assert_array_equal(a != 0.0, b != 0.0)
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(est.rho, ref.rho, rtol=0.0, atol=1e-13)
 
 
 class TestGcca:
