@@ -48,6 +48,7 @@ from .linalg import (
     sym_matrix_power,
 )
 from .metrics import (
+    CvCriteria,
     cv_cc_agg,
     cv_instability,
     estimation_error,
@@ -56,5 +57,6 @@ from .metrics import (
     oracle_corr,
     subsp_cc_agg,
     succ_cc_agg,
+    validation_splits,
 )
 from .synth import bootstrap_covariance, canonical_pair_covariance, mvn_sample, powerlaw_precision

@@ -33,17 +33,18 @@ from .estimators import (
     KINDS,
     EstimatorSpec,
     fit_estimator,
+    penalty_in_domain,
     save_estimate,
     sweep_trajectory,
 )
 from .glasso import GlassoConvergenceError
 from .metrics import (
+    CvCriteria,
     MetricReport,
-    cv_cc_agg,
-    cv_instability,
     estimation_error,
     metric_name,
     succ_cc_agg,
+    validation_splits,
 )
 from .synth import bootstrap_covariance, canonical_pair_covariance, mvn_sample, powerlaw_precision
 
@@ -230,10 +231,16 @@ def _cmd_sweep(config, outdir, seed, jobs):
 
     report = MetricReport()
     warning_count = 0
+    validation = validation_splits(data, folds)
     for kind, _, K, options, _spec in specs:
-        kind_grid = [g for g in grid if _PENALTY_OK(kind, g)]
+        kind_grid = [g for g in grid if penalty_in_domain(kind, g)]
+        dropped = [g for g in grid if not penalty_in_domain(kind, g)]
         if not kind_grid:
             raise ConfigError(f"grid: no legal penalties for {kind}")
+        if dropped:
+            warning_count += 1
+            print(f"warning: {kind} grid values outside its penalty domain dropped: "
+                  f"{', '.join(repr(g) for g in dropped)}", file=sys.stderr)
         traj = sweep_trajectory(kind, data, kind_grid, folds, K, options=options,
                                 seed=seed, jobs=jobs)
         est_dir = Path(outdir) / "estimates" / kind
@@ -248,21 +255,22 @@ def _cmd_sweep(config, outdir, seed, jobs):
             fold_ests = traj.fold_estimates(i)
             if any(e is None for e in fold_ests):
                 continue
-            for k in k_list:
-                if k > min(e.k for e in fold_ests):
-                    continue
+            k_avail = min(e.k for e in fold_ests)
+            ks = [k for k in k_list if k <= k_avail]
+            if not ks:
+                continue
+            crit = CvCriteria(data, fold_ests, max(ks), validation)
+            for k in ks:
                 try:
-                    val, disp = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds, k,
-                                           return_dispersion=True)
+                    val, disp = crit.cc_agg("successive", "sq_sum", k)
                     report.add(algorithm=kind, penalty=penalty, fold="cv",
                                metric=metric_name("r2s", k, cv=True), k=k, value=val,
                                dispersion=disp)
-                    val, disp = cv_cc_agg("subspace", "sq_sum", data, fold_ests, folds, k,
-                                           return_dispersion=True)
+                    val, disp = crit.cc_agg("subspace", "sq_sum", k)
                     report.add(algorithm=kind, penalty=penalty, fold="cv",
                                metric=metric_name("R2s", k, cv=True), k=k, value=val,
                                dispersion=disp)
-                    inst = cv_instability(data, fold_ests, k)
+                    inst = crit.instability(k)
                     for family, key in (("wt-u", "wt_uk_cv"), ("vt-u", "vt_uk_cv"),
                                         ("wt-U", "wt_Uk_cv"), ("vt-U", "vt_Uk_cv")):
                         report.add(algorithm=kind, penalty=penalty, fold="cv",
@@ -277,16 +285,6 @@ def _cmd_sweep(config, outdir, seed, jobs):
                           file=sys.stderr)
     report.to_csv(Path(outdir) / "metrics.csv")
     return warning_count
-
-
-def _PENALTY_OK(kind, penalty):
-    if kind == "rcca":
-        return 0.0 <= penalty <= 1.0
-    if kind == "spls":
-        return penalty >= 1.0
-    if kind == "gcca":
-        return penalty > 0.0
-    return penalty >= 0.0
 
 
 def _cmd_compare(config, outdir, seed, jobs):
@@ -311,23 +309,38 @@ def _cmd_compare(config, outdir, seed, jobs):
     mat = trajectory_comparison(estimates, data, metric=comp_metric, k=comp_k)
     write_labelled_matrix_csv(Path(outdir) / f"comparison_{comp_metric}_{comp_k}.csv", mat, labels)
 
-    ref = estimates[ref_idx]
+    # a degenerate estimate, or one with a zero variate among the first k_ov,
+    # has no unit variates to register: its overlap table is masked (NaN)
     k_ov = min(comp_k, min(e.k for e in estimates))
-    z_ref = data.x @ ref.u_dirs[:, :k_ov]
-    z_ref = z_ref / np.linalg.norm(z_ref, axis=0)
-    for i, est in enumerate(estimates):
+    warning_count = 0
+    variates = []
+    for label, est in zip(labels, estimates):
         z = data.x @ est.u_dirs[:, :k_ov]
-        z = z / np.linalg.norm(z, axis=0)
-        if i != ref_idx:
-            z = z @ register(z_ref, z, mode)
-        ov = overlap_matrix(z_ref, z, squared=True)
+        norms = np.linalg.norm(z, axis=0)
+        if est.provenance.degenerate or np.any(norms == 0):
+            warning_count += 1
+            print(f"warning: {label} is degenerate; its overlap is masked", file=sys.stderr)
+            variates.append(None)
+        else:
+            variates.append(z / norms)
+    # a copy: NumPy takes z.T @ z on one buffer as a symmetric product,
+    # which rounds differently from the general product of the self-overlap
+    z_ref = None if variates[ref_idx] is None else variates[ref_idx].copy()
+    for i, z in enumerate(variates):
+        if z_ref is None or z is None:
+            table = np.full((k_ov + 1, k_ov + 1), np.nan)
+        else:
+            if i != ref_idx:
+                z = z @ register(z_ref, z, mode)
+            ov = overlap_matrix(z_ref, z, squared=True)
+            table = np.vstack([np.hstack([ov.matrix, ov.row_sums[:, None]]),
+                               np.hstack([ov.col_sums, [np.nan]])])
         write_labelled_matrix_csv(
             Path(outdir) / f"overlap_{labels[ref_idx]}_vs_{labels[i]}.csv",
-            np.vstack([np.hstack([ov.matrix, ov.row_sums[:, None]]),
-                       np.hstack([ov.col_sums, [np.nan]])]),
+            table,
             [f"comp_{j + 1}" for j in range(k_ov)] + ["sum"],
         )
-    return 0
+    return warning_count
 
 
 def _cmd_biplot(config, outdir, seed, jobs):
@@ -502,6 +515,7 @@ def run_bootstrap_panel_bench(**overrides):
         data = mvn_sample(boot_cov, cfg["n"], seed=500 + s)
         data, _ = center_and_covariance(data)
         folds = make_folds(data.n, cfg["V"], seed=s)
+        validation = validation_splits(data, folds)
         for kind in cfg["kinds"]:
             traj = sweep_trajectory(kind, data, cfg["grids"][kind], folds, kmax, seed=s)
             for i, penalty in enumerate(traj.grid):
@@ -510,11 +524,11 @@ def run_bootstrap_panel_bench(**overrides):
                 if full is None or any(e is None for e in fold_ests):
                     continue
                 row = dict(kind=kind, penalty=penalty, seed=s)
+                crit = CvCriteria(data, fold_ests, kmax, validation)
                 try:
-                    row["r2s1_cv"] = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds, 1)
-                    row["r2s3_cv"] = cv_cc_agg("successive", "sq_sum", data, fold_ests, folds,
-                                               kmax)
-                    row["R2s3_cv"] = cv_cc_agg("subspace", "sq_sum", data, fold_ests, folds, kmax)
+                    row["r2s1_cv"] = crit.cc_agg("successive", "sq_sum", 1)[0]
+                    row["r2s3_cv"] = crit.cc_agg("successive", "sq_sum", kmax)[0]
+                    row["R2s3_cv"] = crit.cc_agg("subspace", "sq_sum", kmax)[0]
                     row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1],
                                               full.v_dirs[:, :1])
                     err = estimation_error(boot_cov, truth, full, kmax)

@@ -211,6 +211,14 @@ def _read_view_csv(path):
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no sample rows")
+    # one cast parses the body (NumPy's str -> float cast accepts what
+    # float() accepts); the cell-by-cell loop below only words the error
+    try:
+        data = np.array(body, dtype=float)
+        if data.shape == (len(body), len(names)) and np.all(np.isfinite(data)):
+            return names, data
+    except ValueError:
+        pass
     data = np.empty((len(body), len(names)))
     for i, row in enumerate(body):
         if len(row) != len(names):

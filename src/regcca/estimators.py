@@ -50,6 +50,20 @@ _PENALTY_RANGES = {
 }
 
 
+def penalty_in_domain(kind, penalty):
+    """Whether ``penalty`` is legal for ``kind``: inside its closed range in
+    ``_PENALTY_RANGES``, and strictly positive for gcca."""
+    lo, hi = _PENALTY_RANGES[kind]
+    return lo <= penalty <= hi and not (kind == "gcca" and penalty <= 0)
+
+
+def _require_penalty(kind, penalty):
+    if not penalty_in_domain(kind, penalty):
+        lo, hi = _PENALTY_RANGES[kind]
+        opening = "(" if kind == "gcca" else "["
+        raise ValueError(f"{kind} penalty {penalty} outside {opening}{lo}, {hi}]")
+
+
 @dataclass
 class EstimatorSpec:
     """One estimator: kind, tied penalty, number of pairs and solver knobs."""
@@ -62,13 +76,7 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        lo, hi = _PENALTY_RANGES[self.kind]
-        if not lo <= self.penalty <= hi:
-            raise ValueError(
-                f"{self.kind} penalty {self.penalty} outside [{lo}, {hi}]"
-            )
-        if self.kind == "gcca" and self.penalty <= 0:
-            raise ValueError("gcca penalty must be strictly positive")
+        _require_penalty(self.kind, self.penalty)
         if self.K < 1:
             raise ValueError("K must be at least 1")
 
@@ -110,8 +118,7 @@ def rcca_fit(data: PairedDataset, c, K, floor_eps=None):
     whitened target (sample canonical correlations at c=0, singular values
     of Cxy at c=1).
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"rcca penalty must lie in [0, 1], got {c}")
+    _require_penalty("rcca", c)
     _require_centred(data)
     _, cov = center_and_covariance(data)
     reg = CovarianceModel(
@@ -216,8 +223,7 @@ def spls_fit(data: PairedDataset, s, K, max_sweeps=200, tol=1e-9):
     the deflation scalar, so correlation metrics compare like-for-like with
     the CCA methods.
     """
-    if s < 1.0:
-        raise ValueError(f"spls l1 radius must be >= 1, got {s}")
+    _require_penalty("spls", s)
     _require_centred(data)
     _, cov = center_and_covariance(data)
     cmat = cov.sxy.copy()
@@ -343,8 +349,7 @@ def scca_fit(
     Diagnostics in provenance record total inner iterations, for comparing
     solver configurations.
     """
-    if tau < 0:
-        raise ValueError(f"scca penalty must be nonnegative, got {tau}")
+    _require_penalty("scca", tau)
     _require_centred(data)
     n = data.n
     xd = data.x / np.sqrt(n)
@@ -454,8 +459,7 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000)
     every cross-view entry the correlations are all zero and the estimate is
     flagged degenerate.
     """
-    if lam <= 0:
-        raise ValueError(f"gcca penalty must be positive, got {lam}")
+    _require_penalty("gcca", lam)
     _require_centred(data)
     _, cov = center_and_covariance(data)
     prec = glasso_fit(cov.joint(), lam, tol=glasso_tol, max_iter=glasso_max_iter)
@@ -522,17 +526,35 @@ def _cell_seed(seed, kind, penalty_index, fold):
     return int(ss.generate_state(1)[0])
 
 
-def _fit_cell(args):
-    kind, penalty, K, options, data, folds, penalty_index, fold, seed = args
-    if fold == "full":
-        train = data
-    else:
-        train, _ = split_fold(data, folds, fold)
-    spec = EstimatorSpec(kind=kind, penalty=penalty, K=K, options=options)
-    est = fit_estimator(spec, train)
-    est.provenance.fold = fold
-    est.provenance.seed = _cell_seed(seed, kind, penalty_index, fold)
-    return est
+class _CellFit:
+    """Fits sweep cells (kind, penalty, K, options, penalty index, fold,
+    seed) on one dataset and fold plan.
+
+    The data and folds are bound once, so a process pool pickles them once
+    per chunk of cells rather than once per cell.  A solver failure comes
+    back as (None, message) and never aborts the sweep.
+    """
+
+    def __init__(self, data: PairedDataset, folds: FoldPlan):
+        self.data = data
+        self.folds = folds
+
+    def __call__(self, cell):
+        kind, penalty, K, options, penalty_index, fold, seed = cell
+        try:
+            train = self.data if fold == "full" else split_fold(self.data, self.folds, fold)[0]
+            spec = EstimatorSpec(kind=kind, penalty=penalty, K=K, options=options)
+            est = fit_estimator(spec, train)
+        except (GlassoConvergenceError, np.linalg.LinAlgError, ValueError) as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+        est.provenance.fold = fold
+        est.provenance.seed = _cell_seed(seed, kind, penalty_index, fold)
+        return est, None
+
+
+# chunks per pool worker: few enough that the dataset travels a few times,
+# enough that a slow chunk does not leave the other workers idle
+_CHUNKS_PER_WORKER = 4
 
 
 def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
@@ -553,34 +575,27 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
     _require_centred(data)
     options = dict(options or {})
 
-    cells = []
-    for i, penalty in enumerate(grid):
-        for fold in list(range(folds.V)) + ["full"]:
-            cells.append((kind, penalty, K, options, data, folds, i, fold, seed))
-
-    result = TrajectoryResult(kind=kind, grid=grid, folds=folds)
+    cells = [(kind, penalty, K, options, i, fold, seed)
+             for i, penalty in enumerate(grid)
+             for fold in list(range(folds.V)) + ["full"]]
+    fit = _CellFit(data, folds)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = -(-len(cells) // (_CHUNKS_PER_WORKER * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_try_fit_cell, cells))
+            outcomes = list(pool.map(fit, cells, chunksize=chunksize))
     else:
-        outcomes = [_try_fit_cell(args) for args in cells]
+        outcomes = [fit(cell) for cell in cells]
 
-    for args, (est, err) in zip(cells, outcomes):
-        key = (args[6], args[7])
+    result = TrajectoryResult(kind=kind, grid=grid, folds=folds)
+    for cell, (est, err) in zip(cells, outcomes):
+        key = (cell[4], cell[5])
         if est is not None:
             result.estimates[key] = est
         else:
             result.failures[key] = err
     return result
-
-
-def _try_fit_cell(args):
-    try:
-        return _fit_cell(args), None
-    except (GlassoConvergenceError, np.linalg.LinAlgError, ValueError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ versus leading-k subspaces, and a -cv suffix for the cross-validated forms.
 
 import csv
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "succ_cc_agg",
     "subsp_cc_agg",
     "cv_cc_agg",
+    "CvCriteria",
+    "validation_splits",
     "estimation_error",
     "cv_instability",
     "mutual_information",
@@ -124,6 +127,110 @@ def _signed_corr(z, w):
     return float(z @ w / (nz * nw))
 
 
+def validation_splits(data: PairedDataset, folds: FoldPlan):
+    """Validation block of every fold, shifted by that fold's training means
+    (the ``split_fold`` convention); a sweep takes them once for all its
+    penalties."""
+    return [split_fold(data, folds, v)[1] for v in range(folds.V)]
+
+
+class CvCriteria:
+    """Cross-validated criteria of one penalty's fold estimates, at every k.
+
+    Each block is formed once, with ``k_max`` columns: the validation
+    variates of every fold, the full-data variates of every estimate, and
+    the Gram-Schmidt reductions of every estimate's weight and variate
+    blocks.  A criterion at k <= k_max reads column prefixes.  For the
+    reductions that is exact because Gram-Schmidt is prefix-stable: whether
+    column j is kept, and its orthonormalised value, depend only on the
+    columns before it.
+
+    ``validation`` holds the folds' validation splits
+    (``validation_splits``); only ``cc_agg`` reads it.  Criteria raise the
+    same errors, in the same order, as one call of ``cv_cc_agg`` or
+    ``cv_instability`` at that k.
+    """
+
+    def __init__(self, data: PairedDataset, fold_estimates, k_max, validation=None):
+        self.data = data
+        self.fold_estimates = list(fold_estimates)
+        self.k_max = k_max
+        self.validation = validation
+        self._variates = {}
+        self._blocks = None
+
+    def _validation_variates(self, v):
+        if v not in self._variates:
+            val, est = self.validation[v], self.fold_estimates[v]
+            self._variates[v] = (val.x @ est.u_dirs[:, :self.k_max],
+                                 val.y @ est.v_dirs[:, :self.k_max])
+        return self._variates[v]
+
+    def cc_agg(self, mode, kind, K):
+        """Mean and across-fold standard deviation of the CV correlation
+        criterion at K; see ``cv_cc_agg``."""
+        if mode not in ("successive", "subspace"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if self.validation is None:
+            raise ValueError("the validation splits are needed for cc_agg")
+        if len(self.fold_estimates) != len(self.validation):
+            raise ValueError(
+                f"need one estimate per fold: got {len(self.fold_estimates)} "
+                f"for V={len(self.validation)}"
+            )
+        if K > self.k_max:
+            raise ValueError(f"K={K} exceeds k_max={self.k_max}")
+        vals = []
+        for v, est in enumerate(self.fold_estimates):
+            if est is None:
+                raise ValueError(f"missing estimate for fold {v}")
+            if est.k < K:
+                raise ValueError(f"fold {v} estimate has {est.k} pairs, need {K}")
+            z, w = self._validation_variates(v)
+            z, w = z[:, :K], w[:, :K]
+            if mode == "successive":
+                corr = [_signed_corr(z[:, k], w[:, k]) for k in range(K)]
+                vals.append(aggregate(kind, corr))
+            else:
+                vals.append(aggregate(kind, empirical_canonical_correlations(z, w)))
+        return float(np.mean(vals)), float(np.std(vals))
+
+    def instability(self, k):
+        """Fold-to-fold instability at k; see ``cv_instability``."""
+        if self._blocks is None:
+            self._blocks = []
+            for est in self.fold_estimates:
+                if est is None:
+                    continue
+                u = est.u_dirs[:, :self.k_max]
+                xu = self.data.x @ u
+                self._blocks.append((u, xu, gram_schmidt_reduce(u), gram_schmidt_reduce(xu)))
+        if len(self._blocks) < 2:
+            raise ValueError("need at least 2 fold estimates")
+        if k > self.k_max:
+            raise ValueError(f"k={k} exceeds k_max={self.k_max}")
+        wt_u, vt_u, wt_big, vt_big = [], [], [], []
+        for i, (ua, xa, qua, qxa) in enumerate(self._blocks):
+            for ub, xb, qub, qxb in self._blocks[i + 1:]:
+                wt_u.append(_vector_sin2(ua[:, k - 1], ub[:, k - 1]))
+                vt_u.append(_vector_sin2(xa[:, k - 1], xb[:, k - 1]))
+                wt_big.append(_orthonormal_sin2(_prefix(qua, k), _prefix(qub, k))[0])
+                vt_big.append(_orthonormal_sin2(_prefix(qxa, k), _prefix(qxb, k))[0])
+        return {
+            "wt_uk_cv": float(np.mean(wt_u)),
+            "vt_uk_cv": float(np.mean(vt_u)),
+            "wt_Uk_cv": float(np.mean(wt_big)),
+            "vt_Uk_cv": float(np.mean(vt_big)),
+        }
+
+
+def _prefix(reduced, k):
+    """Columns of a ``gram_schmidt_reduce`` result that come from the first
+    k input columns: the reduction of those columns alone."""
+    q, kept = reduced
+    return q[:, :bisect_left(kept, k)]
+
+
 def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, K,
               return_dispersion=False):
     """Cross-validated correlation criterion, averaged over folds.
@@ -134,31 +241,11 @@ def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, 
     variate blocks.  Validation columns are shifted by training-fold means.
 
     With ``return_dispersion`` the across-fold standard deviation comes
-    back alongside the mean.
+    back alongside the mean.  One call of ``CvCriteria.cc_agg``.
     """
-    if mode not in ("successive", "subspace"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(fold_estimates) != folds.V:
-        raise ValueError(
-            f"need one estimate per fold: got {len(fold_estimates)} for V={folds.V}"
-        )
-    vals = []
-    for v, est in enumerate(fold_estimates):
-        if est is None:
-            raise ValueError(f"missing estimate for fold {v}")
-        if est.k < K:
-            raise ValueError(f"fold {v} estimate has {est.k} pairs, need {K}")
-        _, val = split_fold(data, folds, v)
-        z = val.x @ est.u_dirs[:, :K]
-        w = val.y @ est.v_dirs[:, :K]
-        if mode == "successive":
-            corr = [_signed_corr(z[:, k], w[:, k]) for k in range(K)]
-            vals.append(aggregate(kind, corr))
-        else:
-            vals.append(aggregate(kind, empirical_canonical_correlations(z, w)))
-    if return_dispersion:
-        return float(np.mean(vals)), float(np.std(vals))
-    return float(np.mean(vals))
+    crit = CvCriteria(data, fold_estimates, K, validation_splits(data, folds))
+    mean, spread = crit.cc_agg(mode, kind, K)
+    return (mean, spread) if return_dispersion else mean
 
 
 def _vector_sin2(a, b):
@@ -170,16 +257,22 @@ def _vector_sin2(a, b):
     return max(0.0, 1.0 - cos**2)
 
 
-def _subspace_sin2(a, b):
-    """Squared sin-Theta after orthonormalising (and if needed reducing)
-    both blocks; returns (value, effective dimension)."""
-    qa, _ = gram_schmidt_reduce(np.asarray(a, dtype=float))
-    qb, _ = gram_schmidt_reduce(np.asarray(b, dtype=float))
+def _orthonormal_sin2(qa, qb):
+    """Squared sin-Theta between two orthonormal (possibly reduced) blocks;
+    returns (value, effective dimension)."""
     keff = min(qa.shape[1], qb.shape[1])
     if keff == 0:
         raise ValueError("zero-dimensional subspace in angle computation")
     ang = canonical_angles(qa, qb)
     return float(keff - np.sum(ang.cosines[:keff] ** 2)), keff
+
+
+def _subspace_sin2(a, b):
+    """Squared sin-Theta after orthonormalising (and if needed reducing)
+    both blocks; returns (value, effective dimension)."""
+    qa, _ = gram_schmidt_reduce(np.asarray(a, dtype=float))
+    qb, _ = gram_schmidt_reduce(np.asarray(b, dtype=float))
+    return _orthonormal_sin2(qa, qb)
 
 
 def estimation_error(cov: CovarianceModel, truth: CcaEstimate, est: CcaEstimate, k):
@@ -206,28 +299,8 @@ def estimation_error(cov: CovarianceModel, truth: CcaEstimate, est: CcaEstimate,
 def cv_instability(data: PairedDataset, fold_estimates, k):
     """Average squared sin-Theta between estimates from different training
     folds; the variate versions project both estimates through the full
-    data matrix."""
-    ests = [e for e in fold_estimates if e is not None]
-    if len(ests) < 2:
-        raise ValueError("need at least 2 fold estimates")
-    wt_u, vt_u, wt_big, vt_big = [], [], [], []
-    for i in range(len(ests)):
-        for j in range(i + 1, len(ests)):
-            a, b = ests[i], ests[j]
-            wt_u.append(_vector_sin2(a.u_dirs[:, k - 1], b.u_dirs[:, k - 1]))
-            vt_u.append(
-                _vector_sin2(data.x @ a.u_dirs[:, k - 1], data.x @ b.u_dirs[:, k - 1])
-            )
-            wt_big.append(_subspace_sin2(a.u_dirs[:, :k], b.u_dirs[:, :k])[0])
-            vt_big.append(
-                _subspace_sin2(data.x @ a.u_dirs[:, :k], data.x @ b.u_dirs[:, :k])[0]
-            )
-    return {
-        "wt_uk_cv": float(np.mean(wt_u)),
-        "vt_uk_cv": float(np.mean(vt_u)),
-        "wt_Uk_cv": float(np.mean(wt_big)),
-        "vt_Uk_cv": float(np.mean(vt_big)),
-    }
+    data matrix.  One call of ``CvCriteria.instability``."""
+    return CvCriteria(data, fold_estimates, k).instability(k)
 
 
 # ---------------------------------------------------------------------------

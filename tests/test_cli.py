@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import warnings
@@ -7,9 +8,12 @@ import pytest
 
 import regcca.cli
 from regcca.cli import main, run_bootstrap_panel_bench, summarise_bootstrap_panel
-from regcca.datamodel import center_and_covariance, load_two_view_csv, save_two_view_csv
+from regcca.compare import overlap_matrix
+from regcca.datamodel import center_and_covariance, load_two_view_csv, make_folds, save_two_view_csv
+from regcca.estimators import EstimatorSpec, fit_estimator, sweep_trajectory
 from regcca.linalg import thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
+from test_metrics import assert_rows_match, reference_sweep_rows
 
 
 @pytest.fixture
@@ -92,12 +96,14 @@ class TestSweepDeterminism:
         assert hash_tree(out1) == hash_tree(out2)
 
     def test_parallel_jobs_match_serial(self, tmp_path, toy_csv):
+        # 6 penalties x (3 folds + full) = 24 cells: two workers take
+        # several chunks each
         cfg = write_config(tmp_path, "sweep.json", {
             "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
             "estimators": [{"kind": "rcca", "K": 2}],
-            "grid": {"values": [0.1, 0.4]},
-            "folds": {"V": 2, "seed": 3},
-            "metrics": {"k_list": [1]},
+            "grid": {"values": [0.05, 0.1, 0.2, 0.4, 0.6, 0.9]},
+            "folds": {"V": 3, "seed": 3},
+            "metrics": {"k_list": [1, 2]},
             "seed": 2,
         })
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -124,7 +130,7 @@ class TestSweepDeterminism:
         def broken(*args, **kwargs):
             raise ValueError("metric fault")
 
-        monkeypatch.setattr(regcca.cli, "cv_cc_agg", broken)
+        monkeypatch.setattr(regcca.cli.CvCriteria, "cc_agg", broken)
         cfg = write_config(tmp_path, "sweep.json", {
             "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
             "estimators": [{"kind": "rcca", "K": 1}],
@@ -145,6 +151,52 @@ class TestSweepDeterminism:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert "metrics skipped" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["warnings"] == 1
+
+    def test_degenerate_fold_rows_and_warnings_match_per_k_calls(self, tmp_path, toy_csv,
+                                                                  capsys):
+        # scca at these penalties zeroes some fold directions: every row and
+        # warning must be the ones the per-(criterion, k) calls give
+        grid, k_list = [0.3, 1.0, 1.5, 3.0], [3, 1, 2]
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "scca", "K": 2}],
+            "grid": {"values": grid},
+            "folds": {"V": 3, "seed": 5},
+            "metrics": {"k_list": k_list},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        warns = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+        data, _ = center_and_covariance(load_two_view_csv(*toy_csv))
+        folds = make_folds(data.n, 3, seed=5)
+        traj = sweep_trajectory("scca", data, grid, folds, 2)
+        ref_rows, ref_warns = reference_sweep_rows("scca", data, traj, folds, k_list)
+        assert ref_warns and warns == ref_warns
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = [(float(r[1]), r[3], int(r[4]), float(r[5])) for r in list(csv.reader(fh))[1:]]
+        assert_rows_match(rows, ref_rows)
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == len(ref_warns)
+
+    def test_grid_values_outside_a_kind_domain_warn(self, tmp_path, toy_csv, capsys):
+        # rcca takes [0, 1], spls takes [1, inf): each kind loses one value
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "rcca", "K": 1}, {"kind": "spls", "K": 1}],
+            "grid": {"values": [0.5, 2.0]},
+            "folds": {"V": 2},
+            "metrics": {"k_list": [1]},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        warns = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert warns == [
+            "warning: rcca grid values outside its penalty domain dropped: 2.0",
+            "warning: spls grid values outside its penalty domain dropped: 0.5",
+        ]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == 2
+        with open(out / "metrics.csv", newline="") as fh:
+            kept = {(r[0], r[1]) for r in list(csv.reader(fh))[1:]}
+        assert kept == {("rcca", "0.5"), ("spls", "2.0")}
 
     def test_input_files_unchanged(self, tmp_path, toy_csv):
         before = (open(toy_csv[0], "rb").read(), open(toy_csv[1], "rb").read())
@@ -212,6 +264,53 @@ class TestCompareAndBiplot:
         assert (out / "comparison_vt_Uk_2.csv").exists()
         overlaps = list(out.glob("overlap_*.csv"))
         assert len(overlaps) == 2
+
+    def test_compare_masks_degenerate_estimate(self, tmp_path, toy_csv, capsys):
+        # scca at tau=5 zeroes the directions: its overlap table is all NaN
+        cfg = write_config(tmp_path, "cmp.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [
+                {"kind": "rcca", "penalty": 0.1, "K": 2},
+                {"kind": "scca", "penalty": 5.0, "K": 2},
+            ],
+            "registration": {"mode": "orthogonal", "reference": 0, "comparison_k": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: scca@5 is degenerate; its overlap is masked"]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == 1
+        masked = np.genfromtxt(out / "overlap_rcca@0.1_vs_scca@5.csv", delimiter=",",
+                               skip_header=1)[:, 1:]
+        assert masked.shape == (3, 3) and np.all(np.isnan(masked))
+        own = np.genfromtxt(out / "overlap_rcca@0.1_vs_rcca@0.1.csv", delimiter=",",
+                            skip_header=1)[:, 1:]
+        assert np.all(np.isfinite(own[:2, :2]))
+        comparison = np.genfromtxt(out / "comparison_vt_Uk_2.csv", delimiter=",",
+                                   skip_header=1)[:, 1:]
+        assert comparison[0, 0] == 0.0 and np.isnan(comparison[0, 1])
+
+    def test_compare_self_overlap_is_the_general_product(self, tmp_path):
+        # the reference against itself is the product of two equal blocks
+        # held apart, to the last bit; NumPy rounds z.T @ z on one buffer
+        # differently (a symmetric product), which shows at this size
+        cov, _ = canonical_pair_covariance(60, 30, [0.8, 0.5], 2, seed=201)
+        raw = mvn_sample(cov, 400, seed=202)
+        save_two_view_csv(raw, tmp_path / "x.csv", tmp_path / "y.csv")
+        cfg = write_config(tmp_path, "cmp.json", {
+            "data": {"x_csv": str(tmp_path / "x.csv"), "y_csv": str(tmp_path / "y.csv")},
+            "estimators": [{"kind": "rcca", "penalty": 0.1, "K": 3}],
+            "registration": {"reference": 0, "comparison_k": 3},
+        })
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        own = np.genfromtxt(out / "overlap_rcca@0.1_vs_rcca@0.1.csv", delimiter=",",
+                            skip_header=1)[:3, 1:4]
+        data, _ = center_and_covariance(load_two_view_csv(tmp_path / "x.csv", tmp_path / "y.csv"))
+        est = fit_estimator(EstimatorSpec(kind="rcca", penalty=0.1, K=3), data)
+        blocks = [data.x @ est.u_dirs for _ in range(2)]
+        blocks = [b / np.linalg.norm(b, axis=0) for b in blocks]
+        assert np.array_equal(own, overlap_matrix(*blocks, squared=True).matrix)
 
     def test_biplot_threshold_respected(self, tmp_path, toy_csv):
         cfg = write_config(tmp_path, "bip.json", {

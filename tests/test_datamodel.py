@@ -158,3 +158,27 @@ class TestCsv:
         (tmp_path / "y.csv").write_text("c\n1\n")
         with pytest.raises(DataError, match="bad value"):
             load_two_view_csv(tmp_path / "x.csv", tmp_path / "y.csv")
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = [[" 1.5 ", "+2", "1_000"], ["\uff11\uff12", "-.25e1", "\t7\t"]]
+        (tmp_path / "x.csv").write_text("a,b,c\n" + "\n".join(",".join(r) for r in cells) + "\n")
+        (tmp_path / "y.csv").write_text("d\n1\n2\n")
+        data = load_two_view_csv(tmp_path / "x.csv", tmp_path / "y.csv")
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert np.array_equal(data.x, expected)
+        assert data.x_names == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n3\n", "row 3 has 1 fields, expected 2"),
+        ("1,2\n3, \n", "missing value at row 3, column 'b'"),
+        ("1,2\n3,4x\n", "bad value '4x' at row 3"),
+        ("1,2\n3,inf\n", "non-finite value at row 3, column 'b'"),
+        ("1,2\nnan,4\n", "non-finite value at row 3, column 'a'"),
+    ])
+    def test_bad_body_error_names_the_cell(self, tmp_path, body, message):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n" + body)
+        (tmp_path / "y.csv").write_text("c\n1\n2\n")
+        with pytest.raises(DataError) as info:
+            load_two_view_csv(path, tmp_path / "y.csv")
+        assert str(info.value) == f"{path}: {message}"

@@ -472,6 +472,21 @@ class TestCommonContract:
         with pytest.raises(ValueError):
             EstimatorSpec(kind="nope", penalty=0.5, K=1)
 
+    @pytest.mark.parametrize("kind, penalty, message", [
+        ("rcca", 1.5, r"rcca penalty 1.5 outside \[0.0, 1.0\]"),
+        ("spls", 0.5, r"spls penalty 0.5 outside \[1.0, inf\]"),
+        ("spls", float("nan"), r"spls penalty nan outside"),
+        ("scca", -0.1, r"scca penalty -0.1 outside \[0.0, inf\]"),
+        ("gcca", 0.0, r"gcca penalty 0.0 outside \(0.0, inf\]"),
+    ])
+    def test_fits_and_specs_share_one_penalty_domain(self, toy_data, kind, penalty, message):
+        fit = {"rcca": rcca_fit, "spls": spls_fit, "scca": scca_fit, "gcca": gcca_fit}[kind]
+        with pytest.raises(ValueError, match=message):
+            fit(toy_data, penalty, 1)
+        with pytest.raises(ValueError, match=message):
+            EstimatorSpec(kind=kind, penalty=penalty, K=1)
+        assert not estimators.penalty_in_domain(kind, penalty)
+
 
 class TestSweep:
     def test_cell_count(self, toy_data):
@@ -512,6 +527,26 @@ class TestSweep:
         )
         assert len(traj.failures) == 3
         assert len(traj.estimates) == 0
+
+    def test_pool_matches_serial_with_failures(self, toy_data):
+        # gcca fails at one iteration; 4 penalties x 3 cells give each of
+        # the two workers several chunks, failures among them
+        folds = make_folds(toy_data.n, 2, seed=0)
+        grid = [0.02, 0.05, 0.1, 0.2]
+        options = {"glasso_max_iter": 1}
+        serial = sweep_trajectory("gcca", toy_data, grid, folds, 1, options=options, seed=3)
+        pooled = sweep_trajectory("gcca", toy_data, grid, folds, 1, options=options, seed=3,
+                                  jobs=2)
+        assert pooled.failures == serial.failures and len(serial.failures) == 12
+        serial = sweep_trajectory("rcca", toy_data, grid, folds, 2, seed=3)
+        pooled = sweep_trajectory("rcca", toy_data, grid, folds, 2, seed=3, jobs=2)
+        assert list(pooled.estimates) == list(serial.estimates)
+        for key, est in serial.estimates.items():
+            other = pooled.estimates[key]
+            np.testing.assert_array_equal(other.u_dirs, est.u_dirs)
+            np.testing.assert_array_equal(other.v_dirs, est.v_dirs)
+            np.testing.assert_array_equal(other.rho, est.rho)
+            assert other.provenance == est.provenance
 
     def test_non_monotone_grid_rejected(self, toy_data):
         folds = make_folds(toy_data.n, 2, seed=0)

@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joint_covariance
-from regcca.cca_core import cca_from_covariance
-from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance, make_folds
+from regcca.cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
+from regcca.datamodel import (
+    CovarianceModel,
+    PairedDataset,
+    center_and_covariance,
+    make_folds,
+    split_fold,
+)
 from regcca.estimators import rcca_fit, sweep_trajectory
-from regcca.linalg import gram_schmidt_metric, sym_matrix_power
+from regcca.linalg import canonical_angles, gram_schmidt_metric, gram_schmidt_reduce, sym_matrix_power
 from regcca.metrics import (
+    CvCriteria,
     MetricRecord,
     MetricReport,
     aggregate,
@@ -21,6 +28,7 @@ from regcca.metrics import (
     oracle_corr,
     subsp_cc_agg,
     succ_cc_agg,
+    validation_splits,
 )
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
@@ -329,6 +337,234 @@ class TestCvInstability:
                 oracle = succ_cc_agg("sq_sum", boot, full.u_dirs[:, :3], full.v_dirs[:, :3])
                 gaps.append(abs(cv_val - oracle))
         assert np.median(gaps) <= 0.15
+
+
+# ---------------------------------------------------------------------------
+# per-k reference: the criteria as computed one (criterion, k) at a time,
+# re-splitting the folds and re-orthonormalising every block on each call
+# ---------------------------------------------------------------------------
+
+def _ref_corr(z, w):
+    nz, nw = np.linalg.norm(z), np.linalg.norm(w)
+    if nz == 0.0 or nw == 0.0:
+        return 0.0
+    return float(z @ w / (nz * nw))
+
+
+def reference_cv_cc_agg(mode, kind, data, fold_estimates, folds, K):
+    if len(fold_estimates) != folds.V:
+        raise ValueError(f"need one estimate per fold: got {len(fold_estimates)} for V={folds.V}")
+    vals = []
+    for v, est in enumerate(fold_estimates):
+        if est is None:
+            raise ValueError(f"missing estimate for fold {v}")
+        if est.k < K:
+            raise ValueError(f"fold {v} estimate has {est.k} pairs, need {K}")
+        _, val = split_fold(data, folds, v)
+        z = val.x @ est.u_dirs[:, :K]
+        w = val.y @ est.v_dirs[:, :K]
+        if mode == "successive":
+            vals.append(aggregate(kind, [_ref_corr(z[:, k], w[:, k]) for k in range(K)]))
+        else:
+            vals.append(aggregate(kind, empirical_canonical_correlations(z, w)))
+    return float(np.mean(vals)), float(np.std(vals))
+
+
+def _ref_vector_sin2(a, b):
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("zero vector in angle computation")
+    return max(0.0, 1.0 - float(a @ b / (na * nb)) ** 2)
+
+
+def _ref_subspace_sin2(a, b):
+    qa, _ = gram_schmidt_reduce(a)
+    qb, _ = gram_schmidt_reduce(b)
+    keff = min(qa.shape[1], qb.shape[1])
+    if keff == 0:
+        raise ValueError("zero-dimensional subspace in angle computation")
+    return float(keff - np.sum(canonical_angles(qa, qb).cosines[:keff] ** 2))
+
+
+def reference_cv_instability(data, fold_estimates, k):
+    ests = [e for e in fold_estimates if e is not None]
+    if len(ests) < 2:
+        raise ValueError("need at least 2 fold estimates")
+    out = {"wt_uk_cv": [], "vt_uk_cv": [], "wt_Uk_cv": [], "vt_Uk_cv": []}
+    for i in range(len(ests)):
+        for j in range(i + 1, len(ests)):
+            ua, ub = ests[i].u_dirs, ests[j].u_dirs
+            out["wt_uk_cv"].append(_ref_vector_sin2(ua[:, k - 1], ub[:, k - 1]))
+            out["vt_uk_cv"].append(
+                _ref_vector_sin2(data.x @ ua[:, k - 1], data.x @ ub[:, k - 1]))
+            out["wt_Uk_cv"].append(_ref_subspace_sin2(ua[:, :k], ub[:, :k]))
+            out["vt_Uk_cv"].append(_ref_subspace_sin2(data.x @ ua[:, :k], data.x @ ub[:, :k]))
+    return {key: float(np.mean(vals)) for key, vals in out.items()}
+
+
+INSTABILITY_FAMILIES = (("wt-u", "wt_uk_cv"), ("vt-u", "vt_uk_cv"),
+                        ("wt-U", "wt_Uk_cv"), ("vt-U", "vt_Uk_cv"))
+
+
+def reference_sweep_rows(kind, data, traj, folds, k_list):
+    """``metrics.csv`` rows (penalty, metric, k, value) and skip warnings of
+    one swept kind, one (criterion, k) call at a time, in the order the
+    sweep writes them."""
+    rows, warns = [], []
+    for i, penalty in enumerate(traj.grid):
+        fold_ests = traj.fold_estimates(i)
+        if any(e is None for e in fold_ests):
+            continue
+        for k in k_list:
+            if k > min(e.k for e in fold_ests):
+                continue
+            try:
+                for mode, family in (("successive", "r2s"), ("subspace", "R2s")):
+                    val, _ = reference_cv_cc_agg(mode, "sq_sum", data, fold_ests, folds, k)
+                    rows.append((penalty, metric_name(family, k, cv=True), k, val))
+                inst = reference_cv_instability(data, fold_ests, k)
+                for family, key in INSTABILITY_FAMILIES:
+                    rows.append((penalty, metric_name(family, k, cv=True), k, inst[key]))
+            except ValueError as exc:
+                warns.append(f"warning: {kind} penalty[{i}] k={k} metrics skipped: {exc}")
+    return rows, warns
+
+
+def core_sweep_rows(kind, data, fold_ests_by_penalty, folds, k_list):
+    """The same rows through one ``CvCriteria`` per penalty."""
+    rows, warns = [], []
+    validation = validation_splits(data, folds)
+    for i, (penalty, fold_ests) in enumerate(fold_ests_by_penalty):
+        ks = [k for k in k_list if k <= min(e.k for e in fold_ests)]
+        crit = CvCriteria(data, fold_ests, max(ks), validation)
+        for k in ks:
+            try:
+                for mode, family in (("successive", "r2s"), ("subspace", "R2s")):
+                    val, _ = crit.cc_agg(mode, "sq_sum", k)
+                    rows.append((penalty, metric_name(family, k, cv=True), k, val))
+                inst = crit.instability(k)
+                for family, key in INSTABILITY_FAMILIES:
+                    rows.append((penalty, metric_name(family, k, cv=True), k, inst[key]))
+            except ValueError as exc:
+                warns.append(f"warning: {kind} penalty[{i}] k={k} metrics skipped: {exc}")
+    return rows, warns
+
+
+def assert_rows_match(rows, ref_rows, atol=1e-12):
+    assert [r[:3] for r in rows] == [r[:3] for r in ref_rows]
+    np.testing.assert_allclose([r[3] for r in rows], [r[3] for r in ref_rows],
+                               rtol=0, atol=atol)
+
+
+def _replace_u(est, u):
+    return CcaEstimate(u_dirs=u, v_dirs=est.v_dirs, rho=est.rho, provenance=est.provenance)
+
+
+@pytest.fixture
+def k3_setup():
+    cov, _ = canonical_pair_covariance(8, 6, [0.85, 0.6, 0.4], 2, seed=81)
+    data = mvn_sample(cov, 120, seed=82)
+    data, _ = center_and_covariance(data)
+    folds = make_folds(data.n, 4, seed=8)
+    traj = sweep_trajectory("rcca", data, [0.05, 0.3, 0.8], folds, 3)
+    return data, folds, traj
+
+
+class TestCvCriteria:
+    def test_prefixes_match_per_k_calls(self, k3_setup):
+        data, folds, traj = k3_setup
+        k_list = [3, 1, 2]  # unsorted, as configs may give it
+        ests = [(p, traj.fold_estimates(i)) for i, p in enumerate(traj.grid)]
+        rows, warns = core_sweep_rows("rcca", data, ests, folds, k_list)
+        ref_rows, ref_warns = reference_sweep_rows("rcca", data, traj, folds, k_list)
+        assert len(rows) == 3 * 3 * 6 and warns == ref_warns == []
+        assert_rows_match(rows, ref_rows)
+
+    def test_k_beyond_estimate_dropped(self, k3_setup):
+        data, folds, traj = k3_setup
+        k_list = [4, 2, 1]  # the estimates hold 3 pairs
+        ests = [(p, traj.fold_estimates(i)) for i, p in enumerate(traj.grid)]
+        rows, _ = core_sweep_rows("rcca", data, ests, folds, k_list)
+        ref_rows, _ = reference_sweep_rows("rcca", data, traj, folds, k_list)
+        assert {r[2] for r in rows} == {1, 2}
+        assert_rows_match(rows, ref_rows)
+        with pytest.raises(ValueError, match="fold 0 estimate has 3 pairs, need 4"):
+            cv_cc_agg("successive", "sq_sum", data, traj.fold_estimates(0), folds, 4)
+
+    def test_public_functions_match_reference(self, k3_setup):
+        data, folds, traj = k3_setup
+        ests = traj.fold_estimates(1)
+        for k in (1, 2, 3):
+            for mode in ("successive", "subspace"):
+                got = cv_cc_agg(mode, "sq_sum", data, ests, folds, k, return_dispersion=True)
+                ref = reference_cv_cc_agg(mode, "sq_sum", data, ests, folds, k)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            got = cv_instability(data, ests, k)
+            ref = reference_cv_instability(data, ests, k)
+            for key in ref:
+                assert abs(got[key] - ref[key]) <= 1e-12
+
+    def test_rank_deficient_block_drops_a_column(self, k3_setup):
+        data, folds, traj = k3_setup
+        ests = list(traj.fold_estimates(1))
+        u = ests[2].u_dirs.copy()
+        u[:, 2] = u[:, 0] - 0.5 * u[:, 1]  # dependent third column
+        ests[2] = _replace_u(ests[2], u)
+        assert gram_schmidt_reduce(u)[1] == [0, 1]
+        assert gram_schmidt_reduce(data.x @ u)[1] == [0, 1]
+        crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
+        for k in (1, 2, 3):
+            ref = reference_cv_instability(data, ests, k)
+            got = crit.instability(k)
+            for key in ref:
+                assert abs(got[key] - ref[key]) <= 1e-12
+            for mode in ("successive", "subspace"):
+                np.testing.assert_allclose(
+                    crit.cc_agg(mode, "sq_sum", k),
+                    reference_cv_cc_agg(mode, "sq_sum", data, ests, folds, k),
+                    rtol=0, atol=1e-12)
+
+    def test_degenerate_fold_rows_and_errors_unchanged(self, k3_setup):
+        # a zero second column: r2s-cv is still defined at k >= 2, the
+        # subspace criterion raises, and k = 1 keeps every row
+        data, folds, traj = k3_setup
+        ests = list(traj.fold_estimates(0))
+        u = ests[1].u_dirs.copy()
+        u[:, 1] = 0.0
+        ests[1] = _replace_u(ests[1], u)
+        ests[1].provenance.degenerate = True
+        k_list = [2, 1, 3]
+        rows, warns = core_sweep_rows("rcca", data, [(traj.grid[0], ests)], folds, k_list)
+
+        class OnePenalty:
+            grid = [traj.grid[0]]
+
+            def fold_estimates(self, i):
+                return ests
+
+        ref_rows, ref_warns = reference_sweep_rows("rcca", data, OnePenalty(), folds, k_list)
+        assert warns == ref_warns == [
+            "warning: rcca penalty[0] k=2 metrics skipped: zero-variance column 1 in first block",
+            "warning: rcca penalty[0] k=3 metrics skipped: zero-variance column 1 in first block",
+        ]
+        assert [r[1] for r in rows] == ["r2s2-cv", "r2s1-cv", "R2s1-cv", "wt-u1-cv",
+                                        "vt-u1-cv", "wt-U1-cv", "vt-U1-cv", "r2s3-cv"]
+        assert_rows_match(rows, ref_rows)
+        crit = CvCriteria(data, ests, 3)
+        with pytest.raises(ValueError, match="zero vector"):
+            crit.instability(2)
+        with pytest.raises(ValueError, match="zero vector"):
+            reference_cv_instability(data, ests, 2)
+
+    def test_k_above_k_max_or_missing_splits_rejected(self, k3_setup):
+        data, folds, traj = k3_setup
+        crit = CvCriteria(data, traj.fold_estimates(0), 2, validation_splits(data, folds))
+        with pytest.raises(ValueError, match="exceeds k_max"):
+            crit.cc_agg("successive", "sq_sum", 3)
+        with pytest.raises(ValueError, match="exceeds k_max"):
+            crit.instability(3)
+        with pytest.raises(ValueError, match="validation splits"):
+            CvCriteria(data, traj.fold_estimates(0), 2).cc_agg("subspace", "sq_sum", 1)
 
 
 class TestReport:
