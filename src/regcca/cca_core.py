@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import CovarianceModel, PairedDataset, center_and_covariance
-from .linalg import sym_matrix_power, thin_svd
+from .linalg import LinalgError, eigenvalue_floor, sym_matrix_power, thin_svd
 
 __all__ = [
     "Provenance",
@@ -118,24 +118,55 @@ def sample_cca(data: PairedDataset, K, floor_eps=None):
     return est
 
 
+def _whitening(s):
+    """Eigenvectors of a stack of covariances and their floored eigenvalues
+    to the power -1/2."""
+    lam, q = np.linalg.eigh(s)
+    floor = eigenvalue_floor(np.trace(s, axis1=-2, axis2=-1), s.shape[-1])
+    return q, np.maximum(lam, np.expand_dims(floor, -1)) ** -0.5
+
+
 def empirical_canonical_correlations(zdata, wdata):
-    """Canonical correlations between two variate blocks.
+    """Canonical correlations between two variate blocks, or between the
+    paired blocks of two stacks (leading axes).
 
     Inputs are treated as mean-zero (the cross-validation contract shifts
     validation variates by training means, so means are deliberately not
     removed here).  Computed by exact CCA on the joint sample covariance of
-    the two blocks.
+    the two blocks: each within-block covariance is eigendecomposed, its
+    eigenvalues floored as in ``sym_matrix_power``, and the correlations
+    are the singular values of the cross-covariance whitened in those
+    eigenbases.  They depend on the Gram matrices of the blocks only up to
+    a common scale, so zero rows appended to both blocks of a pair (to
+    stack splits of unequal sizes) change nothing.  A stack raises the
+    error of its first failing pair.
     """
     z = np.asarray(zdata, dtype=float)
     w = np.asarray(wdata, dtype=float)
-    if z.ndim != 2 or w.ndim != 2 or z.shape[0] != w.shape[0]:
+    if z.ndim < 2 or z.ndim != w.ndim or z.shape[:-1] != w.shape[:-1]:
         raise ValueError("variate blocks must share the sample axis")
-    n = z.shape[0]
-    for mat, tag in ((z, "first"), (w, "second")):
-        sq = np.einsum("ij,ij->j", mat, mat)
-        dead = np.flatnonzero(sq == 0.0)
-        if dead.size:
-            raise ValueError(f"zero-variance column {dead[0]} in {tag} block")
-    cov = CovarianceModel(sxx=z.T @ z / n, sxy=z.T @ w / n, syy=w.T @ w / n)
-    k = min(z.shape[1], w.shape[1])
-    return cca_from_covariance(cov, k, algorithm="empirical_cc").rho
+    n = z.shape[-2]
+    lead = z.shape[:-2]
+    pairs = int(np.prod(lead))
+    sq_z = np.einsum("...ij,...ij->...j", z, z).reshape(pairs, z.shape[-1])
+    sq_w = np.einsum("...ij,...ij->...j", w, w).reshape(pairs, w.shape[-1])
+    zt = z.swapaxes(-1, -2)
+    szz, szw, sww = zt @ z / n, zt @ w / n, w.swapaxes(-1, -2) @ w / n
+    finite = (np.isfinite(szz).all(axis=(-1, -2)) & np.isfinite(sww).all(axis=(-1, -2)))
+    finite = finite.reshape(pairs)
+    failing = (sq_z == 0.0).any(axis=1) | (sq_w == 0.0).any(axis=1) | ~finite
+    if failing.any():
+        b = int(np.argmax(failing))
+        for sq, tag in ((sq_z[b], "first"), (sq_w[b], "second")):
+            dead = np.flatnonzero(sq == 0.0)
+            if dead.size:
+                raise ValueError(f"zero-variance column {dead[0]} in {tag} block")
+        raise LinalgError("matrix contains non-finite entries")
+    k = min(z.shape[-1], w.shape[-1])
+    if k < 1:
+        raise ValueError(f"K={k} outside [1, min(p, q)={k}]")
+    qz, rz = _whitening(szz)
+    qw, rw = _whitening(sww)
+    t = rz[..., :, None] * (qz.swapaxes(-1, -2) @ szw @ qw) * rw[..., None, :]
+    rho = np.linalg.svd(t, compute_uv=False)
+    return rho.reshape(lead + rho.shape[-1:])

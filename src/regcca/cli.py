@@ -202,13 +202,24 @@ def _cmd_fit(config, outdir, seed, jobs):
     for i, (kind, penalty, K, options, _) in enumerate(specs):
         if penalty is None:
             raise ConfigError(f"estimators[{i}].penalty: required for fit")
+    warning_count = 0
     for i, (kind, penalty, K, options, spec) in enumerate(specs):
         est = fit_estimator(spec, data)
         est.provenance.seed = seed
+        warning_count += _warn_if_degenerate(est, f"estimators[{i}] {kind}@{spec.penalty:g}")
         save_estimate(
             est, outdir, f"fit_{i:02d}_{kind}", x_names=data.x_names, y_names=data.y_names
         )
-    return 0
+    return warning_count
+
+
+def _warn_if_degenerate(est, label):
+    """Print one warning for an estimate flagged degenerate; returns the
+    number of warnings printed (0 or 1)."""
+    if not est.provenance.degenerate:
+        return 0
+    print(f"warning: {label} is degenerate", file=sys.stderr)
+    return 1
 
 
 def _fold_plan(config, data, seed):
@@ -351,13 +362,14 @@ def _cmd_biplot(config, outdir, seed, jobs):
     if penalty is None:
         raise ConfigError("estimators[0].penalty: required for biplot")
     est = fit_estimator(spec, data)
+    warning_count = _warn_if_degenerate(est, f"estimators[0] {kind}@{spec.penalty:g}")
     out_sec = config.get("output", {})
     coords = structure_correlations(
         data, est, variate_view=out_sec.get("variate_view", "x"), K=K
     )
     export_biplot(coords, float(out_sec.get("biplot_threshold", 0.0)),
                   Path(outdir) / "biplot.csv")
-    return 0
+    return warning_count
 
 
 # ---------------------------------------------------------------------------

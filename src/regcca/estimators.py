@@ -1,7 +1,9 @@
 """The four regularised CCA estimators behind one interface, plus sweeps.
 
 rcca   ridge-regularised CCA: plug-in CCA on (1-c)*C + c*I within-view blocks;
-       c=0 is sample CCA, c=1 is PLS (an SVD of the cross-covariance).
+       c=0 is sample CCA, c=1 is PLS (an SVD of the cross-covariance).  The
+       blocks share the eigenvectors of C, so a penalty path needs one
+       eigendecomposition per view.
 spls   penalised matrix decomposition with Euclidean-metric constraints and
        rank-one deflation; not a true CCA method.
 scca   l1-penalised CCA with covariance-metric constraints, solved by
@@ -25,11 +27,12 @@ import numpy as np
 from .cca_core import CcaEstimate, Provenance, cca_from_covariance
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, center_and_covariance, split_fold
 from .glasso import GlassoConvergenceError, glasso_fit
-from .linalg import soft_threshold, thin_svd
+from .linalg import canonical_signs, eigenvalue_floor, soft_threshold, sym_eig, thin_svd
 
 __all__ = [
     "EstimatorSpec",
     "TrajectoryResult",
+    "RccaSpectra",
     "rcca_fit",
     "spls_fit",
     "scca_fit",
@@ -110,29 +113,63 @@ def _empirical_corr(z, w):
 # ridge CCA
 # ---------------------------------------------------------------------------
 
-def rcca_fit(data: PairedDataset, c, K, floor_eps=None):
+class RccaSpectra:
+    """The penalty-free part of rcca on one training split: eigendecompositions
+    of Cxx and Cyy, and Cxy rotated into those eigenbases.
+
+    (1-c)*C + c*I has the eigenvectors of C and the eigenvalues
+    (1-c)*lambda + c, so one instance serves every penalty of a path.
+    """
+
+    def __init__(self, data: PairedDataset):
+        _, cov = center_and_covariance(data)
+        self.x = sym_eig(cov.sxx)
+        self.y = sym_eig(cov.syy)
+        self.x_trace = float(np.trace(cov.sxx))
+        self.y_trace = float(np.trace(cov.syy))
+        self.cross = self.x.eigenvectors.T @ cov.sxy @ self.y.eigenvectors
+
+
+def _ridge_scales(dec, trace, c, floor_eps):
+    """Eigenvalues of (1-c)*C + c*I, floored as ``sym_matrix_power`` floors
+    that matrix (its trace is (1-c)*tr(C) + c*d), to the power -1/2."""
+    d = dec.eigenvalues.size
+    floor = eigenvalue_floor((1.0 - c) * trace + c * d, d, floor_eps)
+    return np.maximum((1.0 - c) * dec.eigenvalues + c, floor) ** -0.5
+
+
+def rcca_fit(data: PairedDataset, c, K, floor_eps=None, spectra=None):
     """Ridge-regularised CCA with tied penalty c in [0, 1].
 
     Plug-in CCA on the covariance model with within-view blocks
     (1-c)*Cxx + c*I; rho holds the singular values of the regularised
     whitened target (sample canonical correlations at c=0, singular values
     of Cxy at c=1).
+
+    The target is whitened in the eigenbases of Cxx and Cyy, so a penalty
+    costs one SVD of a p x q matrix; ``spectra`` (the ``RccaSpectra`` of
+    ``data``) lets a penalty path share one eigendecomposition per view.
+    Eigenvalues are floored as ``sym_matrix_power`` floors them
+    (``floor_eps`` overrides), and signs are canonicalised on the left
+    singular vectors in the original coordinates, as ``thin_svd`` does.
     """
     _require_penalty("rcca", c)
     _require_centred(data)
-    _, cov = center_and_covariance(data)
-    reg = CovarianceModel(
-        sxx=(1.0 - c) * cov.sxx + c * np.eye(data.p),
-        sxy=cov.sxy,
-        syy=(1.0 - c) * cov.syy + c * np.eye(data.q),
-    )
-    est = cca_from_covariance(reg, K, floor_eps, algorithm="rcca")
-    u = _unit_variance_columns(est.u_dirs, data.x)
-    v = _unit_variance_columns(est.v_dirs, data.y)
+    if K < 1 or K > min(data.p, data.q):
+        raise ValueError(f"K={K} outside [1, min(p, q)={min(data.p, data.q)}]")
+    if spectra is None:
+        spectra = RccaSpectra(data)
+    sx = _ridge_scales(spectra.x, spectra.x_trace, c, floor_eps)
+    sy = _ridge_scales(spectra.y, spectra.y_trace, c, floor_eps)
+    left, rho, right_t = np.linalg.svd(sx[:, None] * spectra.cross * sy, full_matrices=False)
+    a, b = left[:, :K], right_t[:K].T
+    signs = canonical_signs(spectra.x.eigenvectors @ a)
+    u = spectra.x.eigenvectors @ (sx[:, None] * a * signs)
+    v = spectra.y.eigenvectors @ (sy[:, None] * b * signs)
     return CcaEstimate(
-        u_dirs=u,
-        v_dirs=v,
-        rho=est.rho,
+        u_dirs=_unit_variance_columns(u, data.x),
+        v_dirs=_unit_variance_columns(v, data.y),
+        rho=rho[:K].copy(),
         provenance=Provenance(algorithm="rcca", penalty=float(c)),
     )
 
@@ -531,20 +568,35 @@ class _CellFit:
     seed) on one dataset and fold plan.
 
     The data and folds are bound once, so a process pool pickles them once
-    per chunk of cells rather than once per cell.  A solver failure comes
-    back as (None, message) and never aborts the sweep.
+    per chunk of cells rather than once per cell.  Each fold's training
+    split, and for rcca its ``RccaSpectra``, are kept once made, so cells
+    of one fold share them.  A solver failure comes back as (None,
+    message) and never aborts the sweep.
     """
 
     def __init__(self, data: PairedDataset, folds: FoldPlan):
         self.data = data
         self.folds = folds
+        self._trains = {}
+        self._spectra = {}
+
+    def _train(self, fold):
+        if fold not in self._trains:
+            self._trains[fold] = (self.data if fold == "full"
+                                  else split_fold(self.data, self.folds, fold)[0])
+        return self._trains[fold]
 
     def __call__(self, cell):
         kind, penalty, K, options, penalty_index, fold, seed = cell
         try:
-            train = self.data if fold == "full" else split_fold(self.data, self.folds, fold)[0]
+            train = self._train(fold)
             spec = EstimatorSpec(kind=kind, penalty=penalty, K=K, options=options)
-            est = fit_estimator(spec, train)
+            if kind == "rcca":
+                if fold not in self._spectra:
+                    self._spectra[fold] = RccaSpectra(train)
+                est = rcca_fit(train, penalty, K, spectra=self._spectra[fold], **options)
+            else:
+                est = fit_estimator(spec, train)
         except (GlassoConvergenceError, np.linalg.LinAlgError, ValueError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
         est.provenance.fold = fold
@@ -565,6 +617,9 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
     Per-cell solver failures are recorded in ``failures`` and never abort
     the sweep.  Cells are independent; results do not depend on execution
     order, and each cell's derived RNG seed is recorded in its provenance.
+    Cells run fold by fold, so one fold's training split (and rcca's
+    eigendecompositions) serve all its penalties, in the pool once per
+    chunk; ``estimates`` and ``failures`` list them penalty by penalty.
     """
     grid = list(grid)
     if not grid:
@@ -576,8 +631,8 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
     options = dict(options or {})
 
     cells = [(kind, penalty, K, options, i, fold, seed)
-             for i, penalty in enumerate(grid)
-             for fold in list(range(folds.V)) + ["full"]]
+             for fold in list(range(folds.V)) + ["full"]
+             for i, penalty in enumerate(grid)]
     fit = _CellFit(data, folds)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -589,7 +644,7 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
         outcomes = [fit(cell) for cell in cells]
 
     result = TrajectoryResult(kind=kind, grid=grid, folds=folds)
-    for cell, (est, err) in zip(cells, outcomes):
+    for cell, (est, err) in sorted(zip(cells, outcomes), key=lambda co: co[0][4]):
         key = (cell[4], cell[5])
         if est is not None:
             result.estimates[key] = est

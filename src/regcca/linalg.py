@@ -16,7 +16,9 @@ __all__ = [
     "sym_eig",
     "compact_svd",
     "thin_svd",
+    "canonical_signs",
     "sym_matrix_power",
+    "eigenvalue_floor",
     "soft_threshold",
     "canonical_angles",
     "sin2_theta",
@@ -36,17 +38,25 @@ def _require_finite(a, name="matrix"):
         raise LinalgError(f"{name} contains non-finite entries")
 
 
-def _canonicalise_signs(left, right=None):
-    """Flip columns so each left vector's largest-magnitude entry is positive.
-
-    Ties resolve to the lowest index via argmax.  The paired right column is
-    flipped together so products like U @ diag(s) @ V.T are unchanged.
-    """
-    if left.shape[1] == 0:
-        return left, right
+def canonical_signs(left):
+    """+1/-1 per column, the sign that makes the column's largest-magnitude
+    entry positive (ties resolve to the lowest index via argmax; +1 for a
+    zero column)."""
     idx = np.argmax(np.abs(left), axis=0)
     signs = np.sign(left[idx, np.arange(left.shape[1])])
     signs[signs == 0] = 1.0
+    return signs
+
+
+def _canonicalise_signs(left, right=None):
+    """Flip columns so each left vector's largest-magnitude entry is positive.
+
+    The paired right column is flipped together so products like
+    U @ diag(s) @ V.T are unchanged.
+    """
+    if left.shape[1] == 0:
+        return left, right
+    signs = canonical_signs(left)
     left = left * signs
     if right is not None:
         right = right * signs
@@ -168,15 +178,24 @@ def sym_matrix_power(a, exponent, floor_eps=None):
         raise LinalgError(f"unsupported exponent {exponent}")
     _require_finite(a)
     _check_symmetric(a)
-    d = a.shape[0]
-    if floor_eps is None:
-        floor_eps = 1e-12 * max(float(np.trace(a)), d * np.finfo(float).tiny) / d
-    if floor_eps <= 0:
-        raise LinalgError("floor_eps must be positive")
+    floor_eps = eigenvalue_floor(np.trace(a), a.shape[0], floor_eps)
     dec = sym_eig(a)
     w = np.maximum(dec.eigenvalues, floor_eps)
     powered = (dec.eigenvectors * w**exponent) @ dec.eigenvectors.T
     return 0.5 * (powered + powered.T)
+
+
+def eigenvalue_floor(trace, d, floor_eps=None):
+    """Lower clamp for the eigenvalues of a d x d PSD matrix before a
+    negative power: ``floor_eps`` if given (it must be positive), else
+    1e-12 times the mean eigenvalue ``trace / d``, kept above the smallest
+    normal float.  ``trace`` may be an array, one per matrix of a stack.
+    """
+    if floor_eps is None:
+        return 1e-12 * np.maximum(trace, d * np.finfo(float).tiny) / d
+    if floor_eps <= 0:
+        raise LinalgError("floor_eps must be positive")
+    return floor_eps
 
 
 def soft_threshold(a, thr):

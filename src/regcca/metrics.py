@@ -8,7 +8,6 @@ versus leading-k subspaces, and a -cv suffix for the cross-validated forms.
 
 import csv
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,14 +118,6 @@ def subsp_cc_agg(kind, cov: CovarianceModel, u_dirs, v_dirs, K):
     return aggregate(kind, rho)
 
 
-def _signed_corr(z, w):
-    nz = np.linalg.norm(z)
-    nw = np.linalg.norm(w)
-    if nz == 0.0 or nw == 0.0:
-        return 0.0
-    return float(z @ w / (nz * nw))
-
-
 def validation_splits(data: PairedDataset, folds: FoldPlan):
     """Validation block of every fold, shifted by that fold's training means
     (the ``split_fold`` convention); a sweep takes them once for all its
@@ -145,10 +136,17 @@ class CvCriteria:
     column j is kept, and its orthonormalised value, depend only on the
     columns before it.
 
+    The folds' variates sit in stacks (validation blocks padded with zero
+    rows to a common length, which changes no criterion), so the subspace
+    correlations of every fold at a k come from one stacked
+    ``empirical_canonical_correlations`` call, and the instability of all
+    fold pairs from one stacked product of the reduced blocks and one
+    stacked SVD.
+
     ``validation`` holds the folds' validation splits
     (``validation_splits``); only ``cc_agg`` reads it.  Criteria raise the
     same errors, in the same order, as one call of ``cv_cc_agg`` or
-    ``cv_instability`` at that k.
+    ``cv_instability`` at that k: the first failing fold or fold pair wins.
     """
 
     def __init__(self, data: PairedDataset, fold_estimates, k_max, validation=None):
@@ -156,15 +154,25 @@ class CvCriteria:
         self.fold_estimates = list(fold_estimates)
         self.k_max = k_max
         self.validation = validation
-        self._variates = {}
-        self._blocks = None
+        self._variates = None
+        self._pairs = None
 
-    def _validation_variates(self, v):
-        if v not in self._variates:
-            val, est = self.validation[v], self.fold_estimates[v]
-            self._variates[v] = (val.x @ est.u_dirs[:, :self.k_max],
-                                 val.y @ est.v_dirs[:, :self.k_max])
-        return self._variates[v]
+    def _validation_variates(self):
+        """(V, n_max, k_max) stacks of every fold's validation variates;
+        zero where a fold's split is shorter, its estimate holds fewer than
+        k_max pairs, or it has none."""
+        if self._variates is None:
+            n_max = max(val.n for val in self.validation)
+            z = np.zeros((len(self.validation), n_max, self.k_max))
+            w = np.zeros_like(z)
+            for v, (val, est) in enumerate(zip(self.validation, self.fold_estimates)):
+                if est is not None:
+                    zv = val.x @ est.u_dirs[:, :self.k_max]
+                    wv = val.y @ est.v_dirs[:, :self.k_max]
+                    z[v, :val.n, :zv.shape[1]] = zv
+                    w[v, :val.n, :wv.shape[1]] = wv
+            self._variates = (z, w)
+        return self._variates
 
     def cc_agg(self, mode, kind, K):
         """Mean and across-fold standard deviation of the CV correlation
@@ -180,55 +188,137 @@ class CvCriteria:
             )
         if K > self.k_max:
             raise ValueError(f"K={K} exceeds k_max={self.k_max}")
+        # the folds before the first one without K pairs are scored first,
+        # so that an error of theirs wins over that fold's
+        ests = self.fold_estimates
+        usable = next((v for v, e in enumerate(ests) if e is None or e.k < K), len(ests))
         vals = []
-        for v, est in enumerate(self.fold_estimates):
-            if est is None:
-                raise ValueError(f"missing estimate for fold {v}")
-            if est.k < K:
-                raise ValueError(f"fold {v} estimate has {est.k} pairs, need {K}")
-            z, w = self._validation_variates(v)
-            z, w = z[:, :K], w[:, :K]
+        if usable:
+            z, w = self._validation_variates()
+            z, w = z[:usable, :, :K], w[:usable, :, :K]
             if mode == "successive":
-                corr = [_signed_corr(z[:, k], w[:, k]) for k in range(K)]
-                vals.append(aggregate(kind, corr))
+                vals = [aggregate(kind, corr) for corr in _signed_corrs(z, w)]
             else:
-                vals.append(aggregate(kind, empirical_canonical_correlations(z, w)))
+                vals = [aggregate(kind, rho) for rho in empirical_canonical_correlations(z, w)]
+        if usable < len(ests):
+            est = ests[usable]
+            if est is None:
+                raise ValueError(f"missing estimate for fold {usable}")
+            raise ValueError(f"fold {usable} estimate has {est.k} pairs, need {K}")
         return float(np.mean(vals)), float(np.std(vals))
+
+    def _fold_pairs(self):
+        """Every block and fold-pair product that ``instability`` reads, at
+        k_max, per space ("wt": weights, "vt": full-data variates)."""
+        if self._pairs is None:
+            ests = [e for e in self.fold_estimates if e is not None]
+            km = self.k_max
+            u = np.zeros((len(ests), self.data.p, km))
+            for b, est in enumerate(ests):
+                cols = est.u_dirs[:, :km]
+                u[b, :, :cols.shape[1]] = cols
+            first, second = np.triu_indices(len(ests), 1)
+            self._pairs = {"first": first, "second": second}
+            for space, raw in (("wt", u), ("vt", self.data.x @ u)):
+                # reduced blocks padded with zero columns, and which input
+                # columns each kept
+                q = np.zeros_like(raw)
+                kept = np.zeros((len(ests), km), dtype=bool)
+                for b, est in enumerate(ests):
+                    qb, idx = gram_schmidt_reduce(raw[b, :, :min(est.k, km)])
+                    q[b, :, :qb.shape[1]] = qb
+                    kept[b, idx] = True
+                self._pairs[space] = {
+                    "raw": raw,
+                    "q": q,
+                    "kept": kept,
+                    "suspect": _suspect_prefixes(q),
+                    # Gram matrices of each raw column across blocks, (k_max, B, B)
+                    "gram": np.einsum("bic,dic->cbd", raw, raw),
+                    "products": q[first].swapaxes(1, 2) @ q[second],
+                }
+        return self._pairs
 
     def instability(self, k):
         """Fold-to-fold instability at k; see ``cv_instability``."""
-        if self._blocks is None:
-            self._blocks = []
-            for est in self.fold_estimates:
-                if est is None:
-                    continue
-                u = est.u_dirs[:, :self.k_max]
-                xu = self.data.x @ u
-                self._blocks.append((u, xu, gram_schmidt_reduce(u), gram_schmidt_reduce(xu)))
-        if len(self._blocks) < 2:
+        if sum(e is not None for e in self.fold_estimates) < 2:
             raise ValueError("need at least 2 fold estimates")
         if k > self.k_max:
             raise ValueError(f"k={k} exceeds k_max={self.k_max}")
-        wt_u, vt_u, wt_big, vt_big = [], [], [], []
-        for i, (ua, xa, qua, qxa) in enumerate(self._blocks):
-            for ub, xb, qub, qxb in self._blocks[i + 1:]:
-                wt_u.append(_vector_sin2(ua[:, k - 1], ub[:, k - 1]))
-                vt_u.append(_vector_sin2(xa[:, k - 1], xb[:, k - 1]))
-                wt_big.append(_orthonormal_sin2(_prefix(qua, k), _prefix(qub, k))[0])
-                vt_big.append(_orthonormal_sin2(_prefix(qxa, k), _prefix(qxb, k))[0])
+        pairs = self._fold_pairs()
+        first, second = pairs["first"], pairs["second"]
+        single, dims = {}, {}
+        flagged = np.zeros(first.size, dtype=bool)
+        for space in ("wt", "vt"):
+            blocks = pairs[space]
+            g = blocks["gram"][k - 1]
+            sq = np.diagonal(g)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cos = g[first, second] / (np.sqrt(sq[first]) * np.sqrt(sq[second]))
+            single[space] = np.maximum(0.0, 1.0 - cos**2)
+            # kept columns that come from the first k input columns: the
+            # reduction of those columns alone (Gram-Schmidt is prefix-stable)
+            m = np.count_nonzero(blocks["kept"][:, :k], axis=1)
+            suspect = blocks["suspect"][np.arange(m.size), m]
+            dims[space] = (m[first], m[second])
+            flagged |= ((sq[first] == 0.0) | (sq[second] == 0.0)
+                        | (np.minimum(m[first], m[second]) == 0)
+                        | suspect[first] | suspect[second])
+        # a flagged pair goes through the per-pair kernels, which raise the
+        # error the per-pair computation meets first
+        for pair in np.flatnonzero(flagged):
+            i, j = first[pair], second[pair]
+            for space in ("wt", "vt"):
+                raw = pairs[space]["raw"]
+                _vector_sin2(raw[i, :, k - 1], raw[j, :, k - 1])
+            for space in ("wt", "vt"):
+                q, (rows, cols) = pairs[space]["q"], dims[space]
+                _orthonormal_sin2(q[i, :, :rows[pair]], q[j, :, :cols[pair]])
+        # prefixes of the k_max products, zeroed beyond each block's kept
+        # columns: the zero rows and columns add only zero singular values
+        idx = np.arange(k)
+        blocks, keff = [], []
+        for space in ("wt", "vt"):
+            rows, cols = dims[space]
+            mask = (idx < rows[:, None])[:, :, None] & (idx < cols[:, None])[:, None, :]
+            blocks.append(np.where(mask, pairs[space]["products"][:, :k, :k], 0.0))
+            keff.append(np.minimum(rows, cols))
+        cos = np.clip(np.linalg.svd(np.concatenate(blocks), compute_uv=False), 0.0, 1.0)
+        keff = np.concatenate(keff)
+        sin2 = keff - np.sum(np.where(idx < keff[:, None], cos**2, 0.0), axis=1)
+        wt_big, vt_big = np.split(sin2, 2)
         return {
-            "wt_uk_cv": float(np.mean(wt_u)),
-            "vt_uk_cv": float(np.mean(vt_u)),
+            "wt_uk_cv": float(np.mean(single["wt"])),
+            "vt_uk_cv": float(np.mean(single["vt"])),
             "wt_Uk_cv": float(np.mean(wt_big)),
             "vt_Uk_cv": float(np.mean(vt_big)),
         }
 
 
-def _prefix(reduced, k):
-    """Columns of a ``gram_schmidt_reduce`` result that come from the first
-    k input columns: the reduction of those columns alone."""
-    q, kept = reduced
-    return q[:, :bisect_left(kept, k)]
+def _suspect_prefixes(q):
+    """For a stack of orthonormal blocks (B, rows, m), whether each column
+    prefix (length 0..m) holds a non-finite entry or deviates from
+    orthonormality by more than half the tolerance of ``canonical_angles``
+    (max Gram error); a (B, m + 1) array."""
+    m = q.shape[2]
+    finite = np.logical_and.accumulate(np.isfinite(q).all(axis=1), axis=1)
+    dev = np.abs(q.swapaxes(1, 2) @ q - np.eye(m))
+    # entry (a, b) joins the prefixes longer than max(a, b)
+    newest = np.maximum(np.tril(dev).max(axis=2), np.triu(dev).max(axis=1))
+    suspect = np.zeros((q.shape[0], m + 1), dtype=bool)
+    suspect[:, 1:] = ~finite | ~(np.maximum.accumulate(newest, axis=1) <= 0.5e-8)
+    return suspect
+
+
+def _signed_corrs(z, w):
+    """Per-column correlations of paired (..., n, k) blocks without
+    centring; 0 where a column is zero."""
+    dots = np.einsum("...ij,...ij->...j", z, w)
+    nz = np.sqrt(np.einsum("...ij,...ij->...j", z, z))
+    nw = np.sqrt(np.einsum("...ij,...ij->...j", w, w))
+    dead = (nz == 0.0) | (nw == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dead, 0.0, dots / (nz * nw))
 
 
 def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, K,

@@ -174,3 +174,64 @@ class TestEmpiricalCanonicalCorrelations:
         w = rng.standard_normal((20, 2))
         with pytest.raises(ValueError, match="column 1"):
             empirical_canonical_correlations(z, w)
+
+
+def plugin_canonical_correlations(z, w):
+    """Plug-in CCA on the joint covariance of one pair of blocks, through
+    the inverse square roots of ``sym_matrix_power``."""
+    n = z.shape[0]
+    cov = CovarianceModel(sxx=z.T @ z / n, sxy=z.T @ w / n, syy=w.T @ w / n)
+    return cca_from_covariance(cov, min(z.shape[1], w.shape[1])).rho
+
+
+class TestStackedCanonicalCorrelations:
+    def _stack(self, rng, pairs=4, n=50, kz=3, kw=2):
+        z = rng.standard_normal((pairs, n, kz))
+        w = 0.7 * z[..., :kw] + rng.standard_normal((pairs, n, kw))
+        return z, w
+
+    def test_stack_matches_pair_by_pair(self, rng):
+        z, w = self._stack(rng)
+        stacked = empirical_canonical_correlations(z, w)
+        assert stacked.shape == (4, 2)
+        for b in range(4):
+            np.testing.assert_allclose(stacked[b], empirical_canonical_correlations(z[b], w[b]),
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(stacked[b], plugin_canonical_correlations(z[b], w[b]),
+                                       rtol=0, atol=1e-12)
+
+    def test_zero_rows_change_nothing(self, rng):
+        z, w = self._stack(rng)
+        pad = np.zeros((4, 7, 3))
+        padded = empirical_canonical_correlations(np.concatenate([z, pad], axis=1),
+                                                  np.concatenate([w, pad[..., :2]], axis=1))
+        np.testing.assert_allclose(padded, empirical_canonical_correlations(z, w),
+                                   rtol=0, atol=1e-14)
+
+    def test_rank_deficient_block_keeps_the_principal_angles(self, rng):
+        # the floored null direction of the first block stays in its own
+        # row of the whitened target, so the other correlations are the
+        # principal-angle cosines to rounding; the plug-in's reconstructed
+        # inverse root spreads that direction's noise over all of them
+        z = rng.standard_normal((40, 3))
+        z[:, 2] = z[:, 0] - 0.5 * z[:, 1]
+        w = 0.5 * z[:, :2] + rng.standard_normal((40, 2))
+        cosines = np.linalg.svd(np.linalg.qr(z[:, :2])[0].T @ np.linalg.qr(w)[0],
+                                compute_uv=False)
+        rho = empirical_canonical_correlations(z, w)
+        np.testing.assert_allclose(rho, cosines, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(plugin_canonical_correlations(z, w), cosines, atol=1e-8)
+
+    def test_first_failing_pair_raises(self, rng):
+        z, w = self._stack(rng)
+        z[2, :, 1] = np.nan
+        w[3, :, 0] = 0.0
+        z[1, :, 2] = 0.0
+        with pytest.raises(ValueError, match="zero-variance column 2 in first block"):
+            empirical_canonical_correlations(z, w)
+        z[1, :, 2] = 1.0
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_canonical_correlations(z, w)
+        z[2, :, 1] = 1.0
+        with pytest.raises(ValueError, match="zero-variance column 0 in second block"):
+            empirical_canonical_correlations(z, w)

@@ -211,6 +211,38 @@ class TestSweepDeterminism:
         assert before == after
 
 
+class TestDegenerateEstimates:
+    # scca at tau = 5 zeroes every direction of the toy data
+    @pytest.mark.parametrize("command", ["fit", "biplot"])
+    def test_degenerate_estimate_warns_and_counts(self, tmp_path, toy_csv, capsys, command):
+        cfg = write_config(tmp_path, f"{command}.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "scca", "penalty": 5.0, "K": 2}],
+        })
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        warns = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert warns == ["warning: estimators[0] scca@5 is degenerate"]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == 1
+        if command == "fit":
+            assert json.loads((out / "fit_00_scca.json").read_text())["degenerate"] is True
+        else:
+            lines = (out / "biplot.csv").read_text().splitlines()
+            assert lines == ["view,name,coord_1,coord_2,sq_norm"]
+
+    def test_only_degenerate_estimates_warn(self, tmp_path, toy_csv, capsys):
+        cfg = write_config(tmp_path, "fit.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "rcca", "penalty": 0.2, "K": 2},
+                           {"kind": "scca", "penalty": 5.0, "K": 1}],
+        })
+        out = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: estimators[1] scca@5 is degenerate"]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == 1
+
+
 class TestConfigErrors:
     def test_missing_data_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"estimators": []})

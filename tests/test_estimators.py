@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcca import estimators
 from regcca.cca_core import cca_from_covariance, sample_cca
@@ -18,7 +20,7 @@ from regcca.estimators import (
     sweep_trajectory,
 )
 from regcca.cli import CANONICAL_PAIR_DEFAULTS
-from regcca.linalg import sin2_theta, soft_threshold, thin_svd
+from regcca.linalg import LinalgError, sin2_theta, soft_threshold, thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
@@ -78,6 +80,186 @@ class TestRcca:
             a = rcca_fit(toy_data, c, 2).rho
             b = rcca_fit(toy_data, c + 1e-3, 2).rho
             assert np.max(np.abs(a - b)) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# rcca from one eigendecomposition per view, against the plug-in construction
+# ---------------------------------------------------------------------------
+
+def reference_rcca_fit(data, c, K, floor_eps=None):
+    """rcca as plug-in CCA on the regularised blocks: two fresh
+    eigendecompositions per penalty."""
+    _, cov = center_and_covariance(data)
+    reg = CovarianceModel(
+        sxx=(1.0 - c) * cov.sxx + c * np.eye(data.p),
+        sxy=cov.sxy,
+        syy=(1.0 - c) * cov.syy + c * np.eye(data.q),
+    )
+    est = cca_from_covariance(reg, K, floor_eps, algorithm="rcca")
+    return (estimators._unit_variance_columns(est.u_dirs, data.x),
+            estimators._unit_variance_columns(est.v_dirs, data.y), est.rho)
+
+
+def assert_columns_close(got, ref, rtol):
+    """Entries within rtol of each reference column's largest magnitude."""
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(got - ref) <= rtol * scale), np.max(np.abs(got - ref) / scale)
+
+
+def assert_matches_reference(data, c, K, floor_eps=None, rtol=1e-10):
+    est = rcca_fit(data, c, K, floor_eps)
+    u, v, rho = reference_rcca_fit(data, c, K, floor_eps)
+    assert_columns_close(est.u_dirs, u, rtol)
+    assert_columns_close(est.v_dirs, v, rtol)
+    np.testing.assert_allclose(est.rho, rho, rtol=rtol, atol=rtol * rho[0])
+
+
+def planted_sample(p, q, n, seed, rhos=(0.9, 0.7, 0.5), support=2):
+    cov, _ = canonical_pair_covariance(p, q, list(rhos), support, seed=seed)
+    data, _ = center_and_covariance(mvn_sample(cov, n, seed=seed + 1))
+    return data
+
+
+class TestRccaSpectral:
+    @pytest.mark.parametrize("c", [0.0, 1e-4, 0.1, 0.5, 1.0])
+    def test_matches_plugin_reference_at_every_pair(self, c):
+        data = planted_sample(12, 8, 150, seed=61)
+        assert_matches_reference(data, c, min(data.p, data.q))
+
+    def test_cli_session_shape(self):
+        cov, _ = canonical_pair_covariance(60, 30, [0.9, 0.8, 0.7], 5,
+                                           within_view="suo_sp", seed=11)
+        data, _ = center_and_covariance(mvn_sample(cov, 400, seed=1000))
+        for c in (1e-4, 0.03, 1.0):
+            assert_matches_reference(data, c, 5)
+
+    def test_floor_override(self):
+        # a floor above the smallest eigenvalues of Cxx clamps them in both
+        data = planted_sample(10, 6, 120, seed=63)
+        _, cov = center_and_covariance(data)
+        floor = float(np.median(np.linalg.eigvalsh(cov.sxx)))
+        for c in (0.0, 0.1):
+            assert_matches_reference(data, c, 6, floor_eps=floor)
+        with pytest.raises(LinalgError, match="floor_eps must be positive"):
+            rcca_fit(data, 0.1, 2, floor_eps=0.0)
+
+    def test_rank_of_target_below_k(self):
+        # the last y variable is orthogonal to every x variable, so T has
+        # rank q - 1 < K = q and its null space is one-dimensional on each
+        # side: the null pair is unique up to the sign of v
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((100, 5))
+        y = 0.6 * x @ rng.standard_normal((5, 5)) + rng.standard_normal((100, 5))
+        xc = x - x.mean(axis=0)
+        last = y[:, -1] - y[:, -1].mean()
+        y[:, -1] = last - xc @ np.linalg.lstsq(xc, last, rcond=None)[0]
+        data, _ = center_and_covariance(PairedDataset(x=x, y=y))
+        est = rcca_fit(data, 0.2, 5)
+        u, v, rho = reference_rcca_fit(data, 0.2, 5)
+        assert rho[-1] < 1e-12 and est.rho[-1] < 1e-12
+        np.testing.assert_allclose(est.rho, rho, rtol=0, atol=1e-12)
+        assert_columns_close(est.u_dirs, u, 1e-10)
+        assert_columns_close(est.v_dirs[:, :4], v[:, :4], 1e-10)
+        sign = np.sign(est.v_dirs[:, 4] @ v[:, 4])
+        assert_columns_close(sign * est.v_dirs[:, 4:], v[:, 4:], 1e-10)
+
+    def test_more_variables_than_samples(self):
+        # at p >= n and c = 0 every correlation saturates and the pairs are
+        # not unique: compare rho and the variate subspaces
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal((30, 40))
+        y = rng.standard_normal((30, 5))
+        data, _ = center_and_covariance(PairedDataset(x=x, y=y))
+        est = rcca_fit(data, 0.0, 5)
+        _, _, rho = reference_rcca_fit(data, 0.0, 5)
+        ref = sample_cca(data, 5)
+        np.testing.assert_allclose(est.rho, rho, rtol=0, atol=1e-8)
+        assert sin2_theta(data.x @ est.u_dirs, data.x @ ref.u_dirs) <= 1e-8
+        assert sin2_theta(data.y @ est.v_dirs, data.y @ ref.v_dirs) <= 1e-8
+
+    def test_shared_spectra_equal_fresh_fit(self, toy_data):
+        spectra = estimators.RccaSpectra(toy_data)
+        for c in (0.0, 0.3, 1.0):
+            shared = rcca_fit(toy_data, c, 3, spectra=spectra)
+            fresh = rcca_fit(toy_data, c, 3)
+            np.testing.assert_array_equal(shared.u_dirs, fresh.u_dirs)
+            np.testing.assert_array_equal(shared.v_dirs, fresh.v_dirs)
+            np.testing.assert_array_equal(shared.rho, fresh.rho)
+
+    def test_k_outside_range_rejected(self, toy_data):
+        with pytest.raises(ValueError, match="outside"):
+            rcca_fit(toy_data, 0.5, 6)
+
+    def test_sweep_decomposes_each_fold_once(self, toy_data, monkeypatch):
+        calls = []
+        real = estimators.sym_eig
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(estimators, "sym_eig", counting)
+        folds = make_folds(toy_data.n, 3, seed=1)
+        grid = [0.01, 0.05, 0.1, 0.3, 0.6, 0.9]
+        traj = sweep_trajectory("rcca", toy_data, grid, folds, 2)
+        assert len(traj.estimates) == len(grid) * (folds.V + 1)
+        # one (Cxx, Cyy) pair per training split, whatever the grid length
+        assert calls == [(toy_data.p, toy_data.p), (toy_data.q, toy_data.q)] * (folds.V + 1)
+        assert list(traj.estimates) == [(i, fold) for i in range(len(grid))
+                                        for fold in [0, 1, 2, "full"]]
+
+
+_invariance = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def rcca_problems(draw):
+    p, q = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    n = draw(st.integers(6 * (p + q), 300))
+    seed = draw(st.integers(0, 10_000))
+    c = draw(st.sampled_from([0.0, 0.01, 0.2, 0.7, 1.0]))
+    K = draw(st.integers(1, 2))
+    return planted_sample(p, q, n, seed, rhos=(0.9, 0.6), support=1), c, K, seed
+
+
+class TestRccaInvariances:
+    @_invariance
+    @given(problem=rcca_problems())
+    def test_row_permutation_changes_nothing(self, problem):
+        data, c, K, seed = problem
+        perm = np.random.default_rng(seed).permutation(data.n)
+        moved, _ = center_and_covariance(PairedDataset(x=data.x[perm], y=data.y[perm]))
+        a, b = rcca_fit(data, c, K), rcca_fit(moved, c, K)
+        assert_columns_close(b.u_dirs, a.u_dirs, 1e-10)
+        assert_columns_close(b.v_dirs, a.v_dirs, 1e-10)
+        np.testing.assert_allclose(b.rho, a.rho, rtol=1e-10)
+
+    @_invariance
+    @given(problem=rcca_problems())
+    def test_variable_permutation_permutes_direction_rows(self, problem):
+        data, c, K, seed = problem
+        rng = np.random.default_rng(seed)
+        px, py = rng.permutation(data.p), rng.permutation(data.q)
+        moved, _ = center_and_covariance(PairedDataset(x=data.x[:, px], y=data.y[:, py]))
+        a, b = rcca_fit(data, c, K), rcca_fit(moved, c, K)
+        assert_columns_close(b.u_dirs, a.u_dirs[px], 1e-10)
+        assert_columns_close(b.v_dirs, a.v_dirs[py], 1e-10)
+        np.testing.assert_allclose(b.rho, a.rho, rtol=1e-10)
+
+    @_invariance
+    @given(problem=rcca_problems())
+    def test_unpenalised_variates_ignore_view_scaling(self, problem):
+        data, _, K, seed = problem
+        rng = np.random.default_rng(seed)
+        sx, sy = np.exp(rng.uniform(-2, 2, data.p)), np.exp(rng.uniform(-2, 2, data.q))
+        scaled, _ = center_and_covariance(PairedDataset(x=data.x * sx, y=data.y * sy))
+        a, b = rcca_fit(data, 0.0, K), rcca_fit(scaled, 0.0, K)
+        np.testing.assert_allclose(b.rho, a.rho, rtol=1e-10)
+        for za, zb in ((data.x @ a.u_dirs, scaled.x @ b.u_dirs),
+                       (data.y @ a.v_dirs, scaled.y @ b.v_dirs)):
+            # unit-variance variates, up to the sign convention of each basis
+            signs = np.sign(np.sum(za * zb, axis=0))
+            np.testing.assert_allclose(zb * signs, za, rtol=0, atol=1e-10)
 
 
 class TestSpls:

@@ -13,7 +13,13 @@ from regcca.datamodel import (
     split_fold,
 )
 from regcca.estimators import rcca_fit, sweep_trajectory
-from regcca.linalg import canonical_angles, gram_schmidt_metric, gram_schmidt_reduce, sym_matrix_power
+from regcca.linalg import (
+    LinalgError,
+    canonical_angles,
+    gram_schmidt_metric,
+    gram_schmidt_reduce,
+    sym_matrix_power,
+)
 from regcca.metrics import (
     CvCriteria,
     MetricRecord,
@@ -555,6 +561,78 @@ class TestCvCriteria:
             crit.instability(2)
         with pytest.raises(ValueError, match="zero vector"):
             reference_cv_instability(data, ests, 2)
+
+    def test_zero_vector_and_dropped_column_match_per_pair_loop(self, k3_setup):
+        # fold 1 loses its third weight column, fold 3 reduces to two
+        # columns: k < 3 is defined everywhere, k = 3 raises on pair (0, 1)
+        data, folds, traj = k3_setup
+        ests = list(traj.fold_estimates(2))
+        u = ests[1].u_dirs.copy()
+        u[:, 2] = 0.0
+        ests[1] = _replace_u(ests[1], u)
+        u = ests[3].u_dirs.copy()
+        u[:, 1] = 2.0 * u[:, 0]
+        ests[3] = _replace_u(ests[3], u)
+        crit = CvCriteria(data, ests, 3)
+        for k in (1, 2):
+            ref = reference_cv_instability(data, ests, k)
+            got = crit.instability(k)
+            for key in ref:
+                assert abs(got[key] - ref[key]) <= 1e-12
+        with pytest.raises(ValueError, match="zero vector"):
+            reference_cv_instability(data, ests, 3)
+        with pytest.raises(ValueError, match="zero vector"):
+            crit.instability(3)
+
+    @staticmethod
+    def _first_error(fn, *args):
+        try:
+            fn(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_first_failing_pair_or_fold_wins(self, k3_setup):
+        # fold 2 has a NaN in its second column and fold 3 is all zero: at
+        # k = 1 pair (0, 3) fails first, from k = 2 on pair (0, 2) does
+        data, folds, traj = k3_setup
+        ests = list(traj.fold_estimates(0))
+        u = ests[2].u_dirs.copy()
+        u[0, 1] = np.nan
+        ests[2] = _replace_u(ests[2], u)
+        u = ests[3].u_dirs.copy()
+        u[:, :] = 0.0
+        ests[3] = _replace_u(ests[3], u)
+        crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
+        got = self._first_error(crit.instability, 1)
+        assert got == self._first_error(reference_cv_instability, data, ests, 1)
+        assert got == (ValueError, "zero vector in angle computation")
+        for k in (2, 3):
+            got = self._first_error(crit.instability, k)
+            assert got == self._first_error(reference_cv_instability, data, ests, k)
+            assert got == (LinalgError, "second block contains non-finite entries")
+        for mode in ("successive", "subspace"):
+            for k in (1, 2, 3):
+                got = self._first_error(crit.cc_agg, mode, "sq_sum", k)
+                ref = self._first_error(reference_cv_cc_agg, mode, "sq_sum", data, ests, folds, k)
+                assert got == ref
+        ests[1] = None
+        crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
+        assert (self._first_error(crit.cc_agg, "subspace", "sq_sum", 2)
+                == (ValueError, "missing estimate for fold 1"))
+
+    def test_unequal_fold_sizes(self):
+        # 121 samples in 4 folds: validation blocks of 31 and 30 rows
+        cov, _ = canonical_pair_covariance(8, 6, [0.85, 0.6, 0.4], 2, seed=83)
+        data, _ = center_and_covariance(mvn_sample(cov, 121, seed=84))
+        folds = make_folds(data.n, 4, seed=9)
+        assert len({val.n for val in validation_splits(data, folds)}) == 2
+        traj = sweep_trajectory("rcca", data, [0.05, 0.5], folds, 3)
+        ests = [(p, traj.fold_estimates(i)) for i, p in enumerate(traj.grid)]
+        rows, warns = core_sweep_rows("rcca", data, ests, folds, [1, 2, 3])
+        ref_rows, ref_warns = reference_sweep_rows("rcca", data, traj, folds, [1, 2, 3])
+        assert warns == ref_warns == []
+        assert_rows_match(rows, ref_rows)
 
     def test_k_above_k_max_or_missing_splits_rejected(self, k3_setup):
         data, folds, traj = k3_setup
