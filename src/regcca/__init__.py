@@ -38,15 +38,7 @@ from .estimators import (
     sweep_trajectory,
 )
 from .glasso import PrecisionEstimate, glasso_fit, kkt_residual
-from .linalg import (
-    CompactSvd,
-    PrincipalAngles,
-    SpectralDecomposition,
-    canonical_angles,
-    compact_svd,
-    gram_schmidt_metric,
-    sym_matrix_power,
-)
+from .linalg import canonical_angles, gram_schmidt_metric, sym_matrix_power
 from .metrics import (
     CvCriteria,
     cv_cc_agg,

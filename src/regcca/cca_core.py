@@ -1,8 +1,15 @@
 """Exact canonical decomposition of a covariance model and sample CCA.
 
-The decomposition goes through the whitened target ``T = Sxx^{-1/2} Sxy
-Syy^{-1/2}``: singular values of T are the canonical correlations and its
-singular vectors, unwhitened, are the canonical direction pairs.
+Every CCA in the toolbox whitens in the eigenbases of the within-view
+blocks: with Sxx = Qx Lx Qx' and Syy = Qy Ly Qy', the whitened target is
+``T = Lx^{-1/2} Qx' Sxy Qy Ly^{-1/2}`` (eigenvalues floored by
+``linalg.floored_power``).  Its singular values are the canonical
+correlations, and its singular vectors, scaled by L^{-1/2} and rotated back
+by Q, are the canonical direction pairs.  ``CovarianceSpectra.solve`` is
+that solve, for ridged blocks (1-c)*S + c*I too: ``cca_from_covariance`` is
+its c=0 case and ``estimators.rcca_fit`` its ridge path.
+``empirical_canonical_correlations`` forms the same target for stacks of
+variate blocks and keeps only the singular values.
 """
 
 from dataclasses import dataclass, field
@@ -10,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datamodel import CovarianceModel, PairedDataset, center_and_covariance
-from .linalg import LinalgError, eigenvalue_floor, sym_matrix_power, thin_svd
+from .linalg import LinalgError, canonical_signs, floored_power, sym_eig
 
 __all__ = [
     "Provenance",
     "CcaEstimate",
+    "CovarianceSpectra",
     "cca_from_covariance",
     "sample_cca",
     "empirical_canonical_correlations",
@@ -73,23 +81,56 @@ class CcaEstimate:
         )
 
 
-def cca_from_covariance(cov: CovarianceModel, K, floor_eps=None, algorithm="exact"):
-    """Top-K canonical decomposition of a covariance model.
+class CovarianceSpectra:
+    """A covariance model in the eigenbases of its within-view blocks: the
+    eigenpairs and traces of Sxx and Syy, and Sxy rotated into those bases.
 
-    Within-view blocks are inverted through ``sym_matrix_power`` with
-    eigenvalue flooring, so rank-deficient blocks take the same code path
-    as full-rank ones.  When rank(T) < K the remaining pairs come from the
-    null-space columns of the thin SVD and carry zero correlation.
+    (1-c)*S + c*I has the eigenvectors of S and the eigenvalues
+    (1-c)*lambda + c, so one instance serves every ridge penalty c.
+    """
+
+    def __init__(self, cov: CovarianceModel):
+        self.wx, self.qx = sym_eig(cov.sxx)
+        self.wy, self.qy = sym_eig(cov.syy)
+        self.tx = float(np.trace(cov.sxx))
+        self.ty = float(np.trace(cov.syy))
+        self.cross = self.qx.T @ cov.sxy @ self.qy
+
+    def solve(self, K, c=0.0, floor_eps=None):
+        """Top-K canonical pairs ``(u, v, rho)`` of the model with ridged
+        within-view blocks (1-c)*S + c*I.
+
+        Each block's ridged eigenvalues are floored as ``floored_power``
+        floors them (the trace of (1-c)*S + c*I is (1-c)*tr(S) + c*d) and
+        raised to -1/2; the rotated cross block, scaled by them on both
+        sides, is the whitened target, whose singular values are rho.  Its
+        singular vectors, scaled again and rotated back, are the directions,
+        with signs canonical on the left singular vectors in the original
+        coordinates.  A floored null direction stays in its own row of the
+        target, so it does not perturb the other correlations.
+        """
+        dx, dy = self.wx.size, self.wy.size
+        rx = floored_power((1.0 - c) * self.wx + c, (1.0 - c) * self.tx + c * dx, -0.5, floor_eps)
+        ry = floored_power((1.0 - c) * self.wy + c, (1.0 - c) * self.ty + c * dy, -0.5, floor_eps)
+        left, rho, right_t = np.linalg.svd(rx[:, None] * self.cross * ry, full_matrices=False)
+        a, b = left[:, :K], right_t[:K].T
+        signs = canonical_signs(self.qx @ a)
+        u = self.qx @ (rx[:, None] * a * signs)
+        v = self.qy @ (ry[:, None] * b * signs)
+        return u, v, rho[:K].copy()
+
+
+def cca_from_covariance(cov: CovarianceModel, K, floor_eps=None, algorithm="exact"):
+    """Top-K canonical decomposition of a covariance model:
+    ``CovarianceSpectra(cov).solve(K, 0, floor_eps)``.
+
+    Rank-deficient within-view blocks take the same path as full-rank
+    ones, their eigenvalues floored.  When rank(T) < K the remaining pairs
+    come from the null-space columns of the SVD and carry zero correlation.
     """
     if K < 1 or K > min(cov.p, cov.q):
         raise ValueError(f"K={K} outside [1, min(p, q)={min(cov.p, cov.q)}]")
-    rx = sym_matrix_power(cov.sxx, -0.5, floor_eps)
-    ry = sym_matrix_power(cov.syy, -0.5, floor_eps)
-    t = rx @ cov.sxy @ ry
-    dec = thin_svd(t)
-    u = rx @ dec.left[:, :K]
-    v = ry @ dec.right[:, :K]
-    rho = dec.singular_values[:K].copy()
+    u, v, rho = CovarianceSpectra(cov).solve(K, 0.0, floor_eps)
     return CcaEstimate(
         u_dirs=u,
         v_dirs=v,
@@ -118,14 +159,6 @@ def sample_cca(data: PairedDataset, K, floor_eps=None):
     return est
 
 
-def _whitening(s):
-    """Eigenvectors of a stack of covariances and their floored eigenvalues
-    to the power -1/2."""
-    lam, q = np.linalg.eigh(s)
-    floor = eigenvalue_floor(np.trace(s, axis1=-2, axis2=-1), s.shape[-1])
-    return q, np.maximum(lam, np.expand_dims(floor, -1)) ** -0.5
-
-
 def empirical_canonical_correlations(zdata, wdata):
     """Canonical correlations between two variate blocks, or between the
     paired blocks of two stacks (leading axes).
@@ -134,7 +167,7 @@ def empirical_canonical_correlations(zdata, wdata):
     validation variates by training means, so means are deliberately not
     removed here).  Computed by exact CCA on the joint sample covariance of
     the two blocks: each within-block covariance is eigendecomposed, its
-    eigenvalues floored as in ``sym_matrix_power``, and the correlations
+    eigenvalues floored by ``floored_power``, and the correlations
     are the singular values of the cross-covariance whitened in those
     eigenbases.  They depend on the Gram matrices of the blocks only up to
     a common scale, so zero rows appended to both blocks of a pair (to
@@ -165,8 +198,10 @@ def empirical_canonical_correlations(zdata, wdata):
     k = min(z.shape[-1], w.shape[-1])
     if k < 1:
         raise ValueError(f"K={k} outside [1, min(p, q)={k}]")
-    qz, rz = _whitening(szz)
-    qw, rw = _whitening(sww)
+    lz, qz = np.linalg.eigh(szz)
+    lw, qw = np.linalg.eigh(sww)
+    rz = floored_power(lz, np.trace(szz, axis1=-2, axis2=-1), -0.5)
+    rw = floored_power(lw, np.trace(sww, axis1=-2, axis2=-1), -0.5)
     t = rz[..., :, None] * (qz.swapaxes(-1, -2) @ szw @ qw) * rw[..., None, :]
     rho = np.linalg.svd(t, compute_uv=False)
     return rho.reshape(lead + rho.shape[-1:])

@@ -369,7 +369,9 @@ def _cmd_biplot(config, outdir, seed, jobs):
     )
     export_biplot(coords, float(out_sec.get("biplot_threshold", 0.0)),
                   Path(outdir) / "biplot.csv")
-    return warning_count
+    for message in coords.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return warning_count + len(coords.warnings)
 
 
 # ---------------------------------------------------------------------------

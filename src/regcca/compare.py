@@ -14,7 +14,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datamodel import PairedDataset
-from .linalg import canonical_angles, gram_schmidt_reduce
+from .linalg import gram_schmidt_reduce
+from .metrics import _orthonormal_sin2
 
 __all__ = [
     "register",
@@ -150,12 +151,8 @@ def trajectory_comparison(estimates, data: PairedDataset, metric="vt_Uk", k=3):
             out[i, i] = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            if orth[i] is None or orth[j] is None:
-                continue
-            keff = min(orth[i].shape[1], orth[j].shape[1])
-            ang = canonical_angles(orth[i], orth[j])
-            val = float(keff - np.sum(ang.cosines[:keff] ** 2))
-            out[i, j] = out[j, i] = val
+            if orth[i] is not None and orth[j] is not None:
+                out[i, j] = out[j, i] = _orthonormal_sin2(orth[i], orth[j])[0]
     return out
 
 

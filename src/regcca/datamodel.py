@@ -66,9 +66,6 @@ class PairedDataset:
     def q(self):
         return self.y.shape[1]
 
-    def take_rows(self, idx):
-        return replace(self, x=self.x[idx], y=self.y[idx])
-
 
 @dataclass
 class CovarianceModel:
@@ -100,15 +97,6 @@ class CovarianceModel:
 
     def joint(self):
         return np.block([[self.sxx, self.sxy], [self.sxy.T, self.syy]])
-
-    def check_psd(self, tol=1e-10):
-        """Raise unless both within-view blocks are PSD within tolerance."""
-        for blk, name in ((self.sxx, "sxx"), (self.syy, "syy")):
-            w = np.linalg.eigvalsh(0.5 * (blk + blk.T))
-            scale = max(1.0, float(w[-1])) if w.size else 1.0
-            if w.size and w[0] < -tol * scale:
-                raise DataError(f"{name} has eigenvalue {w[0]:.3e} below -{tol:g}")
-        return self
 
 
 @dataclass

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cca_core import CcaEstimate, Provenance, cca_from_covariance
+from .cca_core import CcaEstimate, CovarianceSpectra, Provenance, cca_from_covariance
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, center_and_covariance, split_fold
 from .glasso import GlassoConvergenceError, glasso_fit
-from .linalg import canonical_signs, eigenvalue_floor, soft_threshold, sym_eig, thin_svd
+from .linalg import signed_corrs, soft_threshold, thin_svd
 
 __all__ = [
     "EstimatorSpec",
@@ -92,50 +92,22 @@ def _require_centred(data: PairedDataset):
 def _unit_variance_columns(dirs, data_matrix):
     """Rescale columns so the training variates have unit empirical variance
     (divisor n)."""
-    n = data_matrix.shape[0]
-    out = dirs.copy()
-    for k in range(out.shape[1]):
-        var = float(np.sum((data_matrix @ out[:, k]) ** 2)) / n
-        if var > 0:
-            out[:, k] /= np.sqrt(var)
-    return out
-
-
-def _empirical_corr(z, w):
-    nz = np.linalg.norm(z)
-    nw = np.linalg.norm(w)
-    if nz == 0.0 or nw == 0.0:
-        return 0.0
-    return float(z @ w / (nz * nw))
+    z = data_matrix @ dirs
+    var = np.einsum("ij,ij->j", z, z) / data_matrix.shape[0]
+    return dirs / np.sqrt(np.where(var > 0, var, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # ridge CCA
 # ---------------------------------------------------------------------------
 
-class RccaSpectra:
-    """The penalty-free part of rcca on one training split: eigendecompositions
-    of Cxx and Cyy, and Cxy rotated into those eigenbases.
-
-    (1-c)*C + c*I has the eigenvectors of C and the eigenvalues
-    (1-c)*lambda + c, so one instance serves every penalty of a path.
-    """
+class RccaSpectra(CovarianceSpectra):
+    """The penalty-free part of rcca on one training split: the
+    ``CovarianceSpectra`` of its sample covariance, which serves every
+    penalty of a path."""
 
     def __init__(self, data: PairedDataset):
-        _, cov = center_and_covariance(data)
-        self.x = sym_eig(cov.sxx)
-        self.y = sym_eig(cov.syy)
-        self.x_trace = float(np.trace(cov.sxx))
-        self.y_trace = float(np.trace(cov.syy))
-        self.cross = self.x.eigenvectors.T @ cov.sxy @ self.y.eigenvectors
-
-
-def _ridge_scales(dec, trace, c, floor_eps):
-    """Eigenvalues of (1-c)*C + c*I, floored as ``sym_matrix_power`` floors
-    that matrix (its trace is (1-c)*tr(C) + c*d), to the power -1/2."""
-    d = dec.eigenvalues.size
-    floor = eigenvalue_floor((1.0 - c) * trace + c * d, d, floor_eps)
-    return np.maximum((1.0 - c) * dec.eigenvalues + c, floor) ** -0.5
+        super().__init__(center_and_covariance(data)[1])
 
 
 def rcca_fit(data: PairedDataset, c, K, floor_eps=None, spectra=None):
@@ -146,12 +118,11 @@ def rcca_fit(data: PairedDataset, c, K, floor_eps=None, spectra=None):
     whitened target (sample canonical correlations at c=0, singular values
     of Cxy at c=1).
 
-    The target is whitened in the eigenbases of Cxx and Cyy, so a penalty
-    costs one SVD of a p x q matrix; ``spectra`` (the ``RccaSpectra`` of
-    ``data``) lets a penalty path share one eigendecomposition per view.
-    Eigenvalues are floored as ``sym_matrix_power`` floors them
-    (``floor_eps`` overrides), and signs are canonicalised on the left
-    singular vectors in the original coordinates, as ``thin_svd`` does.
+    The target is whitened in the eigenbases of Cxx and Cyy
+    (``CovarianceSpectra.solve``), so a penalty costs one SVD of a p x q
+    matrix; ``spectra`` (the ``RccaSpectra`` of ``data``) lets a penalty
+    path share one eigendecomposition per view.  ``floor_eps`` overrides
+    the eigenvalue floor.
     """
     _require_penalty("rcca", c)
     _require_centred(data)
@@ -159,17 +130,11 @@ def rcca_fit(data: PairedDataset, c, K, floor_eps=None, spectra=None):
         raise ValueError(f"K={K} outside [1, min(p, q)={min(data.p, data.q)}]")
     if spectra is None:
         spectra = RccaSpectra(data)
-    sx = _ridge_scales(spectra.x, spectra.x_trace, c, floor_eps)
-    sy = _ridge_scales(spectra.y, spectra.y_trace, c, floor_eps)
-    left, rho, right_t = np.linalg.svd(sx[:, None] * spectra.cross * sy, full_matrices=False)
-    a, b = left[:, :K], right_t[:K].T
-    signs = canonical_signs(spectra.x.eigenvectors @ a)
-    u = spectra.x.eigenvectors @ (sx[:, None] * a * signs)
-    v = spectra.y.eigenvectors @ (sy[:, None] * b * signs)
+    u, v, rho = spectra.solve(K, c, floor_eps)
     return CcaEstimate(
         u_dirs=_unit_variance_columns(u, data.x),
         v_dirs=_unit_variance_columns(v, data.y),
-        rho=rho[:K].copy(),
+        rho=rho,
         provenance=Provenance(algorithm="rcca", penalty=float(c)),
     )
 
@@ -192,9 +157,10 @@ def _l1_ball_unit_vector(z, s):
         delta = m - s * sqrt(V / (k * (k - s^2)))
 
     where m and V are the mean and the sum of squared deviations of the k
-    largest |z|.  When more than s^2 entries tie for the largest |z| no
-    threshold meets the radius and the zero vector (the limit
-    delta -> max|z|) is returned.
+    largest |z|.  When m > s^2 entries tie for the largest |z| no
+    threshold meets the radius; sign(z)*s/m on the tied entries is then a
+    maximiser: its l1 norm is s, its l2 norm s/sqrt(m) < 1, and it attains
+    the bound u.z <= s*max|z| of the l1 ball.
     """
     z = np.asarray(z, dtype=float)
     if float(np.max(np.abs(z))) == 0.0:
@@ -204,8 +170,9 @@ def _l1_ball_unit_vector(z, s):
         return u
     a = np.sort(np.abs(z[z != 0.0]))[::-1]
     s2 = s * s
-    if np.count_nonzero(a == a[0]) > s2:
-        return np.zeros_like(z)
+    m = np.count_nonzero(a == a[0])
+    if m > s2:
+        return np.where(np.abs(z) == a[0], np.sign(z) * (s / m), 0.0)
     sizes = np.arange(1, a.size + 1)
     nxt = np.append(a[1:], 0.0)
     cum = np.cumsum(a)
@@ -232,11 +199,11 @@ def _l1_ball_unit_vector(z, s):
 
 def _pmd_pair(cmat, s, max_sweeps=200, tol=1e-9):
     """Leading penalised singular pair of cmat by alternating maximisation."""
-    dec = thin_svd(cmat)
-    if dec.singular_values.size == 0 or dec.singular_values[0] == 0.0:
+    _, sv, right = thin_svd(cmat)
+    if sv.size == 0 or sv[0] == 0.0:
         p, q = cmat.shape
         return np.zeros(p), np.zeros(q), 0.0, True
-    v = dec.right[:, 0].copy()
+    v = right[:, 0].copy()
     u = np.zeros(cmat.shape[0])
     converged = False
     for _ in range(max_sweeps):
@@ -264,7 +231,7 @@ def spls_fit(data: PairedDataset, s, K, max_sweeps=200, tol=1e-9):
     _require_centred(data)
     _, cov = center_and_covariance(data)
     cmat = cov.sxy.copy()
-    us, vs, rhos = [], [], []
+    us, vs = [], []
     all_converged = True
     degenerate = False
     for _ in range(K):
@@ -274,16 +241,13 @@ def spls_fit(data: PairedDataset, s, K, max_sweeps=200, tol=1e-9):
             degenerate = True
         us.append(u)
         vs.append(v)
-        rhos.append(_empirical_corr(data.x @ u, data.y @ v))
         cmat = cmat - d * np.outer(u, v)
     u_mat = np.column_stack(us)
     v_mat = np.column_stack(vs)
-    u_scaled = _unit_variance_columns(u_mat, data.x)
-    v_scaled = _unit_variance_columns(v_mat, data.y)
     return CcaEstimate(
-        u_dirs=u_scaled,
-        v_dirs=v_scaled,
-        rho=np.asarray(rhos),
+        u_dirs=_unit_variance_columns(u_mat, data.x),
+        v_dirs=_unit_variance_columns(v_mat, data.y),
+        rho=signed_corrs(data.x @ u_mat, data.y @ v_mat),
         provenance=Provenance(
             algorithm="spls",
             penalty=float(s),
@@ -353,12 +317,11 @@ def _scca_init(cxy, tau, k):
     Falls back to the unthresholded SVD when thresholding leaves too little
     rank behind.
     """
-    thresholded = soft_threshold(cxy, tau)
-    dec = thin_svd(thresholded)
-    if dec.singular_values.size > k - 1 and dec.singular_values[k - 1] > 0:
-        return dec.left[:, k - 1].copy(), dec.right[:, k - 1].copy()
-    dec = thin_svd(cxy)
-    return dec.left[:, k - 1].copy(), dec.right[:, k - 1].copy()
+    left, sv, right = thin_svd(soft_threshold(cxy, tau))
+    if sv.size > k - 1 and sv[k - 1] > 0:
+        return left[:, k - 1].copy(), right[:, k - 1].copy()
+    left, _, right = thin_svd(cxy)
+    return left[:, k - 1].copy(), right[:, k - 1].copy()
 
 
 def scca_fit(
@@ -395,7 +358,7 @@ def scca_fit(
     cyy = yd.T @ yd
     cxy = xd.T @ yd
 
-    us, vs, rhos = [], [], []
+    us, vs = [], []
     total_inner = 0
     all_converged = True
     degenerate = False
@@ -463,12 +426,12 @@ def scca_fit(
             v = v / nv
         us.append(u)
         vs.append(v)
-        rhos.append(_empirical_corr(data.x @ u, data.y @ v))
 
+    u_mat, v_mat = np.column_stack(us), np.column_stack(vs)
     return CcaEstimate(
-        u_dirs=np.column_stack(us),
-        v_dirs=np.column_stack(vs),
-        rho=np.asarray(rhos),
+        u_dirs=u_mat,
+        v_dirs=v_mat,
+        rho=signed_corrs(data.x @ u_mat, data.y @ v_mat),
         provenance=Provenance(
             algorithm="scca",
             penalty=float(tau),
@@ -524,15 +487,11 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000)
 # ---------------------------------------------------------------------------
 
 def fit_estimator(spec: EstimatorSpec, data: PairedDataset):
-    if spec.kind == "rcca":
-        return rcca_fit(data, spec.penalty, spec.K, **spec.options)
-    if spec.kind == "spls":
-        return spls_fit(data, spec.penalty, spec.K, **spec.options)
-    if spec.kind == "scca":
-        return scca_fit(data, spec.penalty, spec.K, **spec.options)
-    if spec.kind == "gcca":
-        return gcca_fit(data, spec.penalty, spec.K, **spec.options)
-    raise ValueError(f"unknown estimator kind {spec.kind!r}")
+    """Fit ``spec`` on centred ``data`` with its kind's ``*_fit`` function."""
+    # built per call, so that a wrapper rebound to one of these module names
+    # (a tracer's, a test's) is the one called
+    fits = {"rcca": rcca_fit, "spls": spls_fit, "scca": scca_fit, "gcca": gcca_fit}
+    return fits[spec.kind](data, spec.penalty, spec.K, **spec.options)
 
 
 @dataclass

@@ -1,27 +1,30 @@
-"""Dense linear-algebra kernels shared by the whole toolbox.
+"""Dense linear-algebra kernels shared by the whole toolbox, one per concept.
+
+``sym_eig`` and ``thin_svd`` return NumPy's tuples, ``(w, q)`` and
+``(u, s, v)``, with values descending; ``floored_power`` raises floored
+eigenvalues to a power, and is the one clamp every whitening and
+``sym_matrix_power`` use; ``gram_schmidt_reduce`` is the one orthonormaliser
+(``gram_schmidt_metric`` is its strict form); ``canonical_angles`` gives
+principal-angle cosines and ``signed_corrs`` per-column correlations.
 
 Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
 the snapshot and byte-identity tests rely on.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 __all__ = [
-    "SpectralDecomposition",
-    "CompactSvd",
-    "PrincipalAngles",
     "sym_eig",
-    "compact_svd",
     "thin_svd",
     "canonical_signs",
+    "floored_power",
     "sym_matrix_power",
-    "eigenvalue_floor",
     "soft_threshold",
     "canonical_angles",
-    "sin2_theta",
+    "signed_corrs",
     "gram_schmidt_metric",
     "gram_schmidt_reduce",
 ]
@@ -48,65 +51,6 @@ def canonical_signs(left):
     return signs
 
 
-def _canonicalise_signs(left, right=None):
-    """Flip columns so each left vector's largest-magnitude entry is positive.
-
-    The paired right column is flipped together so products like
-    U @ diag(s) @ V.T are unchanged.
-    """
-    if left.shape[1] == 0:
-        return left, right
-    signs = canonical_signs(left)
-    left = left * signs
-    if right is not None:
-        right = right * signs
-    return left, right
-
-
-@dataclass
-class SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        q, w = self.eigenvectors, self.eigenvalues
-        return (q * w) @ q.T
-
-
-@dataclass
-class CompactSvd:
-    """Rank-truncated SVD with orthonormal factors and descending values."""
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    @property
-    def rank(self):
-        return self.singular_values.size
-
-    def reconstruct(self):
-        return (self.left * self.singular_values) @ self.right.T
-
-
-@dataclass
-class PrincipalAngles:
-    """Cosines of the principal angles between two subspaces, descending."""
-
-    cosines: np.ndarray
-
-    @property
-    def sin2(self):
-        """Sum of squared sines, the squared sin-Theta distance."""
-        return float(np.sum(1.0 - self.cosines**2))
-
-    @property
-    def cos2(self):
-        return float(np.sum(self.cosines**2))
-
-
 def _check_symmetric(a, tol=1e-10, name="matrix"):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinalgError(f"{name} must be square, got shape {a.shape}")
@@ -117,85 +61,61 @@ def _check_symmetric(a, tol=1e-10, name="matrix"):
 
 
 def sym_eig(a):
-    """Symmetric eigendecomposition, eigenvalues sorted descending.
+    """Symmetric eigendecomposition ``(w, q)``, eigenvalues descending.
 
-    Columns are sign-canonicalised for deterministic output.
+    Tied eigenvalues keep ``eigh``'s order, so a diagonal matrix keeps its
+    axes in place (and an identity block whitens to the identity).
+    Columns of q are sign-canonicalised for deterministic output.
     """
     _require_finite(a)
     _check_symmetric(a)
     w, q = np.linalg.eigh(0.5 * (a + a.T))
-    order = np.argsort(w)[::-1]
+    order = np.argsort(-w, kind="stable")
     w, q = w[order], q[:, order]
-    q, _ = _canonicalise_signs(q)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+    return w, q * canonical_signs(q)
 
 
 def thin_svd(a):
-    """Full thin SVD (all min(p, q) triples) with canonical signs."""
+    """Full thin SVD ``(u, s, v)``: all min(p, q) triples, singular values
+    descending, signs canonical on u (v flipped with it, so u diag(s) v.T
+    is unchanged)."""
     _require_finite(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T
-    u, v = _canonicalise_signs(u, v)
-    return CompactSvd(left=u, singular_values=s, right=v)
+    signs = canonical_signs(u)
+    return u * signs, s, vt.T * signs
 
 
-def compact_svd(a, rank_tol=DEFAULT_RANK_TOL):
-    """Compact SVD of a real matrix, dropping singular values below tolerance.
+def floored_power(w, trace, exponent, floor_eps=None):
+    """Eigenvalues ``w`` of a d x d PSD matrix with trace ``trace``, clamped
+    below and raised to ``exponent``.
 
-    Parameters
-    ----------
-    a : (p, q) array
-    rank_tol : float
-        Relative cut: singular values below ``rank_tol * s_max`` are dropped.
-
-    Returns
-    -------
-    CompactSvd with K = numerical rank columns.
+    The clamp is ``floor_eps`` if given (it must be positive), else 1e-12
+    times the mean eigenvalue ``trace / d``, kept above the smallest normal
+    float, so negative powers stay finite on numerically rank-deficient
+    input.  ``w`` may be a stack (..., d) with one trace per matrix.
     """
-    if rank_tol < 0:
-        raise LinalgError("rank_tol must be nonnegative")
-    full = thin_svd(a)
-    s = full.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        k = 0
+    if floor_eps is None:
+        d = w.shape[-1]
+        floor = np.expand_dims(1e-12 * np.maximum(trace, d * np.finfo(float).tiny) / d, -1)
+    elif floor_eps <= 0:
+        raise LinalgError("floor_eps must be positive")
     else:
-        k = int(np.sum(s > rank_tol * s[0]))
-    return CompactSvd(
-        left=full.left[:, :k],
-        singular_values=s[:k].copy(),
-        right=full.right[:, :k],
-    )
+        floor = floor_eps
+    return np.maximum(w, floor) ** exponent
 
 
 def sym_matrix_power(a, exponent, floor_eps=None):
-    """Matrix power of a symmetric PSD matrix via eigendecomposition.
-
-    Eigenvalues are clamped below at ``floor_eps`` before powering, so
-    negative exponents stay finite on numerically rank-deficient input.
-    Supported exponents: -1, -1/2, +1/2.
+    """Matrix power of a symmetric PSD matrix via eigendecomposition, the
+    eigenvalues floored by ``floored_power``.  Supported exponents: -1,
+    -1/2, +1/2.
     """
     if exponent not in (-1.0, -0.5, 0.5):
         raise LinalgError(f"unsupported exponent {exponent}")
     _require_finite(a)
     _check_symmetric(a)
-    floor_eps = eigenvalue_floor(np.trace(a), a.shape[0], floor_eps)
-    dec = sym_eig(a)
-    w = np.maximum(dec.eigenvalues, floor_eps)
-    powered = (dec.eigenvectors * w**exponent) @ dec.eigenvectors.T
+    w, q = sym_eig(a)
+    powered = (q * floored_power(w, np.trace(a), exponent, floor_eps)) @ q.T
     return 0.5 * (powered + powered.T)
-
-
-def eigenvalue_floor(trace, d, floor_eps=None):
-    """Lower clamp for the eigenvalues of a d x d PSD matrix before a
-    negative power: ``floor_eps`` if given (it must be positive), else
-    1e-12 times the mean eigenvalue ``trace / d``, kept above the smallest
-    normal float.  ``trace`` may be an array, one per matrix of a stack.
-    """
-    if floor_eps is None:
-        return 1e-12 * np.maximum(trace, d * np.finfo(float).tiny) / d
-    if floor_eps <= 0:
-        raise LinalgError("floor_eps must be positive")
-    return floor_eps
 
 
 def soft_threshold(a, thr):
@@ -205,7 +125,8 @@ def soft_threshold(a, thr):
 
 
 def canonical_angles(z, w, orth_tol=1e-8):
-    """Principal angles between the column spans of two orthonormal blocks.
+    """Cosines of the principal angles between the column spans of two
+    orthonormal blocks, descending.
 
     Cosines are the singular values of ``z.T @ w`` clamped to [0, 1].
     Raises if either block's columns deviate from orthonormality by more
@@ -218,83 +139,65 @@ def canonical_angles(z, w, orth_tol=1e-8):
             raise LinalgError(
                 f"{name} columns not orthonormal: Gram deviation {gram_dev:.3e}"
             )
-    s = np.linalg.svd(z.T @ w, compute_uv=False)
-    return PrincipalAngles(cosines=np.clip(s, 0.0, 1.0))
+    return np.clip(np.linalg.svd(z.T @ w, compute_uv=False), 0.0, 1.0)
 
 
-def sin2_theta(z, w):
-    """Squared sin-Theta distance between equal-dimension subspaces.
+def signed_corrs(z, w):
+    """Per-column correlations of paired (..., n, k) blocks without
+    centring; 0 where a column is zero."""
+    dots = np.einsum("...ij,...ij->...j", z, w)
+    nz = np.sqrt(np.einsum("...ij,...ij->...j", z, z))
+    nw = np.sqrt(np.einsum("...ij,...ij->...j", w, w))
+    dead = (nz == 0.0) | (nw == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dead, 0.0, dots / (nz * nw))
 
-    Inputs need not be orthonormal; each block is orthonormalised first.
+
+def gram_schmidt_reduce(m, g=None, rank_tol=DEFAULT_RANK_TOL):
+    """Orthonormalise columns under the inner product ``<a, b> = a.T G b``
+    (``g=None``: Euclidean), dropping dependent columns.
+
+    Column j is projected off the block Q of the columns kept before it
+    twice, v -= Q (GQ).T v ("twice is enough": Giraud, Langou & Rozloznik
+    2005), and dropped when what is left has norm at most ``rank_tol``
+    times its own.  Returns (orthonormal block, list of kept column
+    indices).  The routine is prefix-stable: whether column j is kept, and
+    its value, depend only on the columns up to j, bit for bit.
     """
-    zq = gram_schmidt_metric(np.asarray(z, dtype=float))
-    wq = gram_schmidt_metric(np.asarray(w, dtype=float))
-    if zq.shape[1] != wq.shape[1]:
-        raise LinalgError(
-            f"subspace dimensions differ: {zq.shape[1]} vs {wq.shape[1]}"
-        )
-    return canonical_angles(zq, wq).sin2
+    m = np.asarray(m, dtype=float)
+    n, k = m.shape
+    # kept columns as rows, and their images under G
+    qt = np.empty((k, n))
+    gqt = qt if g is None else np.empty((k, n))
+    kept = []
+    for j in range(k):
+        v = m[:, j].copy()
+        gv = v if g is None else g @ v
+        norm0 = math.sqrt(max(float(v @ gv), 0.0))
+        q, gq = qt[:len(kept)], gqt[:len(kept)]
+        for _ in range(2):
+            v -= q.T @ (gq @ v)
+        gv = v if g is None else g @ v
+        nrm = math.sqrt(max(float(v @ gv), 0.0))
+        if nrm <= rank_tol * max(norm0, 1e-300):
+            continue
+        qt[len(kept)] = v / nrm
+        if g is not None:
+            gqt[len(kept)] = gv / nrm
+        kept.append(j)
+    return np.ascontiguousarray(qt[:len(kept)].T), kept
 
 
-def _metric_inner(g, a, b):
-    if g is None:
-        return a @ b
-    return a @ (g @ b)
-
-
-def gram_schmidt_metric(m, g=None, rank_tol=1e-10):
-    """Orthonormalise columns under the inner product ``<a, b> = a.T G b``.
-
-    ``g=None`` means the Euclidean metric.  Column k of the output lies in
-    the span of the first k input columns.  A second orthogonalisation pass
-    guards against cancellation.
-
-    Raises on rank deficiency, reporting the offending column index.
+def gram_schmidt_metric(m, g=None, rank_tol=DEFAULT_RANK_TOL):
+    """``gram_schmidt_reduce`` that raises instead of dropping: column k of
+    the output lies in the span of the first k input columns, and a rank
+    deficiency is reported at the first dependent column.
     """
     _require_finite(m)
-    m = np.asarray(m, dtype=float)
     if g is not None:
         _check_symmetric(g, name="metric")
-    q = np.zeros_like(m)
-    norms0 = np.sqrt(np.maximum(
-        np.array([_metric_inner(g, m[:, j], m[:, j]) for j in range(m.shape[1])]),
-        0.0,
-    ))
-    for j in range(m.shape[1]):
-        v = m[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                v -= _metric_inner(g, q[:, i], v) * q[:, i]
-        nrm2 = _metric_inner(g, v, v)
-        nrm = np.sqrt(max(nrm2, 0.0))
-        if nrm <= rank_tol * max(norms0[j], 1e-300):
-            raise LinalgError(f"rank deficiency at column {j}")
-        q[:, j] = v / nrm
+    q, kept = gram_schmidt_reduce(m, g, rank_tol)
+    if len(kept) < np.shape(m)[1]:
+        j = next((i for i, col in enumerate(kept) if i != col), len(kept))
+        raise LinalgError(f"rank deficiency at column {j}")
     return q
-
-
-def gram_schmidt_reduce(m, g=None, rank_tol=1e-10):
-    """Like gram_schmidt_metric but drops dependent columns instead of raising.
-
-    Returns (orthonormal block, list of kept column indices).
-    """
-    m = np.asarray(m, dtype=float)
-    kept_cols = []
-    kept_idx = []
-    norms0 = np.sqrt(np.maximum(
-        np.array([_metric_inner(g, m[:, j], m[:, j]) for j in range(m.shape[1])]),
-        0.0,
-    ))
-    for j in range(m.shape[1]):
-        v = m[:, j].copy()
-        for _ in range(2):
-            for qcol in kept_cols:
-                v -= _metric_inner(g, qcol, v) * qcol
-        nrm = np.sqrt(max(_metric_inner(g, v, v), 0.0))
-        if nrm <= rank_tol * max(norms0[j], 1e-300):
-            continue
-        kept_cols.append(v / nrm)
-        kept_idx.append(j)
-    if not kept_cols:
-        return np.zeros((m.shape[0], 0)), []
-    return np.column_stack(kept_cols), kept_idx

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca_core import CcaEstimate, empirical_canonical_correlations
+from .cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold
-from .linalg import canonical_angles, gram_schmidt_reduce, sym_matrix_power
+from .linalg import canonical_angles, gram_schmidt_reduce, signed_corrs, sym_matrix_power
 
 __all__ = [
     "AGGREGATIONS",
@@ -101,8 +101,6 @@ def subsp_cc_agg(kind, cov: CovarianceModel, u_dirs, v_dirs, K):
     Rank-deficient blocks are Gram-Schmidt reduced first; the effective
     dimension is whatever survives.
     """
-    from .cca_core import cca_from_covariance
-
     uk = np.asarray(u_dirs, dtype=float)[:, :K]
     vk = np.asarray(v_dirs, dtype=float)[:, :K]
     uk, _ = gram_schmidt_reduce(uk)
@@ -197,7 +195,7 @@ class CvCriteria:
             z, w = self._validation_variates()
             z, w = z[:usable, :, :K], w[:usable, :, :K]
             if mode == "successive":
-                vals = [aggregate(kind, corr) for corr in _signed_corrs(z, w)]
+                vals = [aggregate(kind, corr) for corr in signed_corrs(z, w)]
             else:
                 vals = [aggregate(kind, rho) for rho in empirical_canonical_correlations(z, w)]
         if usable < len(ests):
@@ -310,17 +308,6 @@ def _suspect_prefixes(q):
     return suspect
 
 
-def _signed_corrs(z, w):
-    """Per-column correlations of paired (..., n, k) blocks without
-    centring; 0 where a column is zero."""
-    dots = np.einsum("...ij,...ij->...j", z, w)
-    nz = np.sqrt(np.einsum("...ij,...ij->...j", z, z))
-    nw = np.sqrt(np.einsum("...ij,...ij->...j", w, w))
-    dead = (nz == 0.0) | (nw == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dead, 0.0, dots / (nz * nw))
-
-
 def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, K,
               return_dispersion=False):
     """Cross-validated correlation criterion, averaged over folds.
@@ -353,8 +340,8 @@ def _orthonormal_sin2(qa, qb):
     keff = min(qa.shape[1], qb.shape[1])
     if keff == 0:
         raise ValueError("zero-dimensional subspace in angle computation")
-    ang = canonical_angles(qa, qb)
-    return float(keff - np.sum(ang.cosines[:keff] ** 2)), keff
+    cosines = canonical_angles(qa, qb)
+    return float(keff - np.sum(cosines[:keff] ** 2)), keff
 
 
 def _subspace_sin2(a, b):

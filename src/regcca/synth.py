@@ -11,7 +11,7 @@ from .cca_core import CcaEstimate, Provenance
 from .datamodel import CovarianceModel, PairedDataset, center_and_covariance
 from .estimators import scca_fit
 from .glasso import glasso_fit
-from .linalg import gram_schmidt_metric
+from .linalg import gram_schmidt_metric, signed_corrs
 
 __all__ = [
     "canonical_pair_covariance",
@@ -160,15 +160,9 @@ def bootstrap_covariance(data: PairedDataset, mode, lam, alpha=None, K=None,
         est = scca_fit(data, lam, K, **(scca_options or {}))
         u = gram_schmidt_metric(est.u_dirs, sxx_r)
         v = gram_schmidt_metric(est.v_dirs, syy_r)
-        d_hat = np.empty(K)
-        for k in range(K):
-            z = data.x @ u[:, k]
-            w = data.y @ v[:, k]
-            c = float(z @ w / (np.linalg.norm(z) * np.linalg.norm(w)))
-            if c < 0:
-                v[:, k] = -v[:, k]
-                c = -c
-            d_hat[k] = c
+        d_hat = signed_corrs(data.x @ u, data.y @ v)
+        v = np.where(d_hat < 0, -v, v)
+        d_hat = np.abs(d_hat)
         order = np.argsort(d_hat)[::-1]
         u, v, d_hat = u[:, order], v[:, order], d_hat[order]
         sxy_hat = sxx_r @ (u * d_hat) @ v.T @ syy_r

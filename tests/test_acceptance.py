@@ -26,7 +26,7 @@ from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covarian
 from regcca.estimators import scca_fit
 from regcca.glasso import glasso_fit, kkt_residual
 from regcca.linalg import canonical_angles, sym_matrix_power
-from regcca.metrics import aggregate, gauss_mutual_info, mutual_information
+from regcca.metrics import _orthonormal_sin2, aggregate, gauss_mutual_info, mutual_information
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
@@ -159,10 +159,11 @@ def test_criterion_6_randomised_property_families():
     for _ in range(n_trials):
         z = random_orthonormal(rng, 9, 3)
         w = random_orthonormal(rng, 9, 3)
-        ang = canonical_angles(z, w)
-        assert abs(ang.cos2 + ang.sin2 - 3) <= 1e-10
+        cos2 = float(np.sum(canonical_angles(z, w) ** 2))
+        sin2, _ = _orthonormal_sin2(z, w)
+        assert abs(cos2 + sin2 - 3) <= 1e-10
         pz, pw = z @ z.T, w @ w.T
-        assert abs(ang.sin2 - np.linalg.norm(pz @ (np.eye(9) - pw)) ** 2) <= 1e-9
+        assert abs(sin2 - np.linalg.norm(pz @ (np.eye(9) - pw)) ** 2) <= 1e-9
 
     # registration hierarchy
     for _ in range(n_trials):
@@ -181,7 +182,7 @@ def test_criterion_6_randomised_property_families():
         z = random_orthonormal(rng, 11, 3)
         w = random_orthonormal(rng, 11, 3)
         total = float(np.sum(overlap_matrix(z, w, squared=True).matrix))
-        assert abs(total - canonical_angles(z, w).cos2) <= 1e-9
+        assert abs(total - np.sum(canonical_angles(z, w) ** 2)) <= 1e-9
 
     # mutual information: correlation form vs determinant form
     for _ in range(n_trials):

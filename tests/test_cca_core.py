@@ -8,10 +8,31 @@ from regcca.cca_core import (
     sample_cca,
 )
 from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance
+from regcca.linalg import sym_matrix_power, thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
+def reference_cca_from_covariance(cov, K, floor_eps=None):
+    """Plug-in CCA through the reconstructed inverse roots of
+    ``sym_matrix_power``, with thin_svd's sign rule: the solve that the
+    eigenbasis whitening replaces.  Returns (u, v, rho)."""
+    rx = sym_matrix_power(cov.sxx, -0.5, floor_eps)
+    ry = sym_matrix_power(cov.syy, -0.5, floor_eps)
+    left, rho, right = thin_svd(rx @ cov.sxy @ ry)
+    return rx @ left[:, :K], ry @ right[:, :K], rho[:K].copy()
+
+
 class TestCcaFromCovariance:
+    def test_matches_the_reconstructed_root_reference(self, rng):
+        for p, q, K in ((5, 4, 4), (8, 3, 2), (3, 6, 3)):
+            cov = random_joint_covariance(rng, p, q)
+            est = cca_from_covariance(cov, K)
+            u, v, rho = reference_cca_from_covariance(cov, K)
+            np.testing.assert_allclose(est.rho, rho, rtol=0, atol=1e-14)
+            for got, ref in ((est.u_dirs, u), (est.v_dirs, v)):
+                scale = np.max(np.abs(ref), axis=0)
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
     def test_already_canonical_system(self):
         cov = CovarianceModel(sxx=np.eye(2), sxy=np.diag([0.9, 0.5]), syy=np.eye(2))
         est = cca_from_covariance(cov, 2)
@@ -181,7 +202,7 @@ def plugin_canonical_correlations(z, w):
     the inverse square roots of ``sym_matrix_power``."""
     n = z.shape[0]
     cov = CovarianceModel(sxx=z.T @ z / n, sxy=z.T @ w / n, syy=w.T @ w / n)
-    return cca_from_covariance(cov, min(z.shape[1], w.shape[1])).rho
+    return reference_cca_from_covariance(cov, min(z.shape[1], w.shape[1]))[2]
 
 
 class TestStackedCanonicalCorrelations:
@@ -221,6 +242,20 @@ class TestStackedCanonicalCorrelations:
         rho = empirical_canonical_correlations(z, w)
         np.testing.assert_allclose(rho, cosines, rtol=0, atol=1e-14)
         np.testing.assert_allclose(plugin_canonical_correlations(z, w), cosines, atol=1e-8)
+
+    def test_rank_deficient_block_exact_in_every_cca_path(self, rng):
+        # cca_from_covariance and sample_cca whiten in the eigenbasis too:
+        # the reconstructed inverse root put them about 1e-12 off
+        z = rng.standard_normal((40, 3))
+        z[:, 2] = z[:, 0] - 0.5 * z[:, 1]
+        w = 0.5 * z[:, :2] + rng.standard_normal((40, 2))
+        z, w = z - z.mean(axis=0), w - w.mean(axis=0)
+        cosines = np.linalg.svd(np.linalg.qr(z[:, :2])[0].T @ np.linalg.qr(w)[0],
+                                compute_uv=False)
+        cov = CovarianceModel(sxx=z.T @ z / 40, sxy=z.T @ w / 40, syy=w.T @ w / 40)
+        np.testing.assert_allclose(cca_from_covariance(cov, 2).rho, cosines, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sample_cca(PairedDataset(x=z, y=w), 2).rho, cosines,
+                                   rtol=0, atol=1e-14)
 
     def test_first_failing_pair_raises(self, rng):
         z, w = self._stack(rng)

@@ -51,7 +51,7 @@ class TestFit:
         manifest = json.loads((out / "fit_00_rcca.json").read_text())
         data = load_two_view_csv(*toy_csv)
         _, cov = center_and_covariance(data)
-        expected = thin_svd(cov.sxy).singular_values[:2]
+        expected = thin_svd(cov.sxy)[1][:2]
         np.testing.assert_allclose(manifest["rho"], expected, atol=1e-12)
 
     def test_generator_data_exported_on_request(self, tmp_path):
@@ -212,7 +212,8 @@ class TestSweepDeterminism:
 
 
 class TestDegenerateEstimates:
-    # scca at tau = 5 zeroes every direction of the toy data
+    # scca at tau = 5 zeroes every direction of the toy data; in a biplot
+    # both variates then have zero variance, and each masked one warns too
     @pytest.mark.parametrize("command", ["fit", "biplot"])
     def test_degenerate_estimate_warns_and_counts(self, tmp_path, toy_csv, capsys, command):
         cfg = write_config(tmp_path, f"{command}.json", {
@@ -222,8 +223,12 @@ class TestDegenerateEstimates:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         warns = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
-        assert warns == ["warning: estimators[0] scca@5 is degenerate"]
-        assert json.loads((out / "manifest.json").read_text())["warnings"] == 1
+        expected = ["warning: estimators[0] scca@5 is degenerate"]
+        if command == "biplot":
+            expected += [f"warning: variate {k} has near-zero variance; coordinate masked"
+                         for k in (1, 2)]
+        assert warns == expected
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == len(expected)
         if command == "fit":
             assert json.loads((out / "fit_00_scca.json").read_text())["degenerate"] is True
         else:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcca import estimators
+from regcca import cca_core, estimators
 from regcca.cca_core import cca_from_covariance, sample_cca
 from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance, make_folds
 from regcca.estimators import (
@@ -20,8 +20,10 @@ from regcca.estimators import (
     sweep_trajectory,
 )
 from regcca.cli import CANONICAL_PAIR_DEFAULTS
-from regcca.linalg import LinalgError, sin2_theta, soft_threshold, thin_svd
+from regcca.linalg import LinalgError, soft_threshold, thin_svd
+from regcca.metrics import _subspace_sin2
 from regcca.synth import canonical_pair_covariance, mvn_sample
+from test_cca_core import reference_cca_from_covariance
 
 
 @pytest.fixture
@@ -30,6 +32,10 @@ def toy_data(rng):
     data = mvn_sample(cov, 120, seed=22)
     data, _ = center_and_covariance(data)
     return data
+
+
+def sin2_theta(a, b):
+    return _subspace_sin2(a, b)[0]
 
 
 def variate_angle(data, est_a, est_b, k=1):
@@ -47,10 +53,10 @@ class TestRcca:
         # c=1 drops the within-view metric: an SVD of the cross-covariance
         est = rcca_fit(toy_data, 1.0, 2)
         _, cov = center_and_covariance(toy_data)
-        dec = thin_svd(cov.sxy)
-        np.testing.assert_allclose(est.rho, dec.singular_values[:2], atol=1e-10)
+        left, sv, _ = thin_svd(cov.sxy)
+        np.testing.assert_allclose(est.rho, sv[:2], atol=1e-10)
         for k in range(2):
-            cos = abs(est.u_dirs[:, k] @ dec.left[:, k]) / np.linalg.norm(est.u_dirs[:, k])
+            cos = abs(est.u_dirs[:, k] @ left[:, k]) / np.linalg.norm(est.u_dirs[:, k])
             assert cos >= 1 - 1e-10
 
     def test_matches_plugin_construction(self, toy_data):
@@ -87,17 +93,18 @@ class TestRcca:
 # ---------------------------------------------------------------------------
 
 def reference_rcca_fit(data, c, K, floor_eps=None):
-    """rcca as plug-in CCA on the regularised blocks: two fresh
-    eigendecompositions per penalty."""
+    """rcca as plug-in CCA on the regularised blocks, through their
+    reconstructed inverse roots: two fresh eigendecompositions per
+    penalty."""
     _, cov = center_and_covariance(data)
     reg = CovarianceModel(
         sxx=(1.0 - c) * cov.sxx + c * np.eye(data.p),
         sxy=cov.sxy,
         syy=(1.0 - c) * cov.syy + c * np.eye(data.q),
     )
-    est = cca_from_covariance(reg, K, floor_eps, algorithm="rcca")
-    return (estimators._unit_variance_columns(est.u_dirs, data.x),
-            estimators._unit_variance_columns(est.v_dirs, data.y), est.rho)
+    u, v, rho = reference_cca_from_covariance(reg, K, floor_eps)
+    return (estimators._unit_variance_columns(u, data.x),
+            estimators._unit_variance_columns(v, data.y), rho)
 
 
 def assert_columns_close(got, ref, rtol):
@@ -192,13 +199,13 @@ class TestRccaSpectral:
 
     def test_sweep_decomposes_each_fold_once(self, toy_data, monkeypatch):
         calls = []
-        real = estimators.sym_eig
+        real = cca_core.sym_eig
 
         def counting(a):
             calls.append(a.shape)
             return real(a)
 
-        monkeypatch.setattr(estimators, "sym_eig", counting)
+        monkeypatch.setattr(cca_core, "sym_eig", counting)
         folds = make_folds(toy_data.n, 3, seed=1)
         grid = [0.01, 0.05, 0.1, 0.3, 0.6, 0.9]
         traj = sweep_trajectory("rcca", toy_data, grid, folds, 2)
@@ -267,8 +274,8 @@ class TestSpls:
         s = float(np.sqrt(max(toy_data.p, toy_data.q)))
         est = spls_fit(toy_data, s, 1)
         _, cov = center_and_covariance(toy_data)
-        dec = thin_svd(cov.sxy)
-        cos = abs(est.u_dirs[:, 0] @ dec.left[:, 0]) / np.linalg.norm(est.u_dirs[:, 0])
+        left, _, _ = thin_svd(cov.sxy)
+        cos = abs(est.u_dirs[:, 0] @ left[:, 0]) / np.linalg.norm(est.u_dirs[:, 0])
         assert cos >= 1 - 1e-6
 
     def test_rank_one_axis_aligned(self, rng):
@@ -401,12 +408,24 @@ class TestExactL1Threshold:
             self.assert_matches_bisection(z, s)
         for _ in range(200):
             z = np.round(rng.standard_normal(int(rng.integers(2, 40))), 1)
-            self.assert_matches_bisection(z, rng.uniform(1.0, np.sqrt(z.size)))
+            s = rng.uniform(1.0, np.sqrt(z.size))
+            top = np.abs(z) == np.max(np.abs(z))
+            m = np.count_nonzero(top)
+            if m > s * s:
+                # no threshold reaches the radius: see the test below
+                np.testing.assert_array_equal(_l1_ball_unit_vector(z, s),
+                                              np.where(top, np.sign(z) * (s / m), 0.0))
+            else:
+                self.assert_matches_bisection(z, s)
 
     def test_more_ties_at_the_top_than_the_radius_allows(self):
-        # sqrt(3) > 1.5: no threshold reaches the radius, the limit is zero
+        # sqrt(3) > 1.5: no threshold reaches the radius (bisection tends to
+        # zero); sign(z)*s/m on the m = 3 tied entries attains the l1-ball
+        # bound s*max|z| inside the unit sphere
         z = np.array([2.0, -2.0, 2.0, 1.0])
-        np.testing.assert_array_equal(self.assert_matches_bisection(z, 1.5), 0.0)
+        u = _l1_ball_unit_vector(z, 1.5)
+        np.testing.assert_array_equal(u, [0.5, -0.5, 0.5, 0.0])
+        assert u @ z == 1.5 * 2.0 and np.linalg.norm(u) < 1.0
 
     def test_unit_radius_is_one_hot(self):
         # bisection stops where the runner-up entry is below rounding of the

@@ -7,65 +7,74 @@ from conftest import random_orthonormal, random_pd
 from regcca.linalg import (
     LinalgError,
     canonical_angles,
-    compact_svd,
     gram_schmidt_metric,
     gram_schmidt_reduce,
     sym_eig,
     sym_matrix_power,
+    thin_svd,
 )
+from regcca.metrics import _orthonormal_sin2
 
 
 class TestCompactSvd:
+    """``thin_svd``, the one SVD kernel: all min(p, q) triples as a
+    ``(u, s, v)`` tuple."""
+
     def test_diagonal_matrix(self):
-        dec = compact_svd(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(dec.singular_values, [2.0, 1.0])
-        np.testing.assert_allclose(dec.left, np.eye(2))
-        np.testing.assert_allclose(dec.right, np.eye(2))
+        u, s, v = thin_svd(np.diag([2.0, 1.0]))
+        np.testing.assert_allclose(s, [2.0, 1.0])
+        np.testing.assert_allclose(u, np.eye(2))
+        np.testing.assert_allclose(v, np.eye(2))
 
     def test_permutation_matrix(self):
-        dec = compact_svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(dec.singular_values, [1.0, 1.0])
+        _, s, _ = thin_svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(s, [1.0, 1.0])
 
     def test_singular_values_match_gram_eigenvalues(self, rng):
         # independent oracle: eigenvalues of A.T A via eigvalsh
         a = rng.standard_normal((5, 3))
-        dec = compact_svd(a)
+        _, s, _ = thin_svd(a)
         gram_eigs = np.sort(np.linalg.eigvalsh(a.T @ a))[::-1]
-        np.testing.assert_allclose(dec.singular_values**2, gram_eigs, atol=1e-10)
+        np.testing.assert_allclose(s**2, gram_eigs, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 7), (5, 5)])
     def test_invariants_on_random_matrices(self, rng, shape):
         a = rng.standard_normal(shape)
-        dec = compact_svd(a)
-        s = dec.singular_values
+        u, s, v = thin_svd(a)
+        assert s.size == min(shape)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        np.testing.assert_allclose(dec.left.T @ dec.left, np.eye(dec.rank), atol=1e-10)
-        np.testing.assert_allclose(dec.right.T @ dec.right, np.eye(dec.rank), atol=1e-10)
-        rel_err = np.linalg.norm(a - dec.reconstruct()) / np.linalg.norm(a)
+        np.testing.assert_allclose(u.T @ u, np.eye(s.size), atol=1e-10)
+        np.testing.assert_allclose(v.T @ v, np.eye(s.size), atol=1e-10)
+        rel_err = np.linalg.norm(a - (u * s) @ v.T) / np.linalg.norm(a)
         assert rel_err <= 1e-10
 
     def test_rank_deficient_input_truncated(self, rng):
+        # the spectrum reveals the rank: the leading triples rebuild the
+        # matrix and the trailing singular values are at rounding level
         b = rng.standard_normal((6, 2))
         a = b @ b.T  # rank 2
-        dec = compact_svd(a)
-        assert dec.rank == 2
-        assert np.linalg.norm(a - dec.reconstruct()) <= 1e-10 * np.linalg.norm(a)
+        u, s, v = thin_svd(a)
+        assert s.size == 6 and np.all(s[2:] <= 1e-12 * s[0])
+        assert np.linalg.norm(a - (u[:, :2] * s[:2]) @ v[:, :2].T) <= 1e-10 * np.linalg.norm(a)
 
     def test_sign_canonicalisation(self, rng):
         a = rng.standard_normal((5, 4))
-        dec = compact_svd(a)
-        for k in range(dec.rank):
-            col = dec.left[:, k]
+        u, s, v = thin_svd(a)
+        for k in range(s.size):
+            col = u[:, k]
             assert col[np.argmax(np.abs(col))] > 0
+        np.testing.assert_allclose((u * s) @ v.T, a, atol=1e-12)
 
     def test_nonfinite_rejected(self):
         a = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(LinalgError):
-            compact_svd(a)
+            thin_svd(a)
 
     def test_zero_matrix_rank_zero(self):
-        dec = compact_svd(np.zeros((3, 2)))
-        assert dec.rank == 0
+        u, s, v = thin_svd(np.zeros((3, 2)))
+        np.testing.assert_array_equal(s, 0.0)
+        np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-14)
 
 
 class TestSymMatrixPower:
@@ -109,13 +118,11 @@ class TestSymMatrixPower:
 class TestCanonicalAngles:
     def test_identical_subspaces(self, rng):
         z = random_orthonormal(rng, 6, 2)
-        ang = canonical_angles(z, z)
-        np.testing.assert_allclose(ang.cosines, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(canonical_angles(z, z), [1.0, 1.0], atol=1e-12)
 
     def test_orthogonal_subspaces(self):
         e = np.eye(3)
-        ang = canonical_angles(e[:, [0]], e[:, [1]])
-        np.testing.assert_allclose(ang.cosines, [0.0], atol=1e-14)
+        np.testing.assert_allclose(canonical_angles(e[:, [0]], e[:, [1]]), [0.0], atol=1e-14)
 
     def test_tilted_plane(self):
         # span{e1, e2} against span{e1, cos(t) e2 + sin(t) e3}
@@ -123,30 +130,31 @@ class TestCanonicalAngles:
         z = np.eye(3)[:, :2]
         w = np.column_stack([np.eye(3)[:, 0],
                              np.cos(t) * np.eye(3)[:, 1] + np.sin(t) * np.eye(3)[:, 2]])
-        ang = canonical_angles(z, w)
-        np.testing.assert_allclose(ang.cosines, [1.0, np.cos(t)], atol=1e-12)
+        np.testing.assert_allclose(canonical_angles(z, w), [1.0, np.cos(t)], atol=1e-12)
 
     def test_symmetry(self, rng):
         for _ in range(20):
             z = random_orthonormal(rng, 8, 3)
             w = random_orthonormal(rng, 8, 3)
-            a = canonical_angles(z, w).cosines
-            b = canonical_angles(w, z).cosines
+            a = canonical_angles(z, w)
+            b = canonical_angles(w, z)
             np.testing.assert_allclose(np.sort(a), np.sort(b), atol=1e-12)
 
     def test_cos2_plus_sin2_is_k(self, rng):
+        # the cosines against the one sin^2 Theta routine
         for k in (1, 2, 3):
             z = random_orthonormal(rng, 9, k)
             w = random_orthonormal(rng, 9, k)
-            ang = canonical_angles(z, w)
-            assert abs(ang.cos2 + ang.sin2 - k) <= 1e-10
+            sin2, keff = _orthonormal_sin2(z, w)
+            assert keff == k
+            assert abs(np.sum(canonical_angles(z, w) ** 2) + sin2 - k) <= 1e-10
 
     def test_projection_identity(self, rng):
         # sin^2 Theta equals the squared Frobenius norm of P_Z (I - P_W)
         for _ in range(20):
             z = random_orthonormal(rng, 10, 3)
             w = random_orthonormal(rng, 10, 3)
-            sin2 = canonical_angles(z, w).sin2
+            sin2, _ = _orthonormal_sin2(z, w)
             pz = z @ z.T
             pw = w @ w.T
             frob = np.linalg.norm(pz @ (np.eye(10) - pw)) ** 2
@@ -195,13 +203,97 @@ class TestGramSchmidtMetric:
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
 
 
+def reference_gram_schmidt_reduce(m, g=None, rank_tol=1e-10):
+    """Gram-Schmidt that drops dependent columns, one kept column at a
+    time and two passes per column: the routine the column-wise CGS2
+    replaces."""
+
+    def inner(a, b):
+        return a @ b if g is None else a @ (g @ b)
+
+    m = np.asarray(m, dtype=float)
+    kept_cols, kept_idx = [], []
+    norms0 = np.sqrt(np.maximum(np.array([inner(m[:, j], m[:, j])
+                                          for j in range(m.shape[1])]), 0.0))
+    for j in range(m.shape[1]):
+        v = m[:, j].copy()
+        for _ in range(2):
+            for qcol in kept_cols:
+                v -= inner(qcol, v) * qcol
+        nrm = np.sqrt(max(inner(v, v), 0.0))
+        if nrm <= rank_tol * max(norms0[j], 1e-300):
+            continue
+        kept_cols.append(v / nrm)
+        kept_idx.append(j)
+    if not kept_cols:
+        return np.zeros((m.shape[0], 0)), []
+    return np.column_stack(kept_cols), kept_idx
+
+
+def gram_schmidt_inputs(count, seed):
+    """Blocks with columns scaled by up to e^5 either way, dependent and
+    zero columns, and a metric for about a quarter of them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, k = int(rng.integers(3, 80)), int(rng.integers(1, 7))
+        m = rng.standard_normal((n, k)) * np.exp(rng.uniform(-5.0, 5.0, k))
+        for j in range(1, k):
+            roll = rng.uniform()
+            if roll < 0.15:
+                m[:, j] = m[:, :j] @ rng.standard_normal(j)
+            elif roll < 0.25:
+                m[:, j] = 0.0
+        yield m, (random_pd(rng, n) if rng.uniform() < 0.25 else None)
+
+
+class TestColumnwiseGramSchmidt:
+    def test_matches_the_two_pass_reference(self):
+        dropped = 0
+        for m, g in gram_schmidt_inputs(1500, seed=8):
+            q, kept = gram_schmidt_reduce(m, g)
+            ref, ref_kept = reference_gram_schmidt_reduce(m, g)
+            assert kept == ref_kept
+            assert q.shape == ref.shape
+            np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12)
+            dropped += m.shape[1] - len(kept)
+        assert dropped > 100
+
+    def test_prefixes_reproduce_the_full_result_bit_for_bit(self):
+        for m, g in gram_schmidt_inputs(300, seed=9):
+            q, kept = gram_schmidt_reduce(m, g)
+            for j in range(1, m.shape[1]):
+                qj, kept_j = gram_schmidt_reduce(m[:, :j], g)
+                assert kept_j == [c for c in kept if c < j]
+                np.testing.assert_array_equal(qj, q[:, :len(kept_j)])
+
+    def test_strict_form_raises_at_the_first_dropped_column(self):
+        for m, g in gram_schmidt_inputs(300, seed=10):
+            _, ref_kept = reference_gram_schmidt_reduce(m, g)
+            if len(ref_kept) == m.shape[1]:
+                np.testing.assert_array_equal(gram_schmidt_metric(m, g),
+                                              gram_schmidt_reduce(m, g)[0])
+                continue
+            first = next((i for i, c in enumerate(ref_kept) if i != c), len(ref_kept))
+            with pytest.raises(LinalgError, match=f"rank deficiency at column {first}$"):
+                gram_schmidt_metric(m, g)
+
+    def test_strict_form_keeps_its_input_checks(self, rng):
+        m = rng.standard_normal((5, 2))
+        bad = m.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(LinalgError, match="non-finite"):
+            gram_schmidt_metric(bad)
+        with pytest.raises(LinalgError, match="metric not symmetric"):
+            gram_schmidt_metric(m, rng.standard_normal((5, 5)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), d=st.integers(2, 7))
 def test_sym_eig_reconstructs(seed, d):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     a = a + a.T
-    dec = sym_eig(a)
-    assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-    err = np.linalg.norm(a - dec.reconstruct())
+    w, q = sym_eig(a)
+    assert np.all(np.diff(w) <= 1e-12)
+    err = np.linalg.norm(a - (q * w) @ q.T)
     assert err <= 1e-10 * max(np.linalg.norm(a), 1.0)

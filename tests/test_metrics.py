@@ -389,7 +389,7 @@ def _ref_subspace_sin2(a, b):
     keff = min(qa.shape[1], qb.shape[1])
     if keff == 0:
         raise ValueError("zero-dimensional subspace in angle computation")
-    return float(keff - np.sum(canonical_angles(qa, qb).cosines[:keff] ** 2))
+    return float(keff - np.sum(canonical_angles(qa, qb)[:keff] ** 2))
 
 
 def reference_cv_instability(data, fold_estimates, k):
