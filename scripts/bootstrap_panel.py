@@ -8,18 +8,16 @@ next to their oracle counterparts and the top-3 subspace errors.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
-from regcca.cli import (
+from regcca.datamodel import write_csv_table
+from regcca.experiments import (
     BOOTSTRAP_PANEL_DEFAULTS,
+    BOOTSTRAP_PANEL_FIELDS,
     run_bootstrap_panel_bench,
     summarise_bootstrap_panel,
 )
-
-FIELDS = ["kind", "penalty", "seed", "r2s1_cv", "r2s1", "r2s3_cv", "R2s3_cv",
-          "vt_U3", "wt_U3"]
 
 
 def main():
@@ -33,11 +31,8 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     records = run_bootstrap_panel_bench(n_seeds=args.seeds, n=args.n)
 
-    with open(outdir / "records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELDS)
-        for r in records:
-            writer.writerow([r.get(f) for f in FIELDS])
+    write_csv_table(outdir / "records.csv", BOOTSTRAP_PANEL_FIELDS,
+                    [[r.get(f) for f in BOOTSTRAP_PANEL_FIELDS] for r in records])
 
     summary = summarise_bootstrap_panel(records, BOOTSTRAP_PANEL_DEFAULTS["kinds"])
     with open(outdir / "summary.json", "w") as fh:

@@ -8,12 +8,13 @@ Writes a long-format CSV plus a per-(kind, n) summary of grid-best medians.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
-from regcca.cli import (
+from regcca.datamodel import write_csv_table
+from regcca.experiments import (
     CANONICAL_PAIR_DEFAULTS,
+    CANONICAL_PAIR_FIELDS,
     run_canonical_pair_bench,
     summarise_canonical_pair,
 )
@@ -33,12 +34,8 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     records = run_canonical_pair_bench(n_seeds=args.seeds, n_list=args.n, kinds=args.kinds)
 
-    with open(outdir / "records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "penalty", "n", "seed", "metric", "value"])
-        for r in records:
-            writer.writerow([r["kind"], r["penalty"], r["n"], r["seed"],
-                             r["metric"], r["value"]])
+    write_csv_table(outdir / "records.csv", CANONICAL_PAIR_FIELDS,
+                    [[r[f] for f in CANONICAL_PAIR_FIELDS] for r in records])
 
     summary = summarise_canonical_pair(records, args.kinds, args.n)
     printable = {f"{kind}@n={n}": vals for (kind, n), vals in summary.items()}

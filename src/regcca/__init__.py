@@ -16,7 +16,7 @@ from .cca_core import (
     empirical_canonical_correlations,
     sample_cca,
 )
-from .compare import overlap_matrix, register, trajectory_comparison
+from .compare import overlap_matrix, register, registered_overlaps, trajectory_comparison
 from .datamodel import (
     CovarianceModel,
     FoldPlan,

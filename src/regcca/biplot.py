@@ -6,13 +6,12 @@ products of the coordinates approximate variable correlations, with a
 between-view error factor given by the first left-out canonical correlation.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cca_core import CcaEstimate, cca_from_covariance
-from .datamodel import CovarianceModel, PairedDataset, center_and_covariance
+from .datamodel import CovarianceModel, PairedDataset, center_and_covariance, write_csv_table
 
 __all__ = [
     "BiplotCoordinates",
@@ -181,10 +180,7 @@ def export_biplot(coords: BiplotCoordinates, threshold, path):
             if np.isfinite(s) and s >= threshold:
                 rows.append((view, str(name), row, float(s)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    k = coords.K
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "name"] + [f"coord_{i + 1}" for i in range(k)] + ["sq_norm"])
-        for view, name, row, s in rows:
-            writer.writerow([view, name] + [repr(float(v)) for v in row] + [repr(s)])
+    write_csv_table(path, ["view", "name"] + [f"coord_{i + 1}" for i in range(coords.K)]
+                    + ["sq_norm"],
+                    [[view, name] + row.tolist() + [s] for view, name, row, s in rows])
     return path

@@ -69,17 +69,6 @@ class CcaEstimate:
     def k(self):
         return self.rho.size
 
-    def top(self, k):
-        """Restriction to the leading k pairs."""
-        if k > self.k:
-            raise ValueError(f"estimate holds {self.k} pairs, asked for {k}")
-        return CcaEstimate(
-            u_dirs=self.u_dirs[:, :k],
-            v_dirs=self.v_dirs[:, :k],
-            rho=self.rho[:k],
-            provenance=self.provenance,
-        )
-
 
 class CovarianceSpectra:
     """A covariance model in the eigenbases of its within-view blocks: the
@@ -96,7 +85,7 @@ class CovarianceSpectra:
         self.ty = float(np.trace(cov.syy))
         self.cross = self.qx.T @ cov.sxy @ self.qy
 
-    def solve(self, K, c=0.0, floor_eps=None):
+    def solve(self, K, c=0.0):
         """Top-K canonical pairs ``(u, v, rho)`` of the model with ridged
         within-view blocks (1-c)*S + c*I.
 
@@ -110,8 +99,8 @@ class CovarianceSpectra:
         target, so it does not perturb the other correlations.
         """
         dx, dy = self.wx.size, self.wy.size
-        rx = floored_power((1.0 - c) * self.wx + c, (1.0 - c) * self.tx + c * dx, -0.5, floor_eps)
-        ry = floored_power((1.0 - c) * self.wy + c, (1.0 - c) * self.ty + c * dy, -0.5, floor_eps)
+        rx = floored_power((1.0 - c) * self.wx + c, (1.0 - c) * self.tx + c * dx, -0.5)
+        ry = floored_power((1.0 - c) * self.wy + c, (1.0 - c) * self.ty + c * dy, -0.5)
         left, rho, right_t = np.linalg.svd(rx[:, None] * self.cross * ry, full_matrices=False)
         a, b = left[:, :K], right_t[:K].T
         signs = canonical_signs(self.qx @ a)
@@ -120,29 +109,27 @@ class CovarianceSpectra:
         return u, v, rho[:K].copy()
 
 
-def cca_from_covariance(cov: CovarianceModel, K, floor_eps=None, algorithm="exact"):
+def require_pairs(model, K):
+    """Raise unless K is in [1, min(p, q)] for ``model``'s view dimensions
+    (a dataset or a covariance model)."""
+    if K < 1 or K > min(model.p, model.q):
+        raise ValueError(f"K={K} outside [1, min(p, q)={min(model.p, model.q)}]")
+
+
+def cca_from_covariance(cov: CovarianceModel, K, algorithm="exact"):
     """Top-K canonical decomposition of a covariance model:
-    ``CovarianceSpectra(cov).solve(K, 0, floor_eps)``.
+    ``CovarianceSpectra(cov).solve(K)``.
 
     Rank-deficient within-view blocks take the same path as full-rank
     ones, their eigenvalues floored.  When rank(T) < K the remaining pairs
     come from the null-space columns of the SVD and carry zero correlation.
     """
-    if K < 1 or K > min(cov.p, cov.q):
-        raise ValueError(f"K={K} outside [1, min(p, q)={min(cov.p, cov.q)}]")
-    u, v, rho = CovarianceSpectra(cov).solve(K, 0.0, floor_eps)
-    return CcaEstimate(
-        u_dirs=u,
-        v_dirs=v,
-        rho=rho,
-        provenance=Provenance(
-            algorithm=algorithm,
-            info={"floor_eps": "default" if floor_eps is None else float(floor_eps)},
-        ),
-    )
+    require_pairs(cov, K)
+    u, v, rho = CovarianceSpectra(cov).solve(K)
+    return CcaEstimate(u_dirs=u, v_dirs=v, rho=rho, provenance=Provenance(algorithm=algorithm))
 
 
-def sample_cca(data: PairedDataset, K, floor_eps=None):
+def sample_cca(data: PairedDataset, K):
     """Classical sample CCA on centred data.
 
     When either view has dimension >= n its within-view covariance is rank
@@ -150,11 +137,8 @@ def sample_cca(data: PairedDataset, K, floor_eps=None):
     and the leading sample correlations saturate at one; the estimate is
     flagged degenerate rather than rejected.
     """
-    if not data.centred:
-        data, cov = center_and_covariance(data)
-    else:
-        _, cov = center_and_covariance(data)
-    est = cca_from_covariance(cov, K, floor_eps, algorithm="sample_cca")
+    _, cov = center_and_covariance(data)
+    est = cca_from_covariance(cov, K, algorithm="sample_cca")
     est.provenance.degenerate = max(data.p, data.q) >= data.n
     return est
 

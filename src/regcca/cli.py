@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 solver hard-failure.
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,35 +21,29 @@ import scipy
 
 from . import __version__
 from .biplot import export_biplot, structure_correlations
-from .cca_core import cca_from_covariance
-from .compare import overlap_matrix, register, trajectory_comparison, write_labelled_matrix_csv
+from .compare import COMPARISON_METRICS, MODES, registered_overlaps, trajectory_comparison
 from .datamodel import (
     CovarianceModel,
     DataError,
     center_and_covariance,
     load_two_view_csv,
     make_folds,
+    save_two_view_csv,
+    write_csv_table,
 )
 from .estimators import (
     KINDS,
     EstimatorSpec,
     fit_estimator,
+    fit_function,
     penalty_in_domain,
     save_estimate,
     sweep_trajectory,
 )
+from . import experiments as ex
 from .glasso import GlassoConvergenceError
-from .metrics import (
-    CvCriteria,
-    MetricReport,
-    estimation_error,
-    metric_name,
-    succ_cc_agg,
-    validation_splits,
-)
-from .synth import bootstrap_covariance, canonical_pair_covariance, mvn_sample, powerlaw_precision
-
-COMMANDS = ("fit", "sweep", "compare", "biplot", "synth-bench")
+from .metrics import CvCriteria, MetricReport, metric_name, validation_splits
+from .synth import canonical_pair_covariance, mvn_sample, powerlaw_precision
 
 
 class ConfigError(ValueError):
@@ -73,24 +68,21 @@ def _require(config, field, typ, where="config"):
     return val
 
 
-def log_grid(log10_from, log10_to, per_decade=9):
-    """Log-spaced penalty grid with a fixed number of points per decade."""
-    n = int(round((log10_to - log10_from) * per_decade)) + 1
-    return [float(10.0**e) for e in np.linspace(log10_from, log10_to, max(n, 2))]
-
-
 def _parse_grid(section):
     if "values" in section:
         vals = section["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError("grid.values: must be a nonempty list")
+        if not isinstance(vals, list) or not vals or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+            raise ConfigError("grid.values: must be a nonempty list of numbers")
+        diffs = np.diff(vals)
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ConfigError("grid.values: must be strictly monotone")
         return [float(v) for v in vals]
     if "log10_from" in section and "log10_to" in section:
-        return log_grid(
-            float(section["log10_from"]),
-            float(section["log10_to"]),
-            int(section.get("per_decade", 9)),
-        )
+        # log-spaced, with a fixed number of points per decade
+        lo, hi = float(section["log10_from"]), float(section["log10_to"])
+        n = int(round((hi - lo) * int(section.get("per_decade", 9)))) + 1
+        return [float(10.0**e) for e in np.linspace(lo, hi, max(n, 2))]
     raise ConfigError("grid: need either 'values' or 'log10_from'/'log10_to'")
 
 
@@ -122,43 +114,70 @@ def _generator_covariance(name, params):
         if name == "powerlaw":
             d = int(params.pop("d"))
             p = int(params.pop("p"))
-            omega = powerlaw_precision(d=d, **params)
-            sigma = np.linalg.inv(omega)
-            return CovarianceModel(sxx=sigma[:p, :p], sxy=sigma[:p, p:], syy=sigma[p:, p:])
+            return CovarianceModel.from_joint(np.linalg.inv(powerlaw_precision(d=d, **params)), p)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"generator.params: {exc}") from exc
     raise ConfigError(f"generator.name: unknown generator {name!r}")
 
 
-def _parse_estimators(config):
-    specs = []
+def _parse_estimators(config, data):
+    """The ``estimators`` section, checked against the dimensions of the
+    dataset ``data``: one (kind, penalty, K, options) per entry, in
+    ``EstimatorSpec``'s field order, with penalty None where the entry gives
+    none (a sweep takes the grid's)."""
+    listed = []
     ests = _require(config, "estimators", list)
     if not ests:
         raise ConfigError("estimators: must list at least one estimator")
     for i, e in enumerate(ests):
-        kind = _require(e, "kind", str, f"estimators[{i}]")
+        where = f"estimators[{i}]"
+        kind = _require(e, "kind", str, where)
         if kind not in KINDS:
-            raise ConfigError(f"estimators[{i}].kind: unknown kind {kind!r}")
-        K = int(_require(e, "K", int, f"estimators[{i}]"))
-        if K < 1:
-            raise ConfigError(f"estimators[{i}].K: must be at least 1")
+            raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+        K = int(_require(e, "K", int, where))
+        if not 1 <= K <= min(data.p, data.q):
+            raise ConfigError(f"{where}.K: {K} outside [1, min(p, q)={min(data.p, data.q)}]")
+        options = e.get("options", {})
+        if not isinstance(options, dict):
+            raise ConfigError(f"{where}.options: expected object, got {type(options).__name__}")
+        # the solver options: the fit function's parameters with a number or
+        # flag default
+        known = [p.name for p in inspect.signature(fit_function(kind)).parameters.values()
+                 if isinstance(p.default, (bool, int, float))]
+        for name in options:
+            if name not in known:
+                raise ConfigError(f"{where}.options.{name}: not an option of {kind} "
+                                  f"(options: {', '.join(known) or 'none'})")
         penalty = e.get("penalty")
-        options = dict(e.get("options", {}))
-        spec = None
         if penalty is not None:
             try:
-                spec = EstimatorSpec(kind=kind, penalty=float(penalty), K=K, options=options)
-            except ValueError as exc:
-                raise ConfigError(f"estimators[{i}]: {exc}") from exc
-        specs.append((kind, penalty, K, options, spec))
-    return specs
+                penalty = EstimatorSpec(kind=kind, penalty=float(penalty), K=K).penalty
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+        listed.append((kind, penalty, K, dict(options)))
+    return listed
+
+
+def _fit_listed(listed, data, seed, command):
+    """Fit every listed estimator on the centred ``data``; each needs a
+    penalty.  Returns (label ``kind@penalty``, estimate) pairs."""
+    for i, (_, penalty, _, _) in enumerate(listed):
+        if penalty is None:
+            raise ConfigError(f"estimators[{i}].penalty: required for {command}")
+    fits = []
+    for kind, penalty, K, options in listed:
+        est = fit_estimator(EstimatorSpec(kind, penalty, K, options), data)
+        est.provenance.seed = seed
+        fits.append((f"{kind}@{penalty:g}", est))
+    return fits
 
 
 def _parse_metrics(config):
     sec = config.get("metrics", {})
     k_list = sec.get("k_list", [1, 3, 5])
-    if not isinstance(k_list, list) or not all(isinstance(k, int) and k >= 1 for k in k_list):
-        raise ConfigError("metrics.k_list: must be a list of positive integers")
+    if (not isinstance(k_list, list) or not k_list
+            or not all(isinstance(k, int) and k >= 1 for k in k_list)):
+        raise ConfigError("metrics.k_list: must be a nonempty list of positive integers")
     aggs = sec.get("aggregations", ["sq_sum"])
     for a in aggs:
         if a != "sq_sum":
@@ -167,6 +186,22 @@ def _parse_metrics(config):
                 "other aggregations are available through the library API"
             )
     return k_list
+
+
+def _parse_registration(config, n_estimators):
+    sec = config.get("registration", {})
+    mode = sec.get("mode", "orthogonal")
+    if mode not in MODES:
+        raise ConfigError(f"registration.mode: {mode!r} is not one of {', '.join(MODES)}")
+    metric = sec.get("comparison_metric", "vt_Uk")
+    if metric not in COMPARISON_METRICS:
+        raise ConfigError(f"registration.comparison_metric: {metric!r} is not one of "
+                          f"{', '.join(COMPARISON_METRICS)}")
+    ref = sec.get("reference", 0)
+    if not isinstance(ref, int) or not 0 <= ref < n_estimators:
+        raise ConfigError("registration.reference: index out of range")
+    k = int(sec.get("comparison_k", config.get("metrics", {}).get("k_list", [3])[-1]))
+    return mode, metric, ref, k
 
 
 def _write_manifest(outdir, command, config, seed, warning_count):
@@ -187,6 +222,12 @@ def _write_manifest(outdir, command, config, seed, warning_count):
         fh.write("\n")
 
 
+def _warn(message):
+    """Print one warning line; returns 1, the count it adds."""
+    print(f"warning: {message}", file=sys.stderr)
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -194,32 +235,16 @@ def _write_manifest(outdir, command, config, seed, warning_count):
 def _cmd_fit(config, outdir, seed, jobs):
     raw = _load_dataset(config, seed)
     if config.get("output", {}).get("export_data", False):
-        from .datamodel import save_two_view_csv
-
         save_two_view_csv(raw, Path(outdir) / "data_x.csv", Path(outdir) / "data_y.csv")
     data, _ = center_and_covariance(raw)
-    specs = _parse_estimators(config)
-    for i, (kind, penalty, K, options, _) in enumerate(specs):
-        if penalty is None:
-            raise ConfigError(f"estimators[{i}].penalty: required for fit")
+    fits = _fit_listed(_parse_estimators(config, data), data, seed, "fit")
     warning_count = 0
-    for i, (kind, penalty, K, options, spec) in enumerate(specs):
-        est = fit_estimator(spec, data)
-        est.provenance.seed = seed
-        warning_count += _warn_if_degenerate(est, f"estimators[{i}] {kind}@{spec.penalty:g}")
-        save_estimate(
-            est, outdir, f"fit_{i:02d}_{kind}", x_names=data.x_names, y_names=data.y_names
-        )
+    for i, (label, est) in enumerate(fits):
+        if est.provenance.degenerate:
+            warning_count += _warn(f"estimators[{i}] {label} is degenerate")
+        save_estimate(est, outdir, f"fit_{i:02d}_{est.provenance.algorithm}",
+                      x_names=data.x_names, y_names=data.y_names)
     return warning_count
-
-
-def _warn_if_degenerate(est, label):
-    """Print one warning for an estimate flagged degenerate; returns the
-    number of warnings printed (0 or 1)."""
-    if not est.provenance.degenerate:
-        return 0
-    print(f"warning: {label} is degenerate", file=sys.stderr)
-    return 1
 
 
 def _fold_plan(config, data, seed):
@@ -233,25 +258,23 @@ def _fold_plan(config, data, seed):
 
 
 def _cmd_sweep(config, outdir, seed, jobs):
-    data = _load_dataset(config, seed)
-    data, _ = center_and_covariance(data)
+    data, _ = center_and_covariance(_load_dataset(config, seed))
     grid = _parse_grid(_require(config, "grid", dict))
-    specs = _parse_estimators(config)
+    listed = _parse_estimators(config, data)
     k_list = _parse_metrics(config)
     folds = _fold_plan(config, data, seed)
 
     report = MetricReport()
     warning_count = 0
     validation = validation_splits(data, folds)
-    for kind, _, K, options, _spec in specs:
+    for kind, _, K, options in listed:
         kind_grid = [g for g in grid if penalty_in_domain(kind, g)]
         dropped = [g for g in grid if not penalty_in_domain(kind, g)]
         if not kind_grid:
             raise ConfigError(f"grid: no legal penalties for {kind}")
         if dropped:
-            warning_count += 1
-            print(f"warning: {kind} grid values outside its penalty domain dropped: "
-                  f"{', '.join(repr(g) for g in dropped)}", file=sys.stderr)
+            warning_count += _warn(f"{kind} grid values outside its penalty domain dropped: "
+                                   f"{', '.join(repr(g) for g in dropped)}")
         traj = sweep_trajectory(kind, data, kind_grid, folds, K, options=options,
                                 seed=seed, jobs=jobs)
         est_dir = Path(outdir) / "estimates" / kind
@@ -259,8 +282,7 @@ def _cmd_sweep(config, outdir, seed, jobs):
             save_estimate(est, est_dir, f"p{i:02d}_{fold}",
                           x_names=data.x_names, y_names=data.y_names)
         for (i, fold), msg in sorted(traj.failures.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            warning_count += 1
-            print(f"warning: {kind} penalty[{i}] fold {fold} failed: {msg}", file=sys.stderr)
+            warning_count += _warn(f"{kind} penalty[{i}] fold {fold} failed: {msg}")
 
         for i, penalty in enumerate(kind_grid):
             fold_ests = traj.fold_estimates(i)
@@ -272,349 +294,103 @@ def _cmd_sweep(config, outdir, seed, jobs):
                 continue
             crit = CvCriteria(data, fold_ests, max(ks), validation)
             for k in ks:
+                # (family, value, dispersion) of each criterion computed before
+                # one fails
+                rows = []
                 try:
-                    val, disp = crit.cc_agg("successive", "sq_sum", k)
-                    report.add(algorithm=kind, penalty=penalty, fold="cv",
-                               metric=metric_name("r2s", k, cv=True), k=k, value=val,
-                               dispersion=disp)
-                    val, disp = crit.cc_agg("subspace", "sq_sum", k)
-                    report.add(algorithm=kind, penalty=penalty, fold="cv",
-                               metric=metric_name("R2s", k, cv=True), k=k, value=val,
-                               dispersion=disp)
+                    for family, mode in (("r2s", "successive"), ("R2s", "subspace")):
+                        rows.append((family, *crit.cc_agg(mode, "sq_sum", k)))
                     inst = crit.instability(k)
-                    for family, key in (("wt-u", "wt_uk_cv"), ("vt-u", "vt_uk_cv"),
-                                        ("wt-U", "wt_Uk_cv"), ("vt-U", "vt_Uk_cv")):
-                        report.add(algorithm=kind, penalty=penalty, fold="cv",
-                                   metric=metric_name(family, k, cv=True), k=k,
-                                   value=inst[key])
+                    rows += [(family, inst[family.replace("-", "_") + "k_cv"], None)
+                             for family in ("wt-u", "vt-u", "wt-U", "vt-U")]
                 except ValueError as exc:
                     # degenerate fold estimates make some criteria undefined
                     if not any(e.provenance.degenerate for e in fold_ests):
                         raise
-                    warning_count += 1
-                    print(f"warning: {kind} penalty[{i}] k={k} metrics skipped: {exc}",
-                          file=sys.stderr)
+                    warning_count += _warn(f"{kind} penalty[{i}] k={k} metrics skipped: {exc}")
+                for family, value, disp in rows:
+                    report.add(algorithm=kind, penalty=penalty, fold="cv", k=k, value=value,
+                               metric=metric_name(family, k, cv=True), dispersion=disp)
     report.to_csv(Path(outdir) / "metrics.csv")
     return warning_count
 
 
-def _cmd_compare(config, outdir, seed, jobs):
-    data = _load_dataset(config, seed)
-    data, _ = center_and_covariance(data)
-    specs = _parse_estimators(config)
-    reg_sec = config.get("registration", {})
-    mode = reg_sec.get("mode", "orthogonal")
-    ref_idx = int(reg_sec.get("reference", 0))
-    comp_metric = reg_sec.get("comparison_metric", "vt_Uk")
-    comp_k = int(reg_sec.get("comparison_k", config.get("metrics", {}).get("k_list", [3])[-1]))
+def _write_labelled(path, matrix, labels):
+    """A matrix with ``labels`` heading its columns and rows (heat maps)."""
+    write_csv_table(path, [""] + list(labels),
+                    [[label] + row for label, row in zip(labels, matrix.tolist())])
 
-    estimates, labels = [], []
-    for i, (kind, penalty, K, options, spec) in enumerate(specs):
-        if penalty is None:
-            raise ConfigError(f"estimators[{i}].penalty: required for compare")
-        estimates.append(fit_estimator(spec, data))
-        labels.append(f"{kind}@{penalty:g}")
-    if not 0 <= ref_idx < len(estimates):
-        raise ConfigError("registration.reference: index out of range")
+
+def _cmd_compare(config, outdir, seed, jobs):
+    data, _ = center_and_covariance(_load_dataset(config, seed))
+    listed = _parse_estimators(config, data)
+    mode, comp_metric, ref_idx, comp_k = _parse_registration(config, len(listed))
+    labels, estimates = zip(*_fit_listed(listed, data, seed, "compare"))
 
     mat = trajectory_comparison(estimates, data, metric=comp_metric, k=comp_k)
-    write_labelled_matrix_csv(Path(outdir) / f"comparison_{comp_metric}_{comp_k}.csv", mat, labels)
+    _write_labelled(Path(outdir) / f"comparison_{comp_metric}_{comp_k}.csv", mat, labels)
 
     # a degenerate estimate, or one with a zero variate among the first k_ov,
     # has no unit variates to register: its overlap table is masked (NaN)
     k_ov = min(comp_k, min(e.k for e in estimates))
-    warning_count = 0
-    variates = []
-    for label, est in zip(labels, estimates):
-        z = data.x @ est.u_dirs[:, :k_ov]
-        norms = np.linalg.norm(z, axis=0)
-        if est.provenance.degenerate or np.any(norms == 0):
-            warning_count += 1
-            print(f"warning: {label} is degenerate; its overlap is masked", file=sys.stderr)
-            variates.append(None)
-        else:
-            variates.append(z / norms)
-    # a copy: NumPy takes z.T @ z on one buffer as a symmetric product,
-    # which rounds differently from the general product of the self-overlap
-    z_ref = None if variates[ref_idx] is None else variates[ref_idx].copy()
-    for i, z in enumerate(variates):
-        if z_ref is None or z is None:
-            table = np.full((k_ov + 1, k_ov + 1), np.nan)
-        else:
-            if i != ref_idx:
-                z = z @ register(z_ref, z, mode)
-            ov = overlap_matrix(z_ref, z, squared=True)
-            table = np.vstack([np.hstack([ov.matrix, ov.row_sums[:, None]]),
-                               np.hstack([ov.col_sums, [np.nan]])])
-        write_labelled_matrix_csv(
-            Path(outdir) / f"overlap_{labels[ref_idx]}_vs_{labels[i]}.csv",
-            table,
-            [f"comp_{j + 1}" for j in range(k_ov)] + ["sum"],
-        )
+    tables, masked = registered_overlaps(estimates, data, k_ov, ref_idx, mode)
+    warning_count = sum(_warn(f"{label} is degenerate; its overlap is masked")
+                        for label, off in zip(labels, masked) if off)
+    names = [f"comp_{j + 1}" for j in range(k_ov)] + ["sum"]
+    for label, table in zip(labels, tables):
+        _write_labelled(Path(outdir) / f"overlap_{labels[ref_idx]}_vs_{label}.csv", table, names)
     return warning_count
 
 
 def _cmd_biplot(config, outdir, seed, jobs):
-    data = _load_dataset(config, seed)
-    data, _ = center_and_covariance(data)
-    specs = _parse_estimators(config)
-    kind, penalty, K, options, spec = specs[0]
-    if penalty is None:
-        raise ConfigError("estimators[0].penalty: required for biplot")
-    est = fit_estimator(spec, data)
-    warning_count = _warn_if_degenerate(est, f"estimators[0] {kind}@{spec.penalty:g}")
+    data, _ = center_and_covariance(_load_dataset(config, seed))
+    listed = _parse_estimators(config, data)
     out_sec = config.get("output", {})
-    coords = structure_correlations(
-        data, est, variate_view=out_sec.get("variate_view", "x"), K=K
-    )
+    view = out_sec.get("variate_view", "x")
+    if view not in ("x", "y"):
+        raise ConfigError(f"output.variate_view: {view!r} is not 'x' or 'y'")
+    # the biplot shows the first listed estimator
+    [(label, est)] = _fit_listed(listed[:1], data, seed, "biplot")
+    degenerate = est.provenance.degenerate
+    warning_count = _warn(f"estimators[0] {label} is degenerate") if degenerate else 0
+    coords = structure_correlations(data, est, variate_view=view)
     export_biplot(coords, float(out_sec.get("biplot_threshold", 0.0)),
                   Path(outdir) / "biplot.csv")
-    for message in coords.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    return warning_count + len(coords.warnings)
+    return warning_count + sum(_warn(message) for message in coords.warnings)
 
 
-# ---------------------------------------------------------------------------
-# synth-bench presets
-# ---------------------------------------------------------------------------
-
-CANONICAL_PAIR_DEFAULTS = {
-    "p": 30,
-    "q": 30,
-    "rho1": 0.9,
-    "support_size": 5,
-    "n_list": [100, 400],
-    "n_seeds": 10,
-    "kinds": ["scca", "gcca", "spls"],
-    "grids": {
-        "scca": [0.02, 0.05, 0.1, 0.2],
-        "gcca": [0.05, 0.1, 0.2, 0.4],
-        "spls": [1.5, 2.5, 4.0],
-        "rcca": [0.05, 0.2, 0.5, 0.9],
-    },
-    "model_seed": 7,
+# preset name -> (defaults, run function, columns of its CSV)
+_PRESETS = {
+    "canonical-pair": (ex.CANONICAL_PAIR_DEFAULTS, ex.run_canonical_pair_bench,
+                       ex.CANONICAL_PAIR_FIELDS),
+    "bootstrap-panel": (ex.BOOTSTRAP_PANEL_DEFAULTS, ex.run_bootstrap_panel_bench,
+                        sorted(ex.BOOTSTRAP_PANEL_FIELDS)),
 }
-
-
-def run_canonical_pair_bench(**overrides):
-    """Error-versus-n experiment on the single-canonical-pair model.
-
-    Returns long-format records (kind, penalty, n, seed, metric, value)
-    with the oracle first-pair correlation and the weight/variate errors of
-    the first pair, for every grid point.
-    """
-    cfg = {**CANONICAL_PAIR_DEFAULTS, **overrides}
-    cov, truth = canonical_pair_covariance(
-        cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
-        within_view="suo_sp", seed=cfg["model_seed"],
-    )
-    records = []
-    for n in cfg["n_list"]:
-        for s in range(cfg["n_seeds"]):
-            data = mvn_sample(cov, n, seed=1000 * s + n)
-            data, _ = center_and_covariance(data)
-            for kind in cfg["kinds"]:
-                for penalty in cfg["grids"][kind]:
-                    spec = EstimatorSpec(kind=kind, penalty=penalty, K=1)
-                    try:
-                        est = fit_estimator(spec, data)
-                    except (GlassoConvergenceError, np.linalg.LinAlgError) as exc:
-                        records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
-                                            metric="failure", value=str(exc)))
-                        continue
-                    rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1], est.v_dirs[:, :1]))
-                    err = estimation_error(cov, truth, est, 1)
-                    for mname, mval in (("rho_oracle", rho_or),
-                                        ("wt_u1", err["wt_uk"]),
-                                        ("vt_u1", err["vt_uk"])):
-                        records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
-                                            metric=mname, value=mval))
-    return records
-
-
-def summarise_canonical_pair(records, kinds, n_list):
-    """Per (kind, n): median over seeds of the grid-best oracle correlation,
-    and the weight/variate errors at that oracle-best penalty."""
-    out = {}
-    for kind in kinds:
-        for n in n_list:
-            by_seed = {}
-            for r in records:
-                if r["kind"] != kind or r["n"] != n or r["metric"] == "failure":
-                    continue
-                by_seed.setdefault(r["seed"], {}).setdefault(r["penalty"], {})[r["metric"]] = r["value"]
-            best_rho, best_wt, best_vt = [], [], []
-            for seed, by_pen in sorted(by_seed.items()):
-                pen = max(by_pen, key=lambda p: by_pen[p]["rho_oracle"])
-                best_rho.append(by_pen[pen]["rho_oracle"])
-                best_wt.append(by_pen[pen]["wt_u1"])
-                best_vt.append(by_pen[pen]["vt_u1"])
-            out[(kind, n)] = {
-                "median_rho_oracle": float(np.median(best_rho)),
-                "median_wt_u1": float(np.median(best_wt)),
-                "median_vt_u1": float(np.median(best_vt)),
-            }
-    return out
-
-
-BOOTSTRAP_PANEL_DEFAULTS = {
-    "p": 60,
-    "q": 30,
-    "n": 500,
-    "V": 5,
-    "n_seeds": 10,
-    "seed_data_n": 400,
-    "seed_data_seed": 3,
-    "graph_gamma": 3.0,
-    "cross_boost": 4.0,
-    "boot_lam": 0.03,
-    "kinds": ["rcca", "spls", "scca", "gcca"],
-    "grids": {
-        "rcca": [0.01, 0.05, 0.2, 0.6],
-        "spls": [1.5, 2.5, 4.0, 6.0],
-        "scca": [0.005, 0.015, 0.04, 0.1],
-        "gcca": [0.02, 0.05, 0.12, 0.3],
-    },
-    "K": 3,
-}
-
-
-def _bootstrap_truth(cfg):
-    """Fixed oracle covariance: glasso bootstrap of synthetic seed data.
-
-    The seed model is a power-law sparse-precision graph with its
-    cross-view interactions strengthened (diagonal dominance re-applied, so
-    positive definiteness is preserved); without the boost the graph's
-    canonical correlations are too weak to mimic real paired data.  Each
-    view is then mixed through a banded factor, which leaves the canonical
-    correlations untouched but gives the within-view covariances realistic
-    structure (otherwise weight and variate geometry coincide and PLS is
-    indistinguishable from CCA).
-    """
-    from .linalg import sym_matrix_power
-    from .synth import banded_within_view_precision
-
-    p, q = cfg["p"], cfg["q"]
-    d = p + q
-    omega = powerlaw_precision(d, cfg["graph_gamma"], seed=cfg["seed_data_seed"])
-    omega[:p, p:] *= cfg["cross_boost"]
-    omega[p:, :p] *= cfg["cross_boost"]
-    off = omega - np.diag(np.diagonal(omega))
-    np.fill_diagonal(omega, 1.1 * np.sum(np.abs(off), axis=1) + 0.5)
-    sigma = np.linalg.inv(omega)
-    mix_x = sym_matrix_power(banded_within_view_precision(p), -0.5)
-    mix_y = sym_matrix_power(banded_within_view_precision(q), -0.5)
-    seed_cov = CovarianceModel(
-        sxx=mix_x @ sigma[:p, :p] @ mix_x.T,
-        sxy=mix_x @ sigma[:p, p:] @ mix_y.T,
-        syy=mix_y @ sigma[p:, p:] @ mix_y.T,
-    )
-    seed_data = mvn_sample(seed_cov, cfg["seed_data_n"], seed=cfg["seed_data_seed"] + 1)
-    return bootstrap_covariance(seed_data, "glasso", cfg["boot_lam"])
-
-
-def run_bootstrap_panel_bench(**overrides):
-    """Four-estimator sweep on data sampled from a bootstrap covariance.
-
-    The oracle covariance is fixed across seeds; each seed redraws the n
-    samples.  Records carry CV and oracle correlation criteria plus the
-    top-3 subspace errors, per (kind, penalty, seed).
-    """
-    cfg = {**BOOTSTRAP_PANEL_DEFAULTS, **overrides}
-    boot_cov = _bootstrap_truth(cfg)
-    kmax = cfg["K"]
-    truth = cca_from_covariance(boot_cov, kmax)
-    records = []
-    for s in range(cfg["n_seeds"]):
-        data = mvn_sample(boot_cov, cfg["n"], seed=500 + s)
-        data, _ = center_and_covariance(data)
-        folds = make_folds(data.n, cfg["V"], seed=s)
-        validation = validation_splits(data, folds)
-        for kind in cfg["kinds"]:
-            traj = sweep_trajectory(kind, data, cfg["grids"][kind], folds, kmax, seed=s)
-            for i, penalty in enumerate(traj.grid):
-                fold_ests = traj.fold_estimates(i)
-                full = traj.full_estimate(i)
-                if full is None or any(e is None for e in fold_ests):
-                    continue
-                row = dict(kind=kind, penalty=penalty, seed=s)
-                crit = CvCriteria(data, fold_ests, kmax, validation)
-                try:
-                    row["r2s1_cv"] = crit.cc_agg("successive", "sq_sum", 1)[0]
-                    row["r2s3_cv"] = crit.cc_agg("successive", "sq_sum", kmax)[0]
-                    row["R2s3_cv"] = crit.cc_agg("subspace", "sq_sum", kmax)[0]
-                    row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1],
-                                              full.v_dirs[:, :1])
-                    err = estimation_error(boot_cov, truth, full, kmax)
-                except ValueError:
-                    # degenerate estimates make some criteria undefined; sweep skips them too
-                    if not any(e.provenance.degenerate for e in fold_ests + [full]):
-                        raise
-                    continue
-                row["vt_U3"] = err["vt_Uk"]
-                row["wt_U3"] = err["wt_Uk"]
-                records.append(row)
-    return records
-
-
-def summarise_bootstrap_panel(records, kinds):
-    """Medians over seeds of the panel's acceptance quantities.
-
-    ``seeds_used`` counts the seeds with at least one record of the kind;
-    the medians are present only when it is positive (a kind whose cells
-    were all skipped has none).
-    """
-    out = {}
-    seeds = sorted({r["seed"] for r in records})
-    for kind in kinds:
-        gap, vt3, wt3, best_R = [], [], [], []
-        for s in seeds:
-            rows = [r for r in records if r["kind"] == kind and r["seed"] == s]
-            if not rows:
-                continue
-            star1 = max(rows, key=lambda r: r["r2s1_cv"])
-            gap.append(abs(star1["r2s1_cv"] - star1["r2s1"]))
-            star3 = max(rows, key=lambda r: r["r2s3_cv"])
-            vt3.append(star3["vt_U3"])
-            wt3.append(star3["wt_U3"])
-            best_R.append(max(r["R2s3_cv"] for r in rows))
-        out[kind] = {"seeds_used": len(gap)}
-        if gap:
-            out[kind].update(
-                median_cv_oracle_gap_r2s1=float(np.median(gap)),
-                median_vt_U3=float(np.median(vt3)),
-                median_wt_U3=float(np.median(wt3)),
-                median_best_R2s3_cv=float(np.median(best_R)),
-            )
-    return out
 
 
 def _cmd_synth_bench(config, outdir, seed, jobs):
     sec = _require(config, "generator", dict)
     preset = _require(sec, "preset", str, "generator")
-    overrides = dict(sec.get("params", {}))
-    if preset == "canonical-pair":
-        records = run_canonical_pair_bench(**overrides)
-        fields = ["kind", "penalty", "n", "seed", "metric", "value"]
-    elif preset == "bootstrap-panel":
-        records = run_bootstrap_panel_bench(**overrides)
-        fields = sorted({k for r in records for k in r})
-    else:
+    if preset not in _PRESETS:
         raise ConfigError(f"generator.preset: unknown preset {preset!r}")
-    import csv as _csv
-
-    with open(Path(outdir) / f"bench_{preset}.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(fields)
-        for r in records:
-            writer.writerow([_fmt_cell(r.get(f)) for f in fields])
+    defaults, run, fields = _PRESETS[preset]
+    params = _require(sec, "params", dict, "generator") if "params" in sec else {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"generator.params: {', '.join(unknown)} not a parameter of {preset}")
+    records = run(**params)
+    write_csv_table(Path(outdir) / f"bench_{preset}.csv", fields,
+                    [[r.get(f) for f in fields] for r in records])
     return 0
 
 
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+_HANDLERS = {
+    "fit": _cmd_fit,
+    "sweep": _cmd_sweep,
+    "compare": _cmd_compare,
+    "biplot": _cmd_biplot,
+    "synth-bench": _cmd_synth_bench,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +402,7 @@ def main(argv=None):
         prog="regcca",
         description="Regularised CCA toolbox: fit, sweep, compare, biplot, synth-bench",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
@@ -644,15 +420,8 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
 
-    handlers = {
-        "fit": _cmd_fit,
-        "sweep": _cmd_sweep,
-        "compare": _cmd_compare,
-        "biplot": _cmd_biplot,
-        "synth-bench": _cmd_synth_bench,
-    }
     try:
-        warning_count = handlers[args.command](config, outdir, seed, args.jobs)
+        warning_count = _HANDLERS[args.command](config, outdir, seed, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,14 +7,13 @@ permutations within orthogonal within linear), so the attained residual can
 only shrink as the class grows.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datamodel import PairedDataset
-from .linalg import gram_schmidt_reduce
+from .linalg import ORTH_TOL, gram_schmidt_reduce
 from .metrics import _orthonormal_sin2
 
 __all__ = [
@@ -22,10 +21,11 @@ __all__ = [
     "OverlapResult",
     "overlap_matrix",
     "trajectory_comparison",
-    "write_labelled_matrix_csv",
+    "registered_overlaps",
 ]
 
 MODES = ("signs", "signed_permutation", "orthogonal", "linear")
+COMPARISON_METRICS = ("vt_Uk", "wt_Uk")
 
 
 def register(reference, target, mode):
@@ -91,21 +91,20 @@ class OverlapResult:
     row_sums: np.ndarray
     col_sums: np.ndarray
     columns_orthonormal: bool
-    squared: bool
 
 
-def overlap_matrix(z, w, squared=False, orthogonalise_first=False, orth_tol=1e-6):
+def overlap_matrix(z, w, squared=False):
+    """Cross-Gram matrix of two variate blocks (entries squared with
+    ``squared``) and its sums; the blocks count as orthonormal to within
+    ``linalg.ORTH_TOL``."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     if z.shape[0] != w.shape[0]:
         raise ValueError("blocks must share the sample axis")
-    if orthogonalise_first:
-        z, _ = gram_schmidt_reduce(z)
-        w, _ = gram_schmidt_reduce(w)
     ortho = True
     for m in (z, w):
         dev = float(np.max(np.abs(m.T @ m - np.eye(m.shape[1])))) if m.size else 0.0
-        ortho &= dev <= orth_tol
+        ortho &= dev <= ORTH_TOL
     mat = z.T @ w
     if squared:
         mat = mat**2
@@ -114,8 +113,25 @@ def overlap_matrix(z, w, squared=False, orthogonalise_first=False, orth_tol=1e-6
         row_sums=mat.sum(axis=1),
         col_sums=mat.sum(axis=0),
         columns_orthonormal=ortho,
-        squared=squared,
     )
+
+
+def _unit_blocks(estimates, data: PairedDataset, k, metric):
+    """Each estimate's leading k directions as unit-norm columns: the
+    full-data variates X @ U for ``vt_Uk``, the weights U for ``wt_Uk``.
+    None where an estimate is missing, degenerate, holds fewer than k pairs
+    or has a zero column."""
+    blocks = []
+    for est in estimates:
+        b = None
+        if est is not None and not est.provenance.degenerate and est.k >= k:
+            b = est.u_dirs[:, :k]
+            if metric == "vt_Uk":
+                b = data.x @ b
+            norms = np.linalg.norm(b, axis=0)
+            b = None if np.any(norms == 0) else b / norms
+        blocks.append(b)
+    return blocks
 
 
 def trajectory_comparison(estimates, data: PairedDataset, metric="vt_Uk", k=3):
@@ -126,21 +142,9 @@ def trajectory_comparison(estimates, data: PairedDataset, metric="vt_Uk", k=3):
     renormalised); ``wt_Uk`` compares weight subspaces.  Degenerate
     estimates produce masked (NaN) rows/columns rather than aborting.
     """
-    if metric not in ("vt_Uk", "wt_Uk"):
+    if metric not in COMPARISON_METRICS:
         raise ValueError(f"unknown comparison metric {metric!r}")
-    blocks = []
-    for est in estimates:
-        if est is None or est.provenance.degenerate or est.k < k:
-            blocks.append(None)
-            continue
-        b = est.u_dirs[:, :k]
-        if metric == "vt_Uk":
-            b = data.x @ b
-        norms = np.linalg.norm(b, axis=0)
-        if np.any(norms == 0):
-            blocks.append(None)
-            continue
-        blocks.append(b / norms)
+    blocks = _unit_blocks(estimates, data, k, metric)
     m = len(blocks)
     out = np.full((m, m), np.nan)
     orth = [None] * m
@@ -156,10 +160,24 @@ def trajectory_comparison(estimates, data: PairedDataset, metric="vt_Uk", k=3):
     return out
 
 
-def write_labelled_matrix_csv(path, matrix, labels):
-    """CSV with estimator labels as headers, for heat-map rendering."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(labels))
-        for label, row in zip(labels, matrix):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+def registered_overlaps(estimates, data: PairedDataset, k, reference, mode):
+    """Squared overlap tables of each estimate's top-k unit variates,
+    registered by ``mode``, against the reference estimate's: the matrix
+    with its row sums as a last column and column sums as a last row, all
+    NaN where either block is masked (see ``_unit_blocks``).  Returns the
+    tables and each estimate's masked flag."""
+    variates = _unit_blocks(estimates, data, k, "vt_Uk")
+    # a copy: NumPy takes z.T @ z on one buffer as a symmetric product,
+    # which rounds differently from the general product of the self-overlap
+    z_ref = None if variates[reference] is None else variates[reference].copy()
+    tables = []
+    for i, z in enumerate(variates):
+        if z_ref is None or z is None:
+            tables.append(np.full((k + 1, k + 1), np.nan))
+            continue
+        if i != reference:
+            z = z @ register(z_ref, z, mode)
+        ov = overlap_matrix(z_ref, z, squared=True)
+        tables.append(np.vstack([np.hstack([ov.matrix, ov.row_sums[:, None]]),
+                                 np.hstack([ov.col_sums, [np.nan]])]))
+    return tables, [z is None for z in variates]

@@ -14,6 +14,7 @@ __all__ = [
     "split_fold",
     "load_two_view_csv",
     "save_two_view_csv",
+    "write_csv_table",
 ]
 
 
@@ -97,6 +98,12 @@ class CovarianceModel:
 
     def joint(self):
         return np.block([[self.sxx, self.sxy], [self.sxy.T, self.syy]])
+
+    @classmethod
+    def from_joint(cls, s, p):
+        """Blocks of a joint covariance whose first ``p`` variables are the
+        x view; the inverse of ``joint``."""
+        return cls(sxx=s[:p, :p], sxy=s[:p, p:], syy=s[p:, p:])
 
 
 @dataclass
@@ -242,8 +249,15 @@ def load_two_view_csv(x_path, y_path):
 def save_two_view_csv(data: PairedDataset, x_path, y_path):
     """Write both views in the standard two-view CSV format."""
     for path, names, mat in ((x_path, data.x_names, data.x), (y_path, data.y_names, data.y)):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in mat:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv_table(path, names, mat.tolist())
+
+
+def write_csv_table(path, header, rows):
+    """Write a header row and data rows as CSV; every table the package
+    writes goes through here.  ``csv`` writes a Python float as its
+    ``repr``, which reads back to the same float, so rows of Python floats
+    (an array's ``tolist()``) round-trip exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -24,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .cca_core import CcaEstimate, CovarianceSpectra, Provenance, cca_from_covariance
-from .datamodel import CovarianceModel, FoldPlan, PairedDataset, center_and_covariance, split_fold
+from .cca_core import CcaEstimate, CovarianceSpectra, Provenance, cca_from_covariance, require_pairs
+from .datamodel import (
+    CovarianceModel,
+    FoldPlan,
+    PairedDataset,
+    center_and_covariance,
+    split_fold,
+    write_csv_table,
+)
 from .glasso import GlassoConvergenceError, glasso_fit
 from .linalg import signed_corrs, soft_threshold, thin_svd
 
@@ -89,6 +96,14 @@ def _require_centred(data: PairedDataset):
         raise ValueError("estimator expects centred data; run center_and_covariance first")
 
 
+def _require_fit_inputs(kind, penalty, data: PairedDataset, K):
+    """What every fit requires: a penalty in the kind's domain, centred
+    data and K in [1, min(p, q)]."""
+    _require_penalty(kind, penalty)
+    _require_centred(data)
+    require_pairs(data, K)
+
+
 def _unit_variance_columns(dirs, data_matrix):
     """Rescale columns so the training variates have unit empirical variance
     (divisor n)."""
@@ -110,7 +125,7 @@ class RccaSpectra(CovarianceSpectra):
         super().__init__(center_and_covariance(data)[1])
 
 
-def rcca_fit(data: PairedDataset, c, K, floor_eps=None, spectra=None):
+def rcca_fit(data: PairedDataset, c, K, spectra=None):
     """Ridge-regularised CCA with tied penalty c in [0, 1].
 
     Plug-in CCA on the covariance model with within-view blocks
@@ -121,16 +136,12 @@ def rcca_fit(data: PairedDataset, c, K, floor_eps=None, spectra=None):
     The target is whitened in the eigenbases of Cxx and Cyy
     (``CovarianceSpectra.solve``), so a penalty costs one SVD of a p x q
     matrix; ``spectra`` (the ``RccaSpectra`` of ``data``) lets a penalty
-    path share one eigendecomposition per view.  ``floor_eps`` overrides
-    the eigenvalue floor.
+    path share one eigendecomposition per view.
     """
-    _require_penalty("rcca", c)
-    _require_centred(data)
-    if K < 1 or K > min(data.p, data.q):
-        raise ValueError(f"K={K} outside [1, min(p, q)={min(data.p, data.q)}]")
+    _require_fit_inputs("rcca", c, data, K)
     if spectra is None:
         spectra = RccaSpectra(data)
-    u, v, rho = spectra.solve(K, c, floor_eps)
+    u, v, rho = spectra.solve(K, c)
     return CcaEstimate(
         u_dirs=_unit_variance_columns(u, data.x),
         v_dirs=_unit_variance_columns(v, data.y),
@@ -227,8 +238,7 @@ def spls_fit(data: PairedDataset, s, K, max_sweeps=200, tol=1e-9):
     the deflation scalar, so correlation metrics compare like-for-like with
     the CCA methods.
     """
-    _require_penalty("spls", s)
-    _require_centred(data)
+    _require_fit_inputs("spls", s, data, K)
     _, cov = center_and_covariance(data)
     cmat = cov.sxy.copy()
     us, vs = [], []
@@ -349,14 +359,17 @@ def scca_fit(
     Diagnostics in provenance record total inner iterations, for comparing
     solver configurations.
     """
-    _require_penalty("scca", tau)
-    _require_centred(data)
+    _require_fit_inputs("scca", tau, data, K)
     n = data.n
     xd = data.x / np.sqrt(n)
     yd = data.y / np.sqrt(n)
     cxx = xd.T @ xd
     cyy = yd.T @ yd
     cxy = xd.T @ yd
+
+    def unit_variance(weight, block):
+        nw = np.linalg.norm(block @ weight)
+        return weight / nw if nw > 0 else weight
 
     us, vs = [], []
     total_inner = 0
@@ -372,12 +385,7 @@ def scca_fit(
         mu_y = lambda_step / (2.0 * max(_operator_norm_sq(yt), 1e-30))
 
         u, v = _scca_init(cxy, tau, k)
-        nu = np.linalg.norm(xd @ u)
-        if nu > 0:
-            u = u / nu
-        nv = np.linalg.norm(yd @ v)
-        if nv > 0:
-            v = v / nv
+        u, v = unit_variance(u, xd), unit_variance(v, yd)
 
         def fresh_duals(weight, stacked, block):
             zz = block @ weight
@@ -418,14 +426,8 @@ def scca_fit(
 
         if np.all(u == 0.0) or np.all(v == 0.0):
             degenerate = True
-        nu = np.linalg.norm(xd @ u)
-        if nu > 0:
-            u = u / nu
-        nv = np.linalg.norm(yd @ v)
-        if nv > 0:
-            v = v / nv
-        us.append(u)
-        vs.append(v)
+        us.append(unit_variance(u, xd))
+        vs.append(unit_variance(v, yd))
 
     u_mat, v_mat = np.column_stack(us), np.column_stack(vs)
     return CcaEstimate(
@@ -459,13 +461,10 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000)
     every cross-view entry the correlations are all zero and the estimate is
     flagged degenerate.
     """
-    _require_penalty("gcca", lam)
-    _require_centred(data)
+    _require_fit_inputs("gcca", lam, data, K)
     _, cov = center_and_covariance(data)
     prec = glasso_fit(cov.joint(), lam, tol=glasso_tol, max_iter=glasso_max_iter)
-    p = data.p
-    sig = prec.sigma
-    model = CovarianceModel(sxx=sig[:p, :p], sxy=sig[:p, p:], syy=sig[p:, p:])
+    model = CovarianceModel.from_joint(prec.sigma, data.p)
     est = cca_from_covariance(model, K, algorithm="gcca")
     u = _unit_variance_columns(est.u_dirs, data.x)
     v = _unit_variance_columns(est.v_dirs, data.y)
@@ -486,12 +485,16 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000)
 # dispatch and sweeps
 # ---------------------------------------------------------------------------
 
+def fit_function(kind):
+    """The ``*_fit`` function of an estimator kind."""
+    # looked up per call, so that a wrapper rebound to one of these module
+    # names (a tracer's, a test's) is the one returned
+    return {"rcca": rcca_fit, "spls": spls_fit, "scca": scca_fit, "gcca": gcca_fit}[kind]
+
+
 def fit_estimator(spec: EstimatorSpec, data: PairedDataset):
     """Fit ``spec`` on centred ``data`` with its kind's ``*_fit`` function."""
-    # built per call, so that a wrapper rebound to one of these module names
-    # (a tracer's, a test's) is the one called
-    fits = {"rcca": rcca_fit, "spls": spls_fit, "scca": scca_fit, "gcca": gcca_fit}
-    return fits[spec.kind](data, spec.penalty, spec.K, **spec.options)
+    return fit_function(spec.kind)(data, spec.penalty, spec.K, **spec.options)
 
 
 @dataclass
@@ -503,9 +506,6 @@ class TrajectoryResult:
     folds: FoldPlan
     estimates: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
-
-    def cell(self, penalty_index, fold="full"):
-        return self.estimates.get((penalty_index, fold))
 
     def fold_estimates(self, penalty_index):
         return [self.estimates.get((penalty_index, v)) for v in range(self.folds.V)]
@@ -616,14 +616,6 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
 # persistence: JSON manifest plus CSV direction matrices
 # ---------------------------------------------------------------------------
 
-def _write_matrix_csv(path, mat, row_names):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable"] + [f"comp_{k + 1}" for k in range(mat.shape[1])])
-        for name, row in zip(row_names, mat):
-            writer.writerow([name] + [repr(float(v)) for v in row])
-
-
 def _read_matrix_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -652,8 +644,10 @@ def save_estimate(est: CcaEstimate, outdir, stem, x_names=None, y_names=None):
         fh.write("\n")
     x_names = x_names or [f"x{i + 1}" for i in range(est.u_dirs.shape[0])]
     y_names = y_names or [f"y{j + 1}" for j in range(est.v_dirs.shape[0])]
-    _write_matrix_csv(outdir / f"{stem}_U.csv", est.u_dirs, x_names)
-    _write_matrix_csv(outdir / f"{stem}_V.csv", est.v_dirs, y_names)
+    header = ["variable"] + [f"comp_{k + 1}" for k in range(est.k)]
+    for suffix, names, mat in (("U", x_names, est.u_dirs), ("V", y_names, est.v_dirs)):
+        write_csv_table(outdir / f"{stem}_{suffix}.csv", header,
+                        [[name] + row for name, row in zip(names, mat.tolist())])
 
 
 def load_estimate(outdir, stem):

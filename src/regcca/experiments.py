@@ -1,0 +1,236 @@
+"""The experiment presets of ``regcca synth-bench`` and ``scripts/``:
+canonical-pair (acceptance criterion 3) and bootstrap-panel (criterion 4).
+
+Each is a ``*_DEFAULTS`` dict that keyword overrides update, a ``run_*``
+function returning records with the columns in ``*_FIELDS``, and a
+``summarise_*`` function taking medians over seeds.
+"""
+
+import numpy as np
+
+from .cca_core import cca_from_covariance
+from .datamodel import CovarianceModel, center_and_covariance, make_folds
+from .estimators import EstimatorSpec, fit_estimator, sweep_trajectory
+from .glasso import GlassoConvergenceError
+from .linalg import sym_matrix_power
+from .metrics import CvCriteria, estimation_error, succ_cc_agg, validation_splits
+from .synth import (
+    banded_within_view_precision,
+    bootstrap_covariance,
+    canonical_pair_covariance,
+    mvn_sample,
+    powerlaw_precision,
+)
+
+
+CANONICAL_PAIR_DEFAULTS = {
+    "p": 30,
+    "q": 30,
+    "rho1": 0.9,
+    "support_size": 5,
+    "n_list": [100, 400],
+    "n_seeds": 10,
+    "kinds": ["scca", "gcca", "spls"],
+    "grids": {
+        "scca": [0.02, 0.05, 0.1, 0.2],
+        "gcca": [0.05, 0.1, 0.2, 0.4],
+        "spls": [1.5, 2.5, 4.0],
+        "rcca": [0.05, 0.2, 0.5, 0.9],
+    },
+    "model_seed": 7,
+}
+
+CANONICAL_PAIR_FIELDS = ["kind", "penalty", "n", "seed", "metric", "value"]
+
+
+def run_canonical_pair_bench(**overrides):
+    """Error-versus-n experiment on the single-canonical-pair model.
+
+    Returns long-format records (kind, penalty, n, seed, metric, value)
+    with the oracle first-pair correlation and the weight/variate errors of
+    the first pair, for every grid point.
+    """
+    cfg = {**CANONICAL_PAIR_DEFAULTS, **overrides}
+    cov, truth = canonical_pair_covariance(
+        cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
+        within_view="suo_sp", seed=cfg["model_seed"],
+    )
+    records = []
+    for n in cfg["n_list"]:
+        for s in range(cfg["n_seeds"]):
+            data = mvn_sample(cov, n, seed=1000 * s + n)
+            data, _ = center_and_covariance(data)
+            for kind in cfg["kinds"]:
+                for penalty in cfg["grids"][kind]:
+                    spec = EstimatorSpec(kind=kind, penalty=penalty, K=1)
+                    try:
+                        est = fit_estimator(spec, data)
+                    except (GlassoConvergenceError, np.linalg.LinAlgError) as exc:
+                        records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
+                                            metric="failure", value=str(exc)))
+                        continue
+                    rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1], est.v_dirs[:, :1]))
+                    err = estimation_error(cov, truth, est, 1)
+                    for mname, mval in (("rho_oracle", rho_or),
+                                        ("wt_u1", err["wt_uk"]),
+                                        ("vt_u1", err["vt_uk"])):
+                        records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
+                                            metric=mname, value=mval))
+    return records
+
+
+def summarise_canonical_pair(records, kinds, n_list):
+    """Per (kind, n): median over seeds of the grid-best oracle correlation,
+    and the weight/variate errors at that oracle-best penalty."""
+    out = {}
+    for kind in kinds:
+        for n in n_list:
+            by_seed = {}
+            for r in records:
+                if r["kind"] != kind or r["n"] != n or r["metric"] == "failure":
+                    continue
+                by_seed.setdefault(r["seed"], {}).setdefault(r["penalty"], {})[r["metric"]] = r["value"]
+            best_rho, best_wt, best_vt = [], [], []
+            for seed, by_pen in sorted(by_seed.items()):
+                pen = max(by_pen, key=lambda p: by_pen[p]["rho_oracle"])
+                best_rho.append(by_pen[pen]["rho_oracle"])
+                best_wt.append(by_pen[pen]["wt_u1"])
+                best_vt.append(by_pen[pen]["vt_u1"])
+            out[(kind, n)] = {
+                "median_rho_oracle": float(np.median(best_rho)),
+                "median_wt_u1": float(np.median(best_wt)),
+                "median_vt_u1": float(np.median(best_vt)),
+            }
+    return out
+
+
+BOOTSTRAP_PANEL_DEFAULTS = {
+    "p": 60,
+    "q": 30,
+    "n": 500,
+    "V": 5,
+    "n_seeds": 10,
+    "seed_data_n": 400,
+    "seed_data_seed": 3,
+    "graph_gamma": 3.0,
+    "cross_boost": 4.0,
+    "boot_lam": 0.03,
+    "kinds": ["rcca", "spls", "scca", "gcca"],
+    "grids": {
+        "rcca": [0.01, 0.05, 0.2, 0.6],
+        "spls": [1.5, 2.5, 4.0, 6.0],
+        "scca": [0.005, 0.015, 0.04, 0.1],
+        "gcca": [0.02, 0.05, 0.12, 0.3],
+    },
+    "K": 3,
+}
+
+BOOTSTRAP_PANEL_FIELDS = ["kind", "penalty", "seed", "r2s1_cv", "r2s1", "r2s3_cv", "R2s3_cv",
+                          "vt_U3", "wt_U3"]
+
+
+def _bootstrap_truth(cfg):
+    """Fixed oracle covariance: glasso bootstrap of synthetic seed data.
+
+    The seed model is a power-law sparse-precision graph with its
+    cross-view interactions strengthened (diagonal dominance re-applied, so
+    positive definiteness is preserved); without the boost the graph's
+    canonical correlations are too weak to mimic real paired data.  Each
+    view is then mixed through a banded factor, which leaves the canonical
+    correlations untouched but gives the within-view covariances realistic
+    structure (otherwise weight and variate geometry coincide and PLS is
+    indistinguishable from CCA).
+    """
+    p, q = cfg["p"], cfg["q"]
+    d = p + q
+    omega = powerlaw_precision(d, cfg["graph_gamma"], seed=cfg["seed_data_seed"])
+    omega[:p, p:] *= cfg["cross_boost"]
+    omega[p:, :p] *= cfg["cross_boost"]
+    off = omega - np.diag(np.diagonal(omega))
+    np.fill_diagonal(omega, 1.1 * np.sum(np.abs(off), axis=1) + 0.5)
+    sigma = np.linalg.inv(omega)
+    mix_x = sym_matrix_power(banded_within_view_precision(p), -0.5)
+    mix_y = sym_matrix_power(banded_within_view_precision(q), -0.5)
+    seed_cov = CovarianceModel(
+        sxx=mix_x @ sigma[:p, :p] @ mix_x.T,
+        sxy=mix_x @ sigma[:p, p:] @ mix_y.T,
+        syy=mix_y @ sigma[p:, p:] @ mix_y.T,
+    )
+    seed_data = mvn_sample(seed_cov, cfg["seed_data_n"], seed=cfg["seed_data_seed"] + 1)
+    return bootstrap_covariance(seed_data, "glasso", cfg["boot_lam"])
+
+
+def run_bootstrap_panel_bench(**overrides):
+    """Four-estimator sweep on data sampled from a bootstrap covariance.
+
+    The oracle covariance is fixed across seeds; each seed redraws the n
+    samples.  Records carry CV and oracle correlation criteria plus the
+    top-3 subspace errors, per (kind, penalty, seed).
+    """
+    cfg = {**BOOTSTRAP_PANEL_DEFAULTS, **overrides}
+    boot_cov = _bootstrap_truth(cfg)
+    kmax = cfg["K"]
+    truth = cca_from_covariance(boot_cov, kmax)
+    records = []
+    for s in range(cfg["n_seeds"]):
+        data = mvn_sample(boot_cov, cfg["n"], seed=500 + s)
+        data, _ = center_and_covariance(data)
+        folds = make_folds(data.n, cfg["V"], seed=s)
+        validation = validation_splits(data, folds)
+        for kind in cfg["kinds"]:
+            traj = sweep_trajectory(kind, data, cfg["grids"][kind], folds, kmax, seed=s)
+            for i, penalty in enumerate(traj.grid):
+                fold_ests = traj.fold_estimates(i)
+                full = traj.full_estimate(i)
+                if full is None or any(e is None for e in fold_ests):
+                    continue
+                row = dict(kind=kind, penalty=penalty, seed=s)
+                crit = CvCriteria(data, fold_ests, kmax, validation)
+                try:
+                    row["r2s1_cv"] = crit.cc_agg("successive", "sq_sum", 1)[0]
+                    row["r2s3_cv"] = crit.cc_agg("successive", "sq_sum", kmax)[0]
+                    row["R2s3_cv"] = crit.cc_agg("subspace", "sq_sum", kmax)[0]
+                    row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1],
+                                              full.v_dirs[:, :1])
+                    err = estimation_error(boot_cov, truth, full, kmax)
+                except ValueError:
+                    # degenerate estimates make some criteria undefined; sweep skips them too
+                    if not any(e.provenance.degenerate for e in fold_ests + [full]):
+                        raise
+                    continue
+                row["vt_U3"] = err["vt_Uk"]
+                row["wt_U3"] = err["wt_Uk"]
+                records.append(row)
+    return records
+
+
+def summarise_bootstrap_panel(records, kinds):
+    """Medians over seeds of the panel's acceptance quantities.
+
+    ``seeds_used`` counts the seeds with at least one record of the kind;
+    the medians are present only when it is positive (a kind whose cells
+    were all skipped has none).
+    """
+    out = {}
+    seeds = sorted({r["seed"] for r in records})
+    for kind in kinds:
+        gap, vt3, wt3, best_R = [], [], [], []
+        for s in seeds:
+            rows = [r for r in records if r["kind"] == kind and r["seed"] == s]
+            if not rows:
+                continue
+            star1 = max(rows, key=lambda r: r["r2s1_cv"])
+            gap.append(abs(star1["r2s1_cv"] - star1["r2s1"]))
+            star3 = max(rows, key=lambda r: r["r2s3_cv"])
+            vt3.append(star3["vt_U3"])
+            wt3.append(star3["wt_U3"])
+            best_R.append(max(r["R2s3_cv"] for r in rows))
+        out[kind] = {"seeds_used": len(gap)}
+        if gap:
+            out[kind].update(
+                median_cv_oracle_gap_r2s1=float(np.median(gap)),
+                median_vt_U3=float(np.median(vt3)),
+                median_wt_U3=float(np.median(wt3)),
+                median_best_R2s3_cv=float(np.median(best_R)),
+            )
+    return out

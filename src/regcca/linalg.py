@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-10
+# largest max-entry deviation of a Gram matrix from the identity that still
+# counts as orthonormal columns
+ORTH_TOL = 1e-8
 
 
 class LinalgError(ValueError):
@@ -85,36 +88,29 @@ def thin_svd(a):
     return u * signs, s, vt.T * signs
 
 
-def floored_power(w, trace, exponent, floor_eps=None):
+def floored_power(w, trace, exponent):
     """Eigenvalues ``w`` of a d x d PSD matrix with trace ``trace``, clamped
     below and raised to ``exponent``.
 
-    The clamp is ``floor_eps`` if given (it must be positive), else 1e-12
-    times the mean eigenvalue ``trace / d``, kept above the smallest normal
-    float, so negative powers stay finite on numerically rank-deficient
-    input.  ``w`` may be a stack (..., d) with one trace per matrix.
+    The clamp is 1e-12 times the mean eigenvalue ``trace / d``, kept above
+    the smallest normal float, so negative powers stay finite on
+    numerically rank-deficient input.  ``w`` may be a stack (..., d) with
+    one trace per matrix.
     """
-    if floor_eps is None:
-        d = w.shape[-1]
-        floor = np.expand_dims(1e-12 * np.maximum(trace, d * np.finfo(float).tiny) / d, -1)
-    elif floor_eps <= 0:
-        raise LinalgError("floor_eps must be positive")
-    else:
-        floor = floor_eps
+    d = w.shape[-1]
+    floor = np.expand_dims(1e-12 * np.maximum(trace, d * np.finfo(float).tiny) / d, -1)
     return np.maximum(w, floor) ** exponent
 
 
-def sym_matrix_power(a, exponent, floor_eps=None):
+def sym_matrix_power(a, exponent):
     """Matrix power of a symmetric PSD matrix via eigendecomposition, the
     eigenvalues floored by ``floored_power``.  Supported exponents: -1,
     -1/2, +1/2.
     """
     if exponent not in (-1.0, -0.5, 0.5):
         raise LinalgError(f"unsupported exponent {exponent}")
-    _require_finite(a)
-    _check_symmetric(a)
     w, q = sym_eig(a)
-    powered = (q * floored_power(w, np.trace(a), exponent, floor_eps)) @ q.T
+    powered = (q * floored_power(w, np.trace(a), exponent)) @ q.T
     return 0.5 * (powered + powered.T)
 
 
@@ -124,18 +120,18 @@ def soft_threshold(a, thr):
     return np.sign(a) * np.maximum(np.abs(a) - thr, 0.0)
 
 
-def canonical_angles(z, w, orth_tol=1e-8):
+def canonical_angles(z, w):
     """Cosines of the principal angles between the column spans of two
     orthonormal blocks, descending.
 
     Cosines are the singular values of ``z.T @ w`` clamped to [0, 1].
     Raises if either block's columns deviate from orthonormality by more
-    than ``orth_tol`` in max Gram error.
+    than ``ORTH_TOL`` in max Gram error.
     """
     for m, name in ((z, "first block"), (w, "second block")):
         _require_finite(m, name)
         gram_dev = float(np.max(np.abs(m.T @ m - np.eye(m.shape[1]))))
-        if gram_dev > orth_tol:
+        if gram_dev > ORTH_TOL:
             raise LinalgError(
                 f"{name} columns not orthonormal: Gram deviation {gram_dev:.3e}"
             )
@@ -153,16 +149,17 @@ def signed_corrs(z, w):
         return np.where(dead, 0.0, dots / (nz * nw))
 
 
-def gram_schmidt_reduce(m, g=None, rank_tol=DEFAULT_RANK_TOL):
+def gram_schmidt_reduce(m, g=None):
     """Orthonormalise columns under the inner product ``<a, b> = a.T G b``
     (``g=None``: Euclidean), dropping dependent columns.
 
     Column j is projected off the block Q of the columns kept before it
     twice, v -= Q (GQ).T v ("twice is enough": Giraud, Langou & Rozloznik
-    2005), and dropped when what is left has norm at most ``rank_tol``
-    times its own.  Returns (orthonormal block, list of kept column
-    indices).  The routine is prefix-stable: whether column j is kept, and
-    its value, depend only on the columns up to j, bit for bit.
+    2005), and dropped when what is left has norm at most
+    ``DEFAULT_RANK_TOL`` times its own.  Returns (orthonormal block, list
+    of kept column indices).  The routine is prefix-stable: whether column
+    j is kept, and its value, depend only on the columns up to j, bit for
+    bit.
     """
     m = np.asarray(m, dtype=float)
     n, k = m.shape
@@ -179,7 +176,7 @@ def gram_schmidt_reduce(m, g=None, rank_tol=DEFAULT_RANK_TOL):
             v -= q.T @ (gq @ v)
         gv = v if g is None else g @ v
         nrm = math.sqrt(max(float(v @ gv), 0.0))
-        if nrm <= rank_tol * max(norm0, 1e-300):
+        if nrm <= DEFAULT_RANK_TOL * max(norm0, 1e-300):
             continue
         qt[len(kept)] = v / nrm
         if g is not None:
@@ -188,7 +185,7 @@ def gram_schmidt_reduce(m, g=None, rank_tol=DEFAULT_RANK_TOL):
     return np.ascontiguousarray(qt[:len(kept)].T), kept
 
 
-def gram_schmidt_metric(m, g=None, rank_tol=DEFAULT_RANK_TOL):
+def gram_schmidt_metric(m, g=None):
     """``gram_schmidt_reduce`` that raises instead of dropping: column k of
     the output lies in the span of the first k input columns, and a rank
     deficiency is reported at the first dependent column.
@@ -196,7 +193,7 @@ def gram_schmidt_metric(m, g=None, rank_tol=DEFAULT_RANK_TOL):
     _require_finite(m)
     if g is not None:
         _check_symmetric(g, name="metric")
-    q, kept = gram_schmidt_reduce(m, g, rank_tol)
+    q, kept = gram_schmidt_reduce(m, g)
     if len(kept) < np.shape(m)[1]:
         j = next((i for i, col in enumerate(kept) if i != col), len(kept))
         raise LinalgError(f"rank deficiency at column {j}")

@@ -6,15 +6,14 @@ variate-space squared sin-Theta quantities, u{k} / U{k} for single pairs
 versus leading-k subspaces, and a -cv suffix for the cross-validated forms.
 """
 
-import csv
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
-from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold
-from .linalg import canonical_angles, gram_schmidt_reduce, signed_corrs, sym_matrix_power
+from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold, write_csv_table
+from .linalg import ORTH_TOL, canonical_angles, gram_schmidt_reduce, signed_corrs, sym_matrix_power
 
 __all__ = [
     "AGGREGATIONS",
@@ -296,15 +295,15 @@ class CvCriteria:
 def _suspect_prefixes(q):
     """For a stack of orthonormal blocks (B, rows, m), whether each column
     prefix (length 0..m) holds a non-finite entry or deviates from
-    orthonormality by more than half the tolerance of ``canonical_angles``
-    (max Gram error); a (B, m + 1) array."""
+    orthonormality by more than half ``ORTH_TOL``, the tolerance of
+    ``canonical_angles`` (max Gram error); a (B, m + 1) array."""
     m = q.shape[2]
     finite = np.logical_and.accumulate(np.isfinite(q).all(axis=1), axis=1)
     dev = np.abs(q.swapaxes(1, 2) @ q - np.eye(m))
     # entry (a, b) joins the prefixes longer than max(a, b)
     newest = np.maximum(np.tril(dev).max(axis=2), np.triu(dev).max(axis=1))
     suspect = np.zeros((q.shape[0], m + 1), dtype=bool)
-    suspect[:, 1:] = ~finite | ~(np.maximum.accumulate(newest, axis=1) <= 0.5e-8)
+    suspect[:, 1:] = ~finite | ~(np.maximum.accumulate(newest, axis=1) <= ORTH_TOL / 2)
     return suspect
 
 
@@ -389,13 +388,9 @@ _METRIC_NAME_RE = re.compile(r"^(r2s\d+|R2s\d+|(wt|vt)-(u|U)\d+)(-cv)?$")
 
 def metric_name(family, k, cv=False):
     """Canonical metric identifier, e.g. ('r2s', 3, cv=True) -> 'r2s3-cv'."""
-    if family in ("r2s", "R2s"):
-        name = f"{family}{k}"
-    elif family in ("wt-u", "vt-u", "wt-U", "vt-U"):
-        name = f"{family}{k}"
-    else:
+    if family not in ("r2s", "R2s", "wt-u", "vt-u", "wt-U", "vt-U"):
         raise ValueError(f"unknown metric family {family!r}")
-    return name + ("-cv" if cv else "")
+    return f"{family}{k}" + ("-cv" if cv else "")
 
 
 @dataclass
@@ -422,11 +417,6 @@ class MetricReport:
 
     def to_csv(self, path):
         """Long-format CSV with columns (algorithm, penalty, fold, metric, k, value)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "penalty", "fold", "metric", "k", "value"])
-            for r in self.records:
-                writer.writerow(
-                    [r.algorithm, repr(float(r.penalty)), r.fold, r.metric, r.k,
-                     repr(float(r.value))]
-                )
+        write_csv_table(path, ["algorithm", "penalty", "fold", "metric", "k", "value"],
+                        [[r.algorithm, float(r.penalty), r.fold, r.metric, r.k, float(r.value)]
+                         for r in self.records])

@@ -127,9 +127,7 @@ def powerlaw_precision(d, gamma, edge_weight_scale=1.0, seed=0):
     return omega
 
 
-def bootstrap_covariance(data: PairedDataset, mode, lam, alpha=None, K=None,
-                         glasso_options=None, scca_options=None,
-                         return_details=False):
+def bootstrap_covariance(data: PairedDataset, mode, lam, alpha=None, K=None, return_details=False):
     """Parametric-bootstrap covariance fitted to seed data.
 
     mode='glasso': inverse of the graphical-lasso precision of the joint
@@ -146,18 +144,15 @@ def bootstrap_covariance(data: PairedDataset, mode, lam, alpha=None, K=None,
     else:
         _, cov = center_and_covariance(data)
     if mode == "glasso":
-        prec = glasso_fit(cov.joint(), lam, **(glasso_options or {}))
-        p = data.p
-        out = CovarianceModel(
-            sxx=prec.sigma[:p, :p], sxy=prec.sigma[:p, p:], syy=prec.sigma[p:, p:]
-        )
+        prec = glasso_fit(cov.joint(), lam)
+        out = CovarianceModel.from_joint(prec.sigma, data.p)
         details = {"glasso": prec.diagnostics}
     elif mode == "scca_ridge":
         if alpha is None or K is None:
             raise ValueError("scca_ridge mode needs alpha and K")
         sxx_r = cov.sxx + alpha * np.eye(data.p)
         syy_r = cov.syy + alpha * np.eye(data.q)
-        est = scca_fit(data, lam, K, **(scca_options or {}))
+        est = scca_fit(data, lam, K)
         u = gram_schmidt_metric(est.u_dirs, sxx_r)
         v = gram_schmidt_metric(est.v_dirs, syy_r)
         d_hat = signed_corrs(data.x @ u, data.y @ v)

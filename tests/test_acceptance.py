@@ -14,16 +14,16 @@ import pytest
 from conftest import random_joint_covariance, random_orthonormal
 from regcca.biplot import verify_biplot_bounds
 from regcca.cca_core import cca_from_covariance, sample_cca
-from regcca.cli import (
-    main,
+from regcca.cli import main
+from regcca.compare import overlap_matrix, register
+from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance
+from regcca.estimators import scca_fit
+from regcca.experiments import (
     run_bootstrap_panel_bench,
     run_canonical_pair_bench,
     summarise_bootstrap_panel,
     summarise_canonical_pair,
 )
-from regcca.compare import overlap_matrix, register
-from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance
-from regcca.estimators import scca_fit
 from regcca.glasso import glasso_fit, kkt_residual
 from regcca.linalg import canonical_angles, sym_matrix_power
 from regcca.metrics import _orthonormal_sin2, aggregate, gauss_mutual_info, mutual_information

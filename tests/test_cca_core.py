@@ -12,12 +12,12 @@ from regcca.linalg import sym_matrix_power, thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
-def reference_cca_from_covariance(cov, K, floor_eps=None):
+def reference_cca_from_covariance(cov, K):
     """Plug-in CCA through the reconstructed inverse roots of
     ``sym_matrix_power``, with thin_svd's sign rule: the solve that the
     eigenbasis whitening replaces.  Returns (u, v, rho)."""
-    rx = sym_matrix_power(cov.sxx, -0.5, floor_eps)
-    ry = sym_matrix_power(cov.syy, -0.5, floor_eps)
+    rx = sym_matrix_power(cov.sxx, -0.5)
+    ry = sym_matrix_power(cov.syy, -0.5)
     left, rho, right = thin_svd(rx @ cov.sxy @ ry)
     return rx @ left[:, :K], ry @ right[:, :K], rho[:K].copy()
 

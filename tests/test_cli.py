@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import regcca.cli
-from regcca.cli import main, run_bootstrap_panel_bench, summarise_bootstrap_panel
+from regcca.cli import main
 from regcca.compare import overlap_matrix
 from regcca.datamodel import center_and_covariance, load_two_view_csv, make_folds, save_two_view_csv
 from regcca.estimators import EstimatorSpec, fit_estimator, sweep_trajectory
+from regcca.experiments import run_bootstrap_panel_bench, summarise_bootstrap_panel
 from regcca.linalg import thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_metrics import assert_rows_match, reference_sweep_rows
@@ -284,6 +285,47 @@ class TestConfigErrors:
             "metrics": {"k_list": [1], "aggregations": ["geometric"]},
         })
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    # each case used to end in exit 1 with a traceback, or, where marked,
+    # in exit 0 (the toy views have p = 5, q = 4)
+    @pytest.mark.parametrize("command, section, field", [
+        ("fit", {"estimators": [{"kind": "rcca", "penalty": 0.5, "K": 1,
+                                 "options": {"tol": 1e-8}}]},
+         "estimators[0].options.tol"),
+        ("sweep", {"estimators": [{"kind": "scca", "K": 1, "options": {"max_outerr": 5}}]},
+         "estimators[0].options.max_outerr"),
+        ("fit", {"estimators": [{"kind": "gcca", "penalty": 0.1, "K": 1, "options": [1]}]},
+         "estimators[0].options"),
+        ("fit", {"estimators": [{"kind": "rcca", "penalty": 0.5, "K": 5}]}, "estimators[0].K"),
+        ("compare", {"estimators": [{"kind": "gcca", "penalty": 0.1, "K": 5}]},
+         "estimators[0].K"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 5}]}, "estimators[0].K"),
+        ("sweep", {"estimators": [{"kind": "scca", "K": 5}]}, "estimators[0].K"),
+        # exit 0 with every cell failed
+        ("sweep", {"estimators": [{"kind": "rcca", "K": 5}]}, "estimators[0].K"),
+        ("sweep", {"grid": {"values": [0.1, "0.3"]}}, "grid.values"),
+        ("sweep", {"grid": {"values": [0.1, 0.5, 0.3]}}, "grid.values"),
+        # exit 0 with a header-only metrics.csv
+        ("sweep", {"metrics": {"k_list": []}}, "metrics.k_list"),
+        ("compare", {"registration": {"mode": "rotation"}}, "registration.mode"),
+        ("compare", {"registration": {"comparison_metric": "vt_uk"}},
+         "registration.comparison_metric"),
+        ("compare", {"registration": {"reference": "first"}}, "registration.reference"),
+        ("biplot", {"output": {"variate_view": "z"}}, "output.variate_view"),
+        # exit 0, the parameter ignored
+        ("synth-bench", {"generator": {"preset": "canonical-pair",
+                                       "params": {"n_seed": 1}}}, "generator.params"),
+    ])
+    def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
+        config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+                  "estimators": [{"kind": "rcca", "penalty": 0.5, "K": 1}],
+                  "grid": {"values": [0.1, 0.3]}, "folds": {"V": 2}, **section}
+        cfg = write_config(tmp_path, "bad.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("config error:")
+                and field in ln]
 
 
 class TestCompareAndBiplot:

@@ -5,7 +5,7 @@ from conftest import random_orthonormal
 from regcca.compare import overlap_matrix, register, trajectory_comparison
 from regcca.datamodel import center_and_covariance
 from regcca.estimators import rcca_fit
-from regcca.linalg import canonical_angles, gram_schmidt_metric
+from regcca.linalg import canonical_angles, gram_schmidt_metric, gram_schmidt_reduce
 from regcca.metrics import _orthonormal_sin2
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
@@ -106,11 +106,11 @@ class TestOverlapMatrix:
     def test_subblock_sums_are_subspace_similarities(self, rng):
         z = rng.standard_normal((20, 4))
         w = rng.standard_normal((20, 4))
-        ov = overlap_matrix(z, w, squared=True, orthogonalise_first=True)
-        zo, _ = np.linalg.qr(z)
-        wo, _ = np.linalg.qr(w)
-        # orthogonalise_first output spans successive subspaces, so any
-        # contiguous sub-block total matches the corresponding cos^2
+        zq, _ = gram_schmidt_reduce(z)
+        wq, _ = gram_schmidt_reduce(w)
+        ov = overlap_matrix(zq, wq, squared=True)
+        # Gram-Schmidt output spans successive subspaces, so any contiguous
+        # sub-block total matches the corresponding cos^2
         for rows, cols in (((0, 2), (0, 2)), ((0, 3), (1, 4)), ((1, 4), (0, 2))):
             block = ov.matrix[rows[0]:rows[1], cols[0]:cols[1]]
             zi = gram_schmidt_metric(z[:, :4])[:, rows[0]:rows[1]]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regcca import cca_core, estimators
@@ -19,8 +19,8 @@ from regcca.estimators import (
     spls_fit,
     sweep_trajectory,
 )
-from regcca.cli import CANONICAL_PAIR_DEFAULTS
-from regcca.linalg import LinalgError, soft_threshold, thin_svd
+from regcca.experiments import CANONICAL_PAIR_DEFAULTS
+from regcca.linalg import soft_threshold, thin_svd
 from regcca.metrics import _subspace_sin2
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_cca_core import reference_cca_from_covariance
@@ -92,7 +92,7 @@ class TestRcca:
 # rcca from one eigendecomposition per view, against the plug-in construction
 # ---------------------------------------------------------------------------
 
-def reference_rcca_fit(data, c, K, floor_eps=None):
+def reference_rcca_fit(data, c, K):
     """rcca as plug-in CCA on the regularised blocks, through their
     reconstructed inverse roots: two fresh eigendecompositions per
     penalty."""
@@ -102,7 +102,7 @@ def reference_rcca_fit(data, c, K, floor_eps=None):
         sxy=cov.sxy,
         syy=(1.0 - c) * cov.syy + c * np.eye(data.q),
     )
-    u, v, rho = reference_cca_from_covariance(reg, K, floor_eps)
+    u, v, rho = reference_cca_from_covariance(reg, K)
     return (estimators._unit_variance_columns(u, data.x),
             estimators._unit_variance_columns(v, data.y), rho)
 
@@ -113,9 +113,9 @@ def assert_columns_close(got, ref, rtol):
     assert np.all(np.abs(got - ref) <= rtol * scale), np.max(np.abs(got - ref) / scale)
 
 
-def assert_matches_reference(data, c, K, floor_eps=None, rtol=1e-10):
-    est = rcca_fit(data, c, K, floor_eps)
-    u, v, rho = reference_rcca_fit(data, c, K, floor_eps)
+def assert_matches_reference(data, c, K, rtol=1e-10):
+    est = rcca_fit(data, c, K)
+    u, v, rho = reference_rcca_fit(data, c, K)
     assert_columns_close(est.u_dirs, u, rtol)
     assert_columns_close(est.v_dirs, v, rtol)
     np.testing.assert_allclose(est.rho, rho, rtol=rtol, atol=rtol * rho[0])
@@ -139,16 +139,6 @@ class TestRccaSpectral:
         data, _ = center_and_covariance(mvn_sample(cov, 400, seed=1000))
         for c in (1e-4, 0.03, 1.0):
             assert_matches_reference(data, c, 5)
-
-    def test_floor_override(self):
-        # a floor above the smallest eigenvalues of Cxx clamps them in both
-        data = planted_sample(10, 6, 120, seed=63)
-        _, cov = center_and_covariance(data)
-        floor = float(np.median(np.linalg.eigvalsh(cov.sxx)))
-        for c in (0.0, 0.1):
-            assert_matches_reference(data, c, 6, floor_eps=floor)
-        with pytest.raises(LinalgError, match="floor_eps must be positive"):
-            rcca_fit(data, 0.1, 2, floor_eps=0.0)
 
     def test_rank_of_target_below_k(self):
         # the last y variable is orthogonal to every x variable, so T has
@@ -267,6 +257,62 @@ class TestRccaInvariances:
             # unit-variance variates, up to the sign convention of each basis
             signs = np.sign(np.sum(za * zb, axis=0))
             np.testing.assert_allclose(zb * signs, za, rtol=0, atol=1e-10)
+
+
+_SPARSE_PENALTIES = {"scca": [0.01, 0.05], "spls": [1.2, 2.0], "gcca": [0.02, 0.1]}
+_sparse_invariance = settings(max_examples=8, deadline=None)
+
+
+def fit_kind(kind, penalty, data, K):
+    return fit_estimator(EstimatorSpec(kind=kind, penalty=penalty, K=K), data)
+
+
+def assert_same_estimate(b, a, px=slice(None), py=slice(None)):
+    """b equals a, with a's direction rows taken in the order px, py."""
+    assert_columns_close(b.u_dirs, a.u_dirs[px], 1e-10)
+    assert_columns_close(b.v_dirs, a.v_dirs[py], 1e-10)
+    np.testing.assert_allclose(b.rho, a.rho, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["scca", "spls", "gcca"])
+class TestIterativeEstimatorInvariances:
+    """rcca's invariances for the iterative estimators, on converged fits."""
+
+    @_sparse_invariance
+    @given(draw=st.data())
+    def test_row_permutation_changes_nothing(self, kind, draw):
+        data, _, K, seed = draw.draw(rcca_problems())
+        penalty = draw.draw(st.sampled_from(_SPARSE_PENALTIES[kind]))
+        perm = np.random.default_rng(seed).permutation(data.n)
+        moved, _ = center_and_covariance(PairedDataset(x=data.x[perm], y=data.y[perm]))
+        a, b = fit_kind(kind, penalty, data, K), fit_kind(kind, penalty, moved, K)
+        assume(a.provenance.converged and b.provenance.converged)
+        assert_same_estimate(b, a)
+
+    @_sparse_invariance
+    @given(draw=st.data())
+    def test_variable_permutation_permutes_direction_rows(self, kind, draw):
+        data, _, K, seed = draw.draw(rcca_problems())
+        penalty = draw.draw(st.sampled_from(_SPARSE_PENALTIES[kind]))
+        rng = np.random.default_rng(seed)
+        px, py = rng.permutation(data.p), rng.permutation(data.q)
+        moved, _ = center_and_covariance(PairedDataset(x=data.x[:, px], y=data.y[:, py]))
+        a, b = fit_kind(kind, penalty, data, K), fit_kind(kind, penalty, moved, K)
+        assume(a.provenance.converged and b.provenance.converged)
+        assert_same_estimate(b, a, px, py)
+
+    @_sparse_invariance
+    @given(draw=st.data())
+    def test_more_variables_than_samples(self, kind, draw):
+        # p + q >= n: rank-deficient sample covariances, no exception
+        p, q = draw.draw(st.integers(5, 30)), draw.draw(st.integers(5, 20))
+        n = draw.draw(st.integers(10, p + q))
+        data = planted_sample(p, q, n, draw.draw(st.integers(0, 10_000)), rhos=(0.9, 0.6),
+                              support=1)
+        penalty = draw.draw(st.sampled_from(_SPARSE_PENALTIES[kind]))
+        est = fit_kind(kind, penalty, data, draw.draw(st.integers(1, 2)))
+        assert np.all(np.isfinite(est.u_dirs)) and np.all(np.isfinite(est.v_dirs))
+        assert np.all(np.abs(est.rho) <= 1.0)
 
 
 class TestSpls:
@@ -687,6 +733,15 @@ class TestCommonContract:
         with pytest.raises(ValueError, match=message):
             EstimatorSpec(kind=kind, penalty=penalty, K=1)
         assert not estimators.penalty_in_domain(kind, penalty)
+
+    @pytest.mark.parametrize("K", [0, 6])
+    @pytest.mark.parametrize(
+        "kind,penalty", [("rcca", 0.3), ("spls", 1.5), ("scca", 0.02), ("gcca", 0.05)]
+    )
+    def test_k_outside_range_rejected(self, toy_data, kind, penalty, K):
+        # toy_data has p = 6, q = 5; scca used to fail with an IndexError
+        with pytest.raises(ValueError, match=r"outside \[1, min\(p, q\)=5\]"):
+            estimators.fit_function(kind)(toy_data, penalty, K)
 
 
 class TestSweep:

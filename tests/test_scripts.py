@@ -1,0 +1,39 @@
+"""Smoke tests of the experiment scripts under scripts/, run as a user runs
+them: a separate interpreter with the package on PYTHONPATH."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from regcca.experiments import CANONICAL_PAIR_FIELDS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=600)
+
+
+@pytest.mark.parametrize("name", ["single_pair_experiment.py", "bootstrap_panel.py"])
+def test_help(name):
+    done = run_script(name, "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+
+
+def test_single_pair_experiment_writes_records_and_summary(tmp_path):
+    done = run_script("single_pair_experiment.py", "--seeds", "1", "--n", "60",
+                      "--kinds", "spls", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "records.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CANONICAL_PAIR_FIELDS and len(rows) > 1
+    assert set(json.loads((tmp_path / "summary.json").read_text())) == {"spls@n=60"}
