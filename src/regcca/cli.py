@@ -68,11 +68,32 @@ def _require(config, field, typ, where="config"):
     return val
 
 
+# a bool is an int to Python, but never a number to a config
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(where, value, like):
+    """``value`` must be of the type of ``like``: a bool for a bool, an int
+    for an int, any number for a float."""
+    if isinstance(like, bool):
+        ok, name = isinstance(value, bool), "bool"
+    elif isinstance(like, int):
+        ok, name = _is_int(value), "int"
+    else:
+        ok, name = _is_number(value), "number"
+    if not ok:
+        raise ConfigError(f"{where}: expected {name}, got {type(value).__name__}")
+
+
 def _parse_grid(section):
     if "values" in section:
         vals = section["values"]
-        if not isinstance(vals, list) or not vals or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+        if not isinstance(vals, list) or not vals or not all(_is_number(v) for v in vals):
             raise ConfigError("grid.values: must be a nonempty list of numbers")
         diffs = np.diff(vals)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -80,8 +101,13 @@ def _parse_grid(section):
         return [float(v) for v in vals]
     if "log10_from" in section and "log10_to" in section:
         # log-spaced, with a fixed number of points per decade
+        for name in ("log10_from", "log10_to"):
+            _check_type(f"grid.{name}", section[name], 0.0)
+        per_decade = section.get("per_decade", 9)
+        if not _is_int(per_decade) or per_decade < 1:
+            raise ConfigError("grid.per_decade: must be a positive int")
         lo, hi = float(section["log10_from"]), float(section["log10_to"])
-        n = int(round((hi - lo) * int(section.get("per_decade", 9)))) + 1
+        n = int(round((hi - lo) * per_decade)) + 1
         return [float(10.0**e) for e in np.linspace(lo, hi, max(n, 2))]
     raise ConfigError("grid: need either 'values' or 'log10_from'/'log10_to'")
 
@@ -142,12 +168,14 @@ def _parse_estimators(config, data):
             raise ConfigError(f"{where}.options: expected object, got {type(options).__name__}")
         # the solver options: the fit function's parameters with a number or
         # flag default
-        known = [p.name for p in inspect.signature(fit_function(kind)).parameters.values()
-                 if isinstance(p.default, (bool, int, float))]
-        for name in options:
+        known = {p.name: p.default
+                 for p in inspect.signature(fit_function(kind)).parameters.values()
+                 if isinstance(p.default, (bool, int, float))}
+        for name, value in options.items():
             if name not in known:
                 raise ConfigError(f"{where}.options.{name}: not an option of {kind} "
                                   f"(options: {', '.join(known) or 'none'})")
+            _check_type(f"{where}.options.{name}", value, known[name])
         penalty = e.get("penalty")
         if penalty is not None:
             try:
@@ -188,7 +216,7 @@ def _parse_metrics(config):
     return k_list
 
 
-def _parse_registration(config, n_estimators):
+def _parse_registration(config, listed):
     sec = config.get("registration", {})
     mode = sec.get("mode", "orthogonal")
     if mode not in MODES:
@@ -198,9 +226,15 @@ def _parse_registration(config, n_estimators):
         raise ConfigError(f"registration.comparison_metric: {metric!r} is not one of "
                           f"{', '.join(COMPARISON_METRICS)}")
     ref = sec.get("reference", 0)
-    if not isinstance(ref, int) or not 0 <= ref < n_estimators:
+    if not _is_int(ref) or not 0 <= ref < len(listed):
         raise ConfigError("registration.reference: index out of range")
-    k = int(sec.get("comparison_k", config.get("metrics", {}).get("k_list", [3])[-1]))
+    # by default the last metrics.k_list entry
+    k_list = config.get("metrics", {}).get("k_list", [3])
+    k = sec.get("comparison_k", k_list[-1] if isinstance(k_list, list) and k_list else None)
+    k_max = min(K for _, _, K, _ in listed)
+    if not _is_int(k) or not 1 <= k <= k_max:
+        raise ConfigError(f"registration.comparison_k: {k!r} is not an int in [1, {k_max}], "
+                          "the smallest listed K")
     return mode, metric, ref, k
 
 
@@ -249,8 +283,10 @@ def _cmd_fit(config, outdir, seed, jobs):
 
 def _fold_plan(config, data, seed):
     sec = config.get("folds", {})
-    V = int(sec.get("V", 5))
-    fold_seed = int(sec.get("seed", seed))
+    V = sec.get("V", 5)
+    fold_seed = sec.get("seed", seed)
+    for name, value in (("V", V), ("seed", fold_seed)):
+        _check_type(f"folds.{name}", value, 0)
     try:
         return make_folds(data.n, V, seed=fold_seed)
     except DataError as exc:
@@ -324,19 +360,19 @@ def _write_labelled(path, matrix, labels):
 def _cmd_compare(config, outdir, seed, jobs):
     data, _ = center_and_covariance(_load_dataset(config, seed))
     listed = _parse_estimators(config, data)
-    mode, comp_metric, ref_idx, comp_k = _parse_registration(config, len(listed))
+    mode, comp_metric, ref_idx, comp_k = _parse_registration(config, listed)
     labels, estimates = zip(*_fit_listed(listed, data, seed, "compare"))
 
     mat = trajectory_comparison(estimates, data, metric=comp_metric, k=comp_k)
     _write_labelled(Path(outdir) / f"comparison_{comp_metric}_{comp_k}.csv", mat, labels)
 
-    # a degenerate estimate, or one with a zero variate among the first k_ov,
-    # has no unit variates to register: its overlap table is masked (NaN)
-    k_ov = min(comp_k, min(e.k for e in estimates))
-    tables, masked = registered_overlaps(estimates, data, k_ov, ref_idx, mode)
+    # a degenerate estimate, or one with a zero variate among the first
+    # comp_k, has no unit variates to register: its overlap table is masked
+    # (NaN)
+    tables, masked = registered_overlaps(estimates, data, comp_k, ref_idx, mode)
     warning_count = sum(_warn(f"{label} is degenerate; its overlap is masked")
                         for label, off in zip(labels, masked) if off)
-    names = [f"comp_{j + 1}" for j in range(k_ov)] + ["sum"]
+    names = [f"comp_{j + 1}" for j in range(comp_k)] + ["sum"]
     for label, table in zip(labels, tables):
         _write_labelled(Path(outdir) / f"overlap_{labels[ref_idx]}_vs_{label}.csv", table, names)
     return warning_count

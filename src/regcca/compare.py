@@ -10,7 +10,6 @@ only shrink as the class grows.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .datamodel import PairedDataset
 from .linalg import ORTH_TOL, gram_schmidt_reduce
@@ -69,7 +68,11 @@ def register(reference, target, mode):
         s[s == 0] = 1.0
         return np.diag(s)
 
-    # signed permutation: maximise the matched absolute inner products
+    # signed permutation: maximise the matched absolute inner products.
+    # scipy.optimize is imported here, its one use: loading it costs more
+    # than the rest of the package's start-up
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-np.abs(cross))
     m = np.zeros((k1, k0))
     for r, c in zip(rows, cols):

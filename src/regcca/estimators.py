@@ -19,6 +19,8 @@ are directly comparable across methods.
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -568,6 +570,51 @@ class _CellFit:
 _CHUNKS_PER_WORKER = 4
 
 
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that NumPy bundles
+    and has loaded, or None where there is none or it exports neither pair
+    of calls; other BLAS builds then keep their own threading."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not hasattr(os, "RTLD_NOLOAD") or not os.path.isdir(libs):
+        return None
+    import ctypes
+
+    for name in sorted(f for f in os.listdir(libs) if "openblas" in f):
+        try:
+            # only a library already loaded, never a second copy
+            lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with NumPy's OpenBLAS on one thread, then restore the
+    old count.  Workers forked inside inherit the one thread: a worker
+    that ran the default count would spin its BLAS threads against the
+    other workers for the same cores."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
                      options=None, seed=0, jobs=1):
     """Fit one estimator kind at every (penalty, training fold) and on the
@@ -597,7 +644,8 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = -(-len(cells) // (_CHUNKS_PER_WORKER * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the parent only waits while the pool runs
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(fit, cells, chunksize=chunksize))
     else:
         outcomes = [fit(cell) for cell in cells]

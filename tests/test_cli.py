@@ -8,7 +8,7 @@ import pytest
 
 import regcca.cli
 from regcca.cli import main
-from regcca.compare import overlap_matrix
+from regcca.compare import overlap_matrix, registered_overlaps, trajectory_comparison
 from regcca.datamodel import center_and_covariance, load_two_view_csv, make_folds, save_two_view_csv
 from regcca.estimators import EstimatorSpec, fit_estimator, sweep_trajectory
 from regcca.experiments import run_bootstrap_panel_bench, summarise_bootstrap_panel
@@ -315,6 +315,34 @@ class TestConfigErrors:
         # exit 0, the parameter ignored
         ("synth-bench", {"generator": {"preset": "canonical-pair",
                                        "params": {"n_seed": 1}}}, "generator.params"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"tol": "small"}}]},
+         "estimators[0].options.tol"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"max_outer": 20.5}}]},
+         "estimators[0].options.max_outer"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"recycle_duals": 1}}]},
+         "estimators[0].options.recycle_duals"),
+        ("sweep", {"grid": {"log10_from": "a", "log10_to": 0}}, "grid.log10_from"),
+        ("sweep", {"grid": {"log10_from": -1, "log10_to": None}}, "grid.log10_to"),
+        # exit 0 with a two-point grid
+        ("sweep", {"grid": {"log10_from": -2, "log10_to": 0, "per_decade": 0}},
+         "grid.per_decade"),
+        ("sweep", {"grid": {"log10_from": -2, "log10_to": 0, "per_decade": 2.5}},
+         "grid.per_decade"),
+        ("sweep", {"folds": {"V": "x"}}, "folds.V"),
+        # exit 0 with V = 2
+        ("sweep", {"folds": {"V": 2.7}}, "folds.V"),
+        ("sweep", {"folds": {"V": True}}, "folds.V"),
+        ("sweep", {"folds": {"V": 2, "seed": "s"}}, "folds.seed"),
+        ("compare", {"registration": {"comparison_k": 0}}, "registration.comparison_k"),
+        ("compare", {"registration": {"comparison_k": "x"}}, "registration.comparison_k"),
+        # exit 0 with an all-NaN comparison table
+        ("compare", {"estimators": [{"kind": "rcca", "penalty": 0.5, "K": 2}],
+                     "registration": {"comparison_k": 5}}, "registration.comparison_k"),
+        ("compare", {"estimators": [{"kind": "rcca", "penalty": 0.5, "K": 2}],
+                     "metrics": {"k_list": [1, 3]}}, "registration.comparison_k"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -343,6 +371,31 @@ class TestCompareAndBiplot:
         assert (out / "comparison_vt_Uk_2.csv").exists()
         overlaps = list(out.glob("overlap_*.csv"))
         assert len(overlaps) == 2
+
+    def test_compare_signed_permutation(self, tmp_path, toy_csv):
+        cfg = write_config(tmp_path, "cmp.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [
+                {"kind": "rcca", "penalty": 0.1, "K": 2},
+                {"kind": "spls", "penalty": 1.5, "K": 2},
+            ],
+            "registration": {"mode": "signed_permutation", "reference": 0,
+                             "comparison_k": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        data, _ = center_and_covariance(load_two_view_csv(*toy_csv))
+        ests = [fit_estimator(EstimatorSpec(kind="rcca", penalty=0.1, K=2), data),
+                fit_estimator(EstimatorSpec(kind="spls", penalty=1.5, K=2), data)]
+
+        def read_table(name):
+            with open(out / name, newline="") as fh:
+                return np.array([[float(v) for v in r[1:]] for r in list(csv.reader(fh))[1:]])
+
+        np.testing.assert_array_equal(read_table("comparison_vt_Uk_2.csv"),
+                                      trajectory_comparison(ests, data, "vt_Uk", 2))
+        tables, _ = registered_overlaps(ests, data, 2, 0, "signed_permutation")
+        np.testing.assert_array_equal(read_table("overlap_rcca@0.1_vs_spls@1.5.csv"), tables[1])
 
     def test_compare_masks_degenerate_estimate(self, tmp_path, toy_csv, capsys):
         # scca at tau=5 zeroes the directions: its overlap table is all NaN

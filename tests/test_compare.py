@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,3 +169,31 @@ class TestTrajectoryComparison:
         mat = trajectory_comparison([ests[0], bad], data, metric="vt_Uk", k=2)
         assert np.isnan(mat[0, 1]) and np.isnan(mat[1, 1])
         assert mat[0, 0] == 0.0
+
+
+# a fresh interpreter: the SciPy submodules that importing the package and
+# its CLI adds to those of `import scipy`, then one signed-permutation
+# registration of a scrambled block and its worst entry off the reference
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np, scipy
+before = set(sys.modules)
+import regcca, regcca.cli
+added = sorted(m for m in set(sys.modules) - before if m.startswith("scipy"))
+from regcca.compare import register
+z0 = np.linalg.qr(np.random.default_rng(0).standard_normal((18, 4)))[0]
+z1 = z0[:, [2, 0, 3, 1]] * np.array([1.0, -1.0, -1.0, 1.0])
+error = float(np.max(np.abs(z1 @ register(z0, z1, "signed_permutation") - z0)))
+print(json.dumps({"added": added, "error": error}))
+"""
+
+
+def test_package_import_loads_no_scipy_submodule():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["added"] == []
+    assert probe["error"] == 0.0

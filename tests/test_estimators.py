@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -803,6 +805,30 @@ class TestSweep:
             np.testing.assert_array_equal(other.v_dirs, est.v_dirs)
             np.testing.assert_array_equal(other.rho, est.rho)
             assert other.provenance == est.provenance
+
+    def test_pool_workers_run_one_blas_thread(self, toy_data, monkeypatch):
+        calls = estimators._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("NumPy has no bundled OpenBLAS with thread-count calls")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the pool does not fork its workers")
+        get, set_ = calls
+
+        # each cell fails with the BLAS thread count of the worker it ran in
+        def report_threads(*args, **kwargs):
+            raise ValueError(f"BLAS threads {get()}")
+
+        monkeypatch.setattr(estimators, "rcca_fit", report_threads)
+        folds = make_folds(toy_data.n, 2, seed=0)
+        old = get()
+        set_(2)  # a count other than one, whatever the host's default
+        try:
+            traj = sweep_trajectory("rcca", toy_data, [0.1, 0.5], folds, 1, jobs=2)
+            after = get()
+        finally:
+            set_(old)
+        assert set(traj.failures.values()) == {"ValueError: BLAS threads 1"}
+        assert len(traj.failures) == 6 and after == 2
 
     def test_non_monotone_grid_rejected(self, toy_data):
         folds = make_folds(toy_data.n, 2, seed=0)
