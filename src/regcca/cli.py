@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 solver hard-failure.
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ import scipy
 
 from . import __version__
 from .biplot import export_biplot, structure_correlations
+from .cca_core import require_pairs
 from .compare import COMPARISON_METRICS, MODES, registered_overlaps, trajectory_comparison
 from .datamodel import (
     CovarianceModel,
@@ -30,12 +30,13 @@ from .datamodel import (
     make_folds,
     save_two_view_csv,
     write_csv_table,
+    write_json,
 )
 from .estimators import (
     KINDS,
     EstimatorSpec,
     fit_estimator,
-    fit_function,
+    fit_options,
     penalty_in_domain,
     save_estimate,
     sweep_trajectory,
@@ -90,6 +91,14 @@ def _check_type(where, value, like):
         raise ConfigError(f"{where}: expected {name}, got {type(value).__name__}")
 
 
+def _check_seed(where, value):
+    """A seed must be a non-negative int, as NumPy's generators take it."""
+    _check_type(where, value, 0)
+    if value < 0:
+        raise ConfigError(f"{where}: expected a non-negative int, got {value}")
+    return value
+
+
 def _parse_grid(section):
     if "values" in section:
         vals = section["values"]
@@ -126,7 +135,7 @@ def _load_dataset(config, seed):
         name = _require(sec, "name", str, "generator")
         params = dict(sec.get("params", {}))
         n = int(_require(sec, "n", int, "generator"))
-        sample_seed = int(sec.get("sample_seed", seed))
+        sample_seed = _check_seed("generator.sample_seed", sec.get("sample_seed", seed))
         cov = _generator_covariance(name, params)
         return mvn_sample(cov, n, seed=sample_seed)
     raise ConfigError("config: need a 'data' or 'generator' section")
@@ -161,16 +170,14 @@ def _parse_estimators(config, data):
         if kind not in KINDS:
             raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
         K = int(_require(e, "K", int, where))
-        if not 1 <= K <= min(data.p, data.q):
-            raise ConfigError(f"{where}.K: {K} outside [1, min(p, q)={min(data.p, data.q)}]")
+        try:
+            require_pairs(data, K)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.K: {exc}") from exc
         options = e.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"{where}.options: expected object, got {type(options).__name__}")
-        # the solver options: the fit function's parameters with a number or
-        # flag default
-        known = {p.name: p.default
-                 for p in inspect.signature(fit_function(kind)).parameters.values()
-                 if isinstance(p.default, (bool, int, float))}
+        known = fit_options(kind)
         for name, value in options.items():
             if name not in known:
                 raise ConfigError(f"{where}.options.{name}: not an option of {kind} "
@@ -251,9 +258,7 @@ def _write_manifest(outdir, command, config, seed, warning_count):
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
-    with open(Path(outdir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(outdir) / "manifest.json", manifest)
 
 
 def _warn(message):
@@ -284,9 +289,8 @@ def _cmd_fit(config, outdir, seed, jobs):
 def _fold_plan(config, data, seed):
     sec = config.get("folds", {})
     V = sec.get("V", 5)
-    fold_seed = sec.get("seed", seed)
-    for name, value in (("V", V), ("seed", fold_seed)):
-        _check_type(f"folds.{name}", value, 0)
+    _check_type("folds.V", V, 0)
+    fold_seed = _check_seed("folds.seed", sec.get("seed", seed))
     try:
         return make_folds(data.n, V, seed=fold_seed)
     except DataError as exc:
@@ -454,9 +458,10 @@ def main(argv=None):
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
 
     try:
+        seed = (_check_seed("--seed", args.seed) if args.seed is not None
+                else _check_seed("seed", config.get("seed", 0)))
         warning_count = _HANDLERS[args.command](config, outdir, seed, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

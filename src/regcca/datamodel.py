@@ -1,6 +1,7 @@
 """Two-view datasets, centring, partitioned sample covariance and CV folds."""
 
 import csv
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "load_two_view_csv",
     "save_two_view_csv",
     "write_csv_table",
+    "write_json",
 ]
 
 
@@ -261,3 +263,11 @@ def write_csv_table(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, obj):
+    """Write ``obj`` as JSON with indent 2, sorted keys and a trailing
+    newline; every JSON file the package writes goes through here."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -11,12 +11,14 @@ scca   l1-penalised CCA with covariance-metric constraints, solved by
 gcca   graphical-lasso plug-in: estimate the joint precision, invert, run
        exact CCA on the implied covariance.
 
-All estimators return direction columns rescaled to unit empirical variance
-of the training variates (degenerate zero columns excepted), so estimates
-are directly comparable across methods.
+Every fit returns through ``_estimate``: direction columns rescaled to unit
+empirical variance of the training variates, rho their signed correlations
+(rcca and gcca pass their canonical correlations) and degenerate when a
+column is zero, so estimates are directly comparable across methods.
 """
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -34,6 +36,7 @@ from .datamodel import (
     center_and_covariance,
     split_fold,
     write_csv_table,
+    write_json,
 )
 from .glasso import GlassoConvergenceError, glasso_fit
 from .linalg import signed_corrs, soft_threshold, thin_svd
@@ -47,6 +50,7 @@ __all__ = [
     "scca_fit",
     "gcca_fit",
     "fit_estimator",
+    "fit_options",
     "sweep_trajectory",
     "save_estimate",
     "load_estimate",
@@ -114,6 +118,21 @@ def _unit_variance_columns(dirs, data_matrix):
     return dirs / np.sqrt(np.where(var > 0, var, 1.0))
 
 
+def _estimate(kind, penalty, data: PairedDataset, u, v, rho=None, degenerate=False,
+              converged=True, info=None):
+    """The estimate of a fit's direction columns ``u`` and ``v`` on its
+    training ``data``: the columns rescaled to unit variance, rho the signed
+    correlations of the variates unless the fit passes it, and degenerate
+    when the fit says so or any direction column is zero."""
+    if rho is None:
+        rho = signed_corrs(data.x @ u, data.y @ v)
+    zero = ~u.any(axis=0) | ~v.any(axis=0)
+    prov = Provenance(algorithm=kind, penalty=float(penalty), converged=converged,
+                      degenerate=bool(degenerate or zero.any()), info=info or {})
+    return CcaEstimate(_unit_variance_columns(u, data.x), _unit_variance_columns(v, data.y),
+                       rho, prov)
+
+
 # ---------------------------------------------------------------------------
 # ridge CCA
 # ---------------------------------------------------------------------------
@@ -143,13 +162,7 @@ def rcca_fit(data: PairedDataset, c, K, spectra=None):
     _require_fit_inputs("rcca", c, data, K)
     if spectra is None:
         spectra = RccaSpectra(data)
-    u, v, rho = spectra.solve(K, c)
-    return CcaEstimate(
-        u_dirs=_unit_variance_columns(u, data.x),
-        v_dirs=_unit_variance_columns(v, data.y),
-        rho=rho,
-        provenance=Provenance(algorithm="rcca", penalty=float(c)),
-    )
+    return _estimate("rcca", c, data, *spectra.solve(K, c))
 
 
 # ---------------------------------------------------------------------------
@@ -245,50 +258,24 @@ def spls_fit(data: PairedDataset, s, K, max_sweeps=200, tol=1e-9):
     cmat = cov.sxy.copy()
     us, vs = [], []
     all_converged = True
-    degenerate = False
     for _ in range(K):
         u, v, d, ok = _pmd_pair(cmat, s, max_sweeps, tol)
         all_converged &= ok
-        if np.all(u == 0.0) or np.all(v == 0.0):
-            degenerate = True
         us.append(u)
         vs.append(v)
         cmat = cmat - d * np.outer(u, v)
-    u_mat = np.column_stack(us)
-    v_mat = np.column_stack(vs)
-    return CcaEstimate(
-        u_dirs=_unit_variance_columns(u_mat, data.x),
-        v_dirs=_unit_variance_columns(v_mat, data.y),
-        rho=signed_corrs(data.x @ u_mat, data.y @ v_mat),
-        provenance=Provenance(
-            algorithm="spls",
-            penalty=float(s),
-            degenerate=degenerate,
-            converged=all_converged,
-        ),
-    )
+    return _estimate("spls", s, data, np.column_stack(us), np.column_stack(vs),
+                     converged=all_converged)
 
 
 # ---------------------------------------------------------------------------
 # sparse CCA by interleaved linearised ADMM
 # ---------------------------------------------------------------------------
 
-def _operator_norm_sq(mat, tol=1e-8, max_iter=500):
-    """Top eigenvalue of mat.T @ mat by power iteration, deterministic start."""
-    p = mat.shape[1]
-    b = np.ones(p) / np.sqrt(p)
-    val = 0.0
-    for _ in range(max_iter):
-        w = mat.T @ (mat @ b)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_val = float(b @ w)
-        b = w / nw
-        if abs(new_val - val) <= tol * max(new_val, 1.0):
-            return new_val
-        val = new_val
-    return val
+def _step_bound(block):
+    """||block||^2, the linearised-ADMM step bound: the largest eigenvalue of
+    the Gram matrix block.T @ block, exactly."""
+    return float(np.linalg.eigvalsh(block.T @ block)[-1])
 
 
 def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
@@ -376,15 +363,14 @@ def scca_fit(
     us, vs = [], []
     total_inner = 0
     all_converged = True
-    degenerate = False
     last_moves = []
     for k in range(1, K + 1):
         u_prev = np.column_stack(us) if us else np.zeros((data.p, 0))
         v_prev = np.column_stack(vs) if vs else np.zeros((data.q, 0))
         xt = np.vstack([xd, (cxx @ u_prev).T])
         yt = np.vstack([yd, (cyy @ v_prev).T])
-        mu_x = lambda_step / (2.0 * max(_operator_norm_sq(xt), 1e-30))
-        mu_y = lambda_step / (2.0 * max(_operator_norm_sq(yt), 1e-30))
+        mu_x = lambda_step / (2.0 * max(_step_bound(xt), 1e-30))
+        mu_y = lambda_step / (2.0 * max(_step_bound(yt), 1e-30))
 
         u, v = _scca_init(cxy, tau, k)
         u, v = unit_variance(u, xd), unit_variance(v, yd)
@@ -425,30 +411,13 @@ def scca_fit(
                 break
         all_converged &= converged
         last_moves.append(last_move)
+        us.append(u)
+        vs.append(v)
 
-        if np.all(u == 0.0) or np.all(v == 0.0):
-            degenerate = True
-        us.append(unit_variance(u, xd))
-        vs.append(unit_variance(v, yd))
-
-    u_mat, v_mat = np.column_stack(us), np.column_stack(vs)
-    return CcaEstimate(
-        u_dirs=u_mat,
-        v_dirs=v_mat,
-        rho=signed_corrs(data.x @ u_mat, data.y @ v_mat),
-        provenance=Provenance(
-            algorithm="scca",
-            penalty=float(tau),
-            degenerate=degenerate,
-            converged=all_converged,
-            info={
-                "total_inner_iterations": total_inner,
-                "n_steps_admm": n_steps_admm,
-                "recycle_duals": recycle_duals,
-                "last_outer_moves": last_moves,
-            },
-        ),
-    )
+    info = {"total_inner_iterations": total_inner, "n_steps_admm": n_steps_admm,
+            "recycle_duals": recycle_duals, "last_outer_moves": last_moves}
+    return _estimate("scca", tau, data, np.column_stack(us), np.column_stack(vs),
+                     converged=all_converged, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +437,9 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000)
     prec = glasso_fit(cov.joint(), lam, tol=glasso_tol, max_iter=glasso_max_iter)
     model = CovarianceModel.from_joint(prec.sigma, data.p)
     est = cca_from_covariance(model, K, algorithm="gcca")
-    u = _unit_variance_columns(est.u_dirs, data.x)
-    v = _unit_variance_columns(est.v_dirs, data.y)
-    return CcaEstimate(
-        u_dirs=u,
-        v_dirs=v,
-        rho=est.rho,
-        provenance=Provenance(
-            algorithm="gcca",
-            penalty=float(lam),
-            degenerate=bool(est.rho.size == 0 or est.rho[0] <= 1e-10),
-            info={"glasso": prec.diagnostics},
-        ),
-    )
+    return _estimate("gcca", lam, data, est.u_dirs, est.v_dirs, est.rho,
+                     degenerate=est.rho.size == 0 or est.rho[0] <= 1e-10,
+                     info={"glasso": prec.diagnostics})
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +451,15 @@ def fit_function(kind):
     # looked up per call, so that a wrapper rebound to one of these module
     # names (a tracer's, a test's) is the one returned
     return {"rcca": rcca_fit, "spls": spls_fit, "scca": scca_fit, "gcca": gcca_fit}[kind]
+
+
+def fit_options(kind):
+    """A kind's solver options, name -> default: the parameters of its
+    ``*_fit`` function with a number or flag default.  The signature is read
+    through a wrapper's ``__wrapped__``, so a tracer leaves it unchanged."""
+    return {p.name: p.default
+            for p in inspect.signature(fit_function(kind)).parameters.values()
+            if isinstance(p.default, (bool, int, float))}
 
 
 def fit_estimator(spec: EstimatorSpec, data: PairedDataset):
@@ -664,32 +632,23 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
 # persistence: JSON manifest plus CSV direction matrices
 # ---------------------------------------------------------------------------
 
+# the provenance fields an estimate's JSON keeps
+_SAVED_PROVENANCE = ("algorithm", "penalty", "fold", "seed", "degenerate", "converged")
+
+
 def _read_matrix_csv(path):
+    """The values of a direction CSV, without its header and name column."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    names = [r[0] for r in rows[1:]]
-    mat = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return names, mat
+        return np.array([row[1:] for row in list(csv.reader(fh))[1:]], dtype=float)
 
 
 def save_estimate(est: CcaEstimate, outdir, stem, x_names=None, y_names=None):
     """Persist an estimate as {stem}.json + {stem}_U.csv + {stem}_V.csv."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    prov = est.provenance
-    manifest = {
-        "algorithm": prov.algorithm,
-        "penalty": prov.penalty,
-        "fold": prov.fold,
-        "seed": prov.seed,
-        "degenerate": prov.degenerate,
-        "converged": prov.converged,
-        "K": est.k,
-        "rho": [float(r) for r in est.rho],
-    }
-    with open(outdir / f"{stem}.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest = {key: getattr(est.provenance, key) for key in _SAVED_PROVENANCE}
+    write_json(outdir / f"{stem}.json",
+               {**manifest, "K": est.k, "rho": [float(r) for r in est.rho]})
     x_names = x_names or [f"x{i + 1}" for i in range(est.u_dirs.shape[0])]
     y_names = y_names or [f"y{j + 1}" for j in range(est.v_dirs.shape[0])]
     header = ["variable"] + [f"comp_{k + 1}" for k in range(est.k)]
@@ -702,14 +661,7 @@ def load_estimate(outdir, stem):
     outdir = Path(outdir)
     with open(outdir / f"{stem}.json") as fh:
         manifest = json.load(fh)
-    _, u = _read_matrix_csv(outdir / f"{stem}_U.csv")
-    _, v = _read_matrix_csv(outdir / f"{stem}_V.csv")
-    prov = Provenance(
-        algorithm=manifest["algorithm"],
-        penalty=manifest["penalty"],
-        fold=manifest["fold"],
-        seed=manifest["seed"],
-        degenerate=manifest["degenerate"],
-        converged=manifest["converged"],
-    )
+    u = _read_matrix_csv(outdir / f"{stem}_U.csv")
+    v = _read_matrix_csv(outdir / f"{stem}_V.csv")
+    prov = Provenance(**{key: manifest[key] for key in _SAVED_PROVENANCE})
     return CcaEstimate(u_dirs=u, v_dirs=v, rho=np.asarray(manifest["rho"]), provenance=prov)

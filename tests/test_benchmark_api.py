@@ -3,8 +3,11 @@
 The span tracer reports a listed function that no longer exists as missing
 instead of failing, and the by-hand ``panel`` workload is not run by the
 suite, so a renamed or deleted public name would otherwise go unnoticed.
-The benchmark files are read, not changed: ``spans.py`` is imported from its
-path (it imports only the standard library) and ``workloads.py`` is parsed.
+The ``cli_session`` workload counts the CLI's fits through the outermost
+``fit_estimator`` and ``sweep_trajectory`` calls, so a command that fitted
+around them would read as fewer fits per CPU second.  The benchmark files
+are read, not changed: ``spans.py`` is imported from its path (it imports
+only the standard library) and ``workloads.py`` is parsed.
 """
 
 import ast
@@ -15,14 +18,22 @@ from pathlib import Path
 
 import pytest
 
+import regcca.cli
+from regcca import estimators
+from test_cli import toy_csv, write_config  # noqa: F401  (toy_csv is a fixture)
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_layers():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def load_layers():
+    return load_spans().LAYERS
 
 
 def package_references(path):
@@ -68,3 +79,54 @@ def test_workload_names_resolve():
     assert ("regcca", ("sym_matrix_power",)) in refs
     for module, attrs in refs:
         resolve(module, attrs)
+
+
+ESTIMATORS = [{"kind": "rcca", "penalty": 0.5, "K": 2}, {"kind": "spls", "penalty": 1.5, "K": 2},
+              {"kind": "scca", "penalty": 0.05, "K": 2}, {"kind": "gcca", "penalty": 0.1, "K": 2}]
+
+
+@pytest.mark.parametrize("command, listed, jobs, fits", [
+    ("fit", ESTIMATORS, 1, len(ESTIMATORS)),
+    ("compare", ESTIMATORS, 1, len(ESTIMATORS)),
+    # the biplot shows the first listed estimator
+    ("biplot", ESTIMATORS, 1, 1),
+    # one sweep per listed kind, whose cells run inside it
+    ("sweep", [{"kind": "rcca", "K": 2}, {"kind": "spls", "K": 2}], 1, 2),
+    ("sweep", [{"kind": "rcca", "K": 2}, {"kind": "gcca", "K": 2}], 2, 2),
+])
+def test_cli_fits_pass_through_the_captured_calls(tmp_path, toy_csv, command, listed, jobs,
+                                                  fits):
+    """Every fit of a command is one outermost call of ``fit_estimator`` or
+    ``sweep_trajectory``, as the ``cli_session`` workload's capture counts
+    them, wherever those functions are bound."""
+    captured = []
+    depth = [0]
+
+    def make(name):
+        def make_wrapper(fn):
+            def counted(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+                    if depth[0] == 0:
+                        captured.append(name)
+            counted.__wrapped__ = fn
+            return counted
+        return make_wrapper
+
+    interposer = load_spans().Interposer()
+    try:
+        for name in ("fit_estimator", "sweep_trajectory"):
+            assert interposer.wrap("estimators", name, make(name))
+        cfg = write_config(tmp_path, "cfg.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]}, "estimators": listed,
+            "grid": {"values": [0.3, 1.5]}, "folds": {"V": 2},
+            "registration": {"comparison_k": 2}})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]
+        assert regcca.cli.main(argv) == 0
+    finally:
+        interposer.restore()
+    assert captured == [("sweep_trajectory" if command == "sweep" else "fit_estimator")] * fits
+    assert regcca.cli.fit_estimator is estimators.fit_estimator

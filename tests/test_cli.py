@@ -343,17 +343,44 @@ class TestConfigErrors:
                      "registration": {"comparison_k": 5}}, "registration.comparison_k"),
         ("compare", {"estimators": [{"kind": "rcca", "penalty": 0.5, "K": 2}],
                      "metrics": {"k_list": [1, 3]}}, "registration.comparison_k"),
+        ("fit", {"seed": "x"}, "seed"),
+        ("fit", {"seed": -1}, "seed"),
+        ("sweep", {"seed": -1}, "seed"),
+        ("sweep", {"seed": 1.5}, "seed"),
+        ("sweep", {"seed": True}, "seed"),
+        ("sweep", {"folds": {"V": 2, "seed": -3}}, "folds.seed"),
+        # a section set to None is left out of the config
+        ("fit", {"data": None, "generator": {
+            "name": "canonical_pair", "n": 40, "sample_seed": -1,
+            "params": {"p": 5, "q": 4, "rhos": [0.8], "support_size": 2, "seed": 1}}},
+         "generator.sample_seed"),
+        ("fit", {"data": None, "generator": {
+            "name": "canonical_pair", "n": 40, "sample_seed": "3",
+            "params": {"p": 5, "q": 4, "rhos": [0.8], "support_size": 2, "seed": 1}}},
+         "generator.sample_seed"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
                   "estimators": [{"kind": "rcca", "penalty": 0.5, "K": 1}],
                   "grid": {"values": [0.1, 0.3]}, "folds": {"V": 2}, **section}
+        config = {key: value for key, value in config.items() if value is not None}
         cfg = write_config(tmp_path, "bad.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert [ln for ln in err.splitlines() if ln.startswith("config error:")
                 and field in ln]
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, toy_csv, capsys, command):
+        cfg = write_config(tmp_path, "ok.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "rcca", "penalty": 0.5, "K": 1}],
+            "grid": {"values": [0.1, 0.3]}, "folds": {"V": 2}, "seed": 3})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: --seed: expected a non-negative int, got -1"]
 
 
 class TestCompareAndBiplot:

@@ -11,6 +11,7 @@ from regcca.datamodel import (
     make_folds,
     save_two_view_csv,
     split_fold,
+    write_json,
 )
 
 
@@ -182,3 +183,12 @@ class TestCsv:
         with pytest.raises(DataError) as info:
             load_two_view_csv(path, tmp_path / "y.csv")
         assert str(info.value) == f"{path}: {message}"
+
+
+def test_write_json_layout(tmp_path):
+    # indent 2, sorted keys, a trailing newline: the bytes the CLI's
+    # manifests and the saved estimates have always had
+    path = tmp_path / "m.json"
+    write_json(path, {"b": [1.5, None], "a": {"z": True, "y": "s"}})
+    assert path.read_text() == (
+        '{\n  "a": {\n    "y": "s",\n    "z": true\n  },\n  "b": [\n    1.5,\n    null\n  ]\n}\n')

@@ -22,7 +22,7 @@ from regcca.estimators import (
     sweep_trajectory,
 )
 from regcca.experiments import CANONICAL_PAIR_DEFAULTS
-from regcca.linalg import soft_threshold, thin_svd
+from regcca.linalg import signed_corrs, soft_threshold, thin_svd
 from regcca.metrics import _subspace_sin2
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_cca_core import reference_cca_from_covariance
@@ -658,6 +658,55 @@ class TestFusedLadmm:
         np.testing.assert_allclose(est.rho, ref.rho, rtol=0.0, atol=1e-13)
 
 
+def reference_operator_norm_sq(mat, tol=1e-8, max_iter=500):
+    """Top eigenvalue of mat.T @ mat by power iteration from a deterministic
+    start: the step bound scca took before the exact eigenvalue."""
+    p = mat.shape[1]
+    b = np.ones(p) / np.sqrt(p)
+    val = 0.0
+    for _ in range(max_iter):
+        w = mat.T @ (mat @ b)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        new_val = float(b @ w)
+        b = w / nw
+        if abs(new_val - val) <= tol * max(new_val, 1.0):
+            return new_val
+        val = new_val
+    return val
+
+
+class TestStepBound:
+    @pytest.mark.parametrize("shape", [(40, 30), (41, 30), (24, 30), (1, 5), (5, 1)])
+    def test_is_the_squared_spectral_norm(self, rng, shape):
+        block = rng.standard_normal(shape)
+        bound = estimators._step_bound(block)
+        assert bound == pytest.approx(np.linalg.norm(block, 2) ** 2, rel=1e-12)
+        assert bound >= reference_operator_norm_sq(block) * (1.0 - 1e-12)
+
+    def test_zero_block(self):
+        assert estimators._step_bound(np.zeros((4, 3))) == 0.0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [40, 100, 400])
+    def test_scca_keeps_the_power_iteration_work_on_criterion_3(self, monkeypatch, n):
+        samples = [criterion_3_sample(n, seed) for seed in range(3)]
+        fits = {}
+        for bound in (estimators._step_bound, reference_operator_norm_sq):
+            monkeypatch.setattr(estimators, "_step_bound", bound)
+            fits[bound] = [scca_fit(data, tau, K) for data in samples
+                           for tau in (0.02, 0.1, 0.2) for K in (1, 3)]
+        for est, ref in zip(fits[estimators._step_bound], fits[reference_operator_norm_sq]):
+            assert est.provenance.info["total_inner_iterations"] == \
+                ref.provenance.info["total_inner_iterations"]
+            assert est.provenance.converged == ref.provenance.converged
+            assert est.provenance.degenerate == ref.provenance.degenerate
+            for a, b in ((est.u_dirs, ref.u_dirs), (est.v_dirs, ref.v_dirs)):
+                np.testing.assert_array_equal(a != 0.0, b != 0.0)
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-6 * np.max(np.abs(b)))
+
+
 class TestGcca:
     def test_vanishing_penalty_matches_sample_cca(self, rng):
         cov, _ = canonical_pair_covariance(5, 4, [0.8], 2, seed=41)
@@ -712,6 +761,38 @@ class TestCommonContract:
             assert abs(var - 1.0) <= 1e-6
             var = np.sum((toy_data.y @ est.v_dirs[:, k]) ** 2) / toy_data.n
             assert abs(var - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "kind,penalty", [("rcca", 0.3), ("spls", 1.5), ("scca", 0.02), ("gcca", 0.05)]
+    )
+    def test_one_exit(self, toy_data, kind, penalty):
+        est = fit_estimator(EstimatorSpec(kind=kind, penalty=penalty, K=2), toy_data)
+        assert est.provenance.algorithm == kind
+        assert est.provenance.penalty == penalty
+        zu, zv = toy_data.x @ est.u_dirs, toy_data.y @ est.v_dirs
+        if kind in ("spls", "scca"):
+            np.testing.assert_allclose(est.rho, signed_corrs(zu, zv), rtol=1e-12, atol=1e-14)
+        zero = ~est.u_dirs.any(axis=0) | ~est.v_dirs.any(axis=0)
+        assert est.provenance.degenerate >= zero.any()
+
+    def test_zero_column_flags_degenerate(self, toy_data):
+        est = estimators._estimate("spls", 2.0, toy_data, np.eye(6, 2), np.zeros((5, 2)),
+                                   converged=False)
+        assert est.provenance.degenerate and not est.provenance.converged
+        np.testing.assert_array_equal(est.v_dirs, 0.0)
+        np.testing.assert_allclose(np.mean((toy_data.x @ est.u_dirs) ** 2, axis=0), 1.0)
+
+    def test_fit_options_read_through_a_wrapper(self, monkeypatch):
+        assert estimators.fit_options("rcca") == {}
+        assert estimators.fit_options("gcca") == {"glasso_tol": 1e-7, "glasso_max_iter": 5000}
+        before = estimators.fit_options("scca")
+        assert before["recycle_duals"] is True and before["max_outer"] == 2000
+
+        def traced(*args, **kwargs):
+            return scca_fit(*args, **kwargs)
+        traced.__wrapped__ = scca_fit
+        monkeypatch.setattr(estimators, "scca_fit", traced)
+        assert estimators.fit_options("scca") == before
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
