@@ -60,9 +60,13 @@ def _config_hash(config):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _require(config, field, typ, where="config"):
+def _require(config, field, typ, where="config", default=None):
+    """``config[field]``, an instance of ``typ`` unless that is None; a
+    field without a ``default`` must be present."""
     if field not in config:
-        raise ConfigError(f"{where}.{field}: missing required field")
+        if default is None:
+            raise ConfigError(f"{where}.{field}: missing required field")
+        return default
     val = config[field]
     if typ is not None and not isinstance(val, typ):
         raise ConfigError(f"{where}.{field}: expected {typ.__name__}, got {type(val).__name__}")
@@ -79,23 +83,28 @@ def _is_number(value):
 
 
 def _check_type(where, value, like):
-    """``value`` must be of the type of ``like``: a bool for a bool, an int
-    for an int, any number for a float."""
+    """``value``, which must be of the type of ``like``: a bool for a bool,
+    an int for an int, any number for a float, else ``like``'s type."""
     if isinstance(like, bool):
         ok, name = isinstance(value, bool), "bool"
     elif isinstance(like, int):
         ok, name = _is_int(value), "int"
-    else:
+    elif isinstance(like, float):
         ok, name = _is_number(value), "number"
+    else:
+        ok, name = isinstance(value, type(like)), type(like).__name__
     if not ok:
         raise ConfigError(f"{where}: expected {name}, got {type(value).__name__}")
+    return value
 
 
-def _check_seed(where, value):
-    """A seed must be a non-negative int, as NumPy's generators take it."""
+def _check_int(where, value, positive=False):
+    """A non-negative int, as NumPy's generators take a seed, or with
+    ``positive`` an int of at least 1."""
     _check_type(where, value, 0)
-    if value < 0:
-        raise ConfigError(f"{where}: expected a non-negative int, got {value}")
+    if value < int(positive):
+        raise ConfigError(f"{where}: expected a {'positive' if positive else 'non-negative'} "
+                          f"int, got {value}")
     return value
 
 
@@ -112,9 +121,7 @@ def _parse_grid(section):
         # log-spaced, with a fixed number of points per decade
         for name in ("log10_from", "log10_to"):
             _check_type(f"grid.{name}", section[name], 0.0)
-        per_decade = section.get("per_decade", 9)
-        if not _is_int(per_decade) or per_decade < 1:
-            raise ConfigError("grid.per_decade: must be a positive int")
+        per_decade = _check_int("grid.per_decade", section.get("per_decade", 9), positive=True)
         lo, hi = float(section["log10_from"]), float(section["log10_to"])
         n = int(round((hi - lo) * per_decade)) + 1
         return [float(10.0**e) for e in np.linspace(lo, hi, max(n, 2))]
@@ -123,7 +130,7 @@ def _parse_grid(section):
 
 def _load_dataset(config, seed):
     if "data" in config:
-        sec = config["data"]
+        sec = _require(config, "data", dict)
         x_path = _require(sec, "x_csv", str, "data")
         y_path = _require(sec, "y_csv", str, "data")
         try:
@@ -131,11 +138,11 @@ def _load_dataset(config, seed):
         except (DataError, OSError) as exc:
             raise ConfigError(f"data: {exc}") from exc
     if "generator" in config:
-        sec = config["generator"]
+        sec = _require(config, "generator", dict)
         name = _require(sec, "name", str, "generator")
-        params = dict(sec.get("params", {}))
-        n = int(_require(sec, "n", int, "generator"))
-        sample_seed = _check_seed("generator.sample_seed", sec.get("sample_seed", seed))
+        params = dict(_require(sec, "params", dict, "generator", {}))
+        n = _check_int("generator.n", _require(sec, "n", None, "generator"), positive=True)
+        sample_seed = _check_int("generator.sample_seed", sec.get("sample_seed", seed))
         cov = _generator_covariance(name, params)
         return mvn_sample(cov, n, seed=sample_seed)
     raise ConfigError("config: need a 'data' or 'generator' section")
@@ -166,17 +173,16 @@ def _parse_estimators(config, data):
         raise ConfigError("estimators: must list at least one estimator")
     for i, e in enumerate(ests):
         where = f"estimators[{i}]"
+        _check_type(where, e, {})
         kind = _require(e, "kind", str, where)
         if kind not in KINDS:
             raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-        K = int(_require(e, "K", int, where))
+        K = _check_type(f"{where}.K", _require(e, "K", None, where), 0)
         try:
             require_pairs(data, K)
         except ValueError as exc:
             raise ConfigError(f"{where}.K: {exc}") from exc
-        options = e.get("options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(f"{where}.options: expected object, got {type(options).__name__}")
+        options = _require(e, "options", dict, where, {})
         known = fit_options(kind)
         for name, value in options.items():
             if name not in known:
@@ -185,6 +191,7 @@ def _parse_estimators(config, data):
             _check_type(f"{where}.options.{name}", value, known[name])
         penalty = e.get("penalty")
         if penalty is not None:
+            _check_type(f"{where}.penalty", penalty, 0.0)
             try:
                 penalty = EstimatorSpec(kind=kind, penalty=float(penalty), K=K).penalty
             except (TypeError, ValueError) as exc:
@@ -208,12 +215,12 @@ def _fit_listed(listed, data, seed, command):
 
 
 def _parse_metrics(config):
-    sec = config.get("metrics", {})
+    sec = _require(config, "metrics", dict, default={})
     k_list = sec.get("k_list", [1, 3, 5])
     if (not isinstance(k_list, list) or not k_list
-            or not all(isinstance(k, int) and k >= 1 for k in k_list)):
+            or not all(_is_int(k) and k >= 1 for k in k_list)):
         raise ConfigError("metrics.k_list: must be a nonempty list of positive integers")
-    aggs = sec.get("aggregations", ["sq_sum"])
+    aggs = _require(sec, "aggregations", list, "metrics", ["sq_sum"])
     for a in aggs:
         if a != "sq_sum":
             raise ConfigError(
@@ -224,7 +231,7 @@ def _parse_metrics(config):
 
 
 def _parse_registration(config, listed):
-    sec = config.get("registration", {})
+    sec = _require(config, "registration", dict, default={})
     mode = sec.get("mode", "orthogonal")
     if mode not in MODES:
         raise ConfigError(f"registration.mode: {mode!r} is not one of {', '.join(MODES)}")
@@ -236,7 +243,7 @@ def _parse_registration(config, listed):
     if not _is_int(ref) or not 0 <= ref < len(listed):
         raise ConfigError("registration.reference: index out of range")
     # by default the last metrics.k_list entry
-    k_list = config.get("metrics", {}).get("k_list", [3])
+    k_list = _require(config, "metrics", dict, default={}).get("k_list", [3])
     k = sec.get("comparison_k", k_list[-1] if isinstance(k_list, list) and k_list else None)
     k_max = min(K for _, _, K, _ in listed)
     if not _is_int(k) or not 1 <= k <= k_max:
@@ -273,7 +280,8 @@ def _warn(message):
 
 def _cmd_fit(config, outdir, seed, jobs):
     raw = _load_dataset(config, seed)
-    if config.get("output", {}).get("export_data", False):
+    export = _require(config, "output", dict, default={}).get("export_data", False)
+    if _check_type("output.export_data", export, False):
         save_two_view_csv(raw, Path(outdir) / "data_x.csv", Path(outdir) / "data_y.csv")
     data, _ = center_and_covariance(raw)
     fits = _fit_listed(_parse_estimators(config, data), data, seed, "fit")
@@ -287,10 +295,9 @@ def _cmd_fit(config, outdir, seed, jobs):
 
 
 def _fold_plan(config, data, seed):
-    sec = config.get("folds", {})
-    V = sec.get("V", 5)
-    _check_type("folds.V", V, 0)
-    fold_seed = _check_seed("folds.seed", sec.get("seed", seed))
+    sec = _require(config, "folds", dict, default={})
+    V = _check_type("folds.V", sec.get("V", 5), 0)
+    fold_seed = _check_int("folds.seed", sec.get("seed", seed))
     try:
         return make_folds(data.n, V, seed=fold_seed)
     except DataError as exc:
@@ -385,17 +392,17 @@ def _cmd_compare(config, outdir, seed, jobs):
 def _cmd_biplot(config, outdir, seed, jobs):
     data, _ = center_and_covariance(_load_dataset(config, seed))
     listed = _parse_estimators(config, data)
-    out_sec = config.get("output", {})
+    out_sec = _require(config, "output", dict, default={})
     view = out_sec.get("variate_view", "x")
     if view not in ("x", "y"):
         raise ConfigError(f"output.variate_view: {view!r} is not 'x' or 'y'")
+    threshold = _check_type("output.biplot_threshold", out_sec.get("biplot_threshold", 0.0), 0.0)
     # the biplot shows the first listed estimator
     [(label, est)] = _fit_listed(listed[:1], data, seed, "biplot")
     degenerate = est.provenance.degenerate
     warning_count = _warn(f"estimators[0] {label} is degenerate") if degenerate else 0
     coords = structure_correlations(data, est, variate_view=view)
-    export_biplot(coords, float(out_sec.get("biplot_threshold", 0.0)),
-                  Path(outdir) / "biplot.csv")
+    export_biplot(coords, float(threshold), Path(outdir) / "biplot.csv")
     return warning_count + sum(_warn(message) for message in coords.warnings)
 
 
@@ -414,10 +421,12 @@ def _cmd_synth_bench(config, outdir, seed, jobs):
     if preset not in _PRESETS:
         raise ConfigError(f"generator.preset: unknown preset {preset!r}")
     defaults, run, fields = _PRESETS[preset]
-    params = _require(sec, "params", dict, "generator") if "params" in sec else {}
+    params = _require(sec, "params", dict, "generator", {})
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"generator.params: {', '.join(unknown)} not a parameter of {preset}")
+    for name, value in params.items():
+        _check_type(f"generator.params.{name}", value, defaults[name])
     records = run(**params)
     write_csv_table(Path(outdir) / f"bench_{preset}.csv", fields,
                     [[r.get(f) for f in fields] for r in records])
@@ -460,9 +469,10 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
 
     try:
-        seed = (_check_seed("--seed", args.seed) if args.seed is not None
-                else _check_seed("seed", config.get("seed", 0)))
-        warning_count = _HANDLERS[args.command](config, outdir, seed, args.jobs)
+        seed = (_check_int("--seed", args.seed) if args.seed is not None
+                else _check_int("seed", config.get("seed", 0)))
+        jobs = _check_int("--jobs", args.jobs, positive=True)
+        warning_count = _HANDLERS[args.command](config, outdir, seed, jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import PairedDataset
-from .linalg import ORTH_TOL, gram_schmidt_reduce
-from .metrics import _orthonormal_sin2
+from .linalg import ORTH_TOL, pair_sin2, reduce_stack
 
 __all__ = [
     "register",
@@ -148,18 +147,14 @@ def trajectory_comparison(estimates, data: PairedDataset, metric="vt_Uk", k=3):
     if metric not in COMPARISON_METRICS:
         raise ValueError(f"unknown comparison metric {metric!r}")
     blocks = _unit_blocks(estimates, data, k, metric)
-    m = len(blocks)
-    out = np.full((m, m), np.nan)
-    orth = [None] * m
-    for i, b in enumerate(blocks):
-        if b is not None:
-            q, _ = gram_schmidt_reduce(b)
-            orth[i] = q
-            out[i, i] = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if orth[i] is not None and orth[j] is not None:
-                out[i, j] = out[j, i] = _orthonormal_sin2(orth[i], orth[j])[0]
+    live = [i for i, b in enumerate(blocks) if b is not None]
+    out = np.full((len(blocks), len(blocks)), np.nan)
+    out[live, live] = 0.0
+    if len(live) > 1:
+        first, second = np.triu_indices(len(live), 1)
+        sin2, _ = pair_sin2(reduce_stack([blocks[i] for i in live]), first, second)
+        rows, cols = np.take(live, first), np.take(live, second)
+        out[rows, cols] = out[cols, rows] = sin2
     return out
 
 

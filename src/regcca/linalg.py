@@ -4,8 +4,9 @@
 ``(u, s, v)``, with values descending; ``floored_power`` raises floored
 eigenvalues to a power, and is the one clamp every whitening and
 ``sym_matrix_power`` use; ``gram_schmidt_reduce`` is the one orthonormaliser
-(``gram_schmidt_metric`` is its strict form); ``canonical_angles`` gives
-principal-angle cosines and ``signed_corrs`` per-column correlations.
+(``gram_schmidt_metric`` is its strict form, ``reduce_stack`` its stacked
+use); ``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the
+one squared sin-Theta, and ``signed_corrs`` per-column correlations.
 
 Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
@@ -24,9 +25,11 @@ __all__ = [
     "sym_matrix_power",
     "soft_threshold",
     "canonical_angles",
+    "pair_sin2",
     "signed_corrs",
     "gram_schmidt_metric",
     "gram_schmidt_reduce",
+    "reduce_stack",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -138,6 +141,40 @@ def canonical_angles(z, w):
     return np.clip(np.linalg.svd(z.T @ w, compute_uv=False), 0.0, 1.0)
 
 
+def pair_sin2(q, first, second):
+    """Squared sin-Theta between the column spans of pairs of blocks.
+
+    ``q`` is a (B, rows, m) stack of orthonormal blocks, padded with zero
+    columns, which span nothing; pair i compares blocks ``first[i]`` and
+    ``second[i]``.  Returns (sin2, k_eff) per pair: k_eff is the smaller
+    dimension, and sin2 is k_eff minus the sum of the squared cosines,
+    from one stacked product and one stacked SVD.
+
+    Each block is checked once, in stack order: ``LinalgError`` names the
+    first block with a non-finite entry, then the first whose nonzero
+    columns deviate from orthonormality by more than ``ORTH_TOL`` (max
+    Gram error), and is raised when a pair has a zero-dimensional block.
+    """
+    finite = np.isfinite(q).all(axis=(1, 2))
+    if not finite.all():
+        raise LinalgError(f"block {np.argmin(finite)} contains non-finite entries")
+    # every block against every block: the diagonal holds the Gram matrices
+    products = q.swapaxes(1, 2)[:, None] @ q[None]
+    gram = np.einsum("bbij->bij", products)
+    live = np.einsum("bii->bi", gram) != 0.0
+    gram_dev = np.abs(gram - live[:, :, None] * np.eye(q.shape[2])).max(axis=(1, 2))
+    b = np.argmax(gram_dev > ORTH_TOL)
+    if gram_dev[b] > ORTH_TOL:
+        raise LinalgError(f"block {b} columns not orthonormal: Gram deviation {gram_dev[b]:.3e}")
+    dims = np.count_nonzero(live, axis=1)
+    keff = np.minimum(dims[first], dims[second])
+    if not keff.all():
+        raise LinalgError("zero-dimensional subspace in angle computation")
+    # singular values are non-negative: clamping at 1 bounds each cosine
+    cos = np.minimum(np.linalg.svd(products[first, second], compute_uv=False), 1.0)
+    return keff - np.sum(cos**2, axis=1), keff
+
+
 def signed_corrs(z, w):
     """Per-column correlations of paired (..., n, k) blocks without
     centring; 0 where a column is zero."""
@@ -183,6 +220,18 @@ def gram_schmidt_reduce(m, g=None):
             gqt[len(kept)] = gv / nrm
         kept.append(j)
     return np.ascontiguousarray(qt[:len(kept)].T), kept
+
+
+def reduce_stack(blocks):
+    """``gram_schmidt_reduce`` of each block of a (B, rows, m) stack, with
+    kept columns in their input places and dropped ones zero, so that
+    columns :k are the reduction of the first k inputs alone."""
+    blocks = np.asarray(blocks, dtype=float)
+    q = np.zeros_like(blocks)
+    for b, block in enumerate(blocks):
+        qb, kept = gram_schmidt_reduce(block)
+        q[b][:, kept] = qb
+    return q
 
 
 def gram_schmidt_metric(m, g=None):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold, write_csv_table
-from .linalg import ORTH_TOL, canonical_angles, gram_schmidt_reduce, signed_corrs, sym_matrix_power
+from .linalg import gram_schmidt_reduce, pair_sin2, reduce_stack, signed_corrs, sym_matrix_power
 
 __all__ = [
     "AGGREGATIONS",
@@ -136,14 +136,17 @@ class CvCriteria:
     The folds' variates sit in stacks (validation blocks padded with zero
     rows to a common length, which changes no criterion), so the subspace
     correlations of every fold at a k come from one stacked
-    ``empirical_canonical_correlations`` call, and the instability of all
-    fold pairs from one stacked product of the reduced blocks and one
-    stacked SVD.
+    ``empirical_canonical_correlations`` call, and the subspace instability
+    of all fold pairs from one ``pair_sin2`` call per space on the reduced
+    prefix blocks.
 
     ``validation`` holds the folds' validation splits
-    (``validation_splits``); only ``cc_agg`` reads it.  Criteria raise the
-    same errors, in the same order, as one call of ``cv_cc_agg`` or
-    ``cv_instability`` at that k: the first failing fold or fold pair wins.
+    (``validation_splits``); only ``cc_agg`` reads it.  ``cc_agg`` raises
+    for the first failing fold.  ``instability`` checks the stack of fold
+    pairs as a whole, weights before variates: in each space a zero k-th
+    column of any block raises "zero vector in angle computation", then
+    ``pair_sin2`` checks the prefix blocks.  A fault in a column after the
+    k-th leaves k defined.
     """
 
     def __init__(self, data: PairedDataset, fold_estimates, k_max, validation=None):
@@ -152,7 +155,7 @@ class CvCriteria:
         self.k_max = k_max
         self.validation = validation
         self._variates = None
-        self._pairs = None
+        self._blocks_cache = None
 
     def _validation_variates(self):
         """(V, n_max, k_max) stacks of every fold's validation variates;
@@ -204,107 +207,35 @@ class CvCriteria:
             raise ValueError(f"fold {usable} estimate has {est.k} pairs, need {K}")
         return float(np.mean(vals)), float(np.std(vals))
 
-    def _fold_pairs(self):
-        """Every block and fold-pair product that ``instability`` reads, at
-        k_max, per space ("wt": weights, "vt": full-data variates)."""
-        if self._pairs is None:
+    def _blocks(self):
+        """Per space ("wt": weights, "vt": full-data variates), the Gram
+        matrix of each raw column across the blocks, (k_max, B, B), and the
+        ``reduce_stack`` of the blocks, which ``instability`` reads."""
+        if self._blocks_cache is None:
             ests = [e for e in self.fold_estimates if e is not None]
-            km = self.k_max
-            u = np.zeros((len(ests), self.data.p, km))
+            u = np.zeros((len(ests), self.data.p, self.k_max))
             for b, est in enumerate(ests):
-                cols = est.u_dirs[:, :km]
+                cols = est.u_dirs[:, :self.k_max]
                 u[b, :, :cols.shape[1]] = cols
-            first, second = np.triu_indices(len(ests), 1)
-            self._pairs = {"first": first, "second": second}
-            for space, raw in (("wt", u), ("vt", self.data.x @ u)):
-                # reduced blocks padded with zero columns, and which input
-                # columns each kept
-                q = np.zeros_like(raw)
-                kept = np.zeros((len(ests), km), dtype=bool)
-                for b, est in enumerate(ests):
-                    qb, idx = gram_schmidt_reduce(raw[b, :, :min(est.k, km)])
-                    q[b, :, :qb.shape[1]] = qb
-                    kept[b, idx] = True
-                self._pairs[space] = {
-                    "raw": raw,
-                    "q": q,
-                    "kept": kept,
-                    "suspect": _suspect_prefixes(q),
-                    # Gram matrices of each raw column across blocks, (k_max, B, B)
-                    "gram": np.einsum("bic,dic->cbd", raw, raw),
-                    "products": q[first].swapaxes(1, 2) @ q[second],
-                }
-        return self._pairs
+            self._blocks_cache = {
+                space: (np.einsum("bic,dic->cbd", raw, raw), reduce_stack(raw))
+                for space, raw in (("wt", u), ("vt", self.data.x @ u))}
+        return self._blocks_cache
 
     def instability(self, k):
         """Fold-to-fold instability at k; see ``cv_instability``."""
-        if sum(e is not None for e in self.fold_estimates) < 2:
+        first, second = np.triu_indices(sum(e is not None for e in self.fold_estimates), 1)
+        if first.size == 0:
             raise ValueError("need at least 2 fold estimates")
         if k > self.k_max:
             raise ValueError(f"k={k} exceeds k_max={self.k_max}")
-        pairs = self._fold_pairs()
-        first, second = pairs["first"], pairs["second"]
-        single, dims = {}, {}
-        flagged = np.zeros(first.size, dtype=bool)
-        for space in ("wt", "vt"):
-            blocks = pairs[space]
-            g = blocks["gram"][k - 1]
-            sq = np.diagonal(g)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cos = g[first, second] / (np.sqrt(sq[first]) * np.sqrt(sq[second]))
-            single[space] = np.maximum(0.0, 1.0 - cos**2)
-            # kept columns that come from the first k input columns: the
-            # reduction of those columns alone (Gram-Schmidt is prefix-stable)
-            m = np.count_nonzero(blocks["kept"][:, :k], axis=1)
-            suspect = blocks["suspect"][np.arange(m.size), m]
-            dims[space] = (m[first], m[second])
-            flagged |= ((sq[first] == 0.0) | (sq[second] == 0.0)
-                        | (np.minimum(m[first], m[second]) == 0)
-                        | suspect[first] | suspect[second])
-        # a flagged pair goes through the per-pair kernels, which raise the
-        # error the per-pair computation meets first
-        for pair in np.flatnonzero(flagged):
-            i, j = first[pair], second[pair]
-            for space in ("wt", "vt"):
-                raw = pairs[space]["raw"]
-                _vector_sin2(raw[i, :, k - 1], raw[j, :, k - 1])
-            for space in ("wt", "vt"):
-                q, (rows, cols) = pairs[space]["q"], dims[space]
-                _orthonormal_sin2(q[i, :, :rows[pair]], q[j, :, :cols[pair]])
-        # prefixes of the k_max products, zeroed beyond each block's kept
-        # columns: the zero rows and columns add only zero singular values
-        idx = np.arange(k)
-        blocks, keff = [], []
-        for space in ("wt", "vt"):
-            rows, cols = dims[space]
-            mask = (idx < rows[:, None])[:, :, None] & (idx < cols[:, None])[:, None, :]
-            blocks.append(np.where(mask, pairs[space]["products"][:, :k, :k], 0.0))
-            keff.append(np.minimum(rows, cols))
-        cos = np.clip(np.linalg.svd(np.concatenate(blocks), compute_uv=False), 0.0, 1.0)
-        keff = np.concatenate(keff)
-        sin2 = keff - np.sum(np.where(idx < keff[:, None], cos**2, 0.0), axis=1)
-        wt_big, vt_big = np.split(sin2, 2)
-        return {
-            "wt_uk_cv": float(np.mean(single["wt"])),
-            "vt_uk_cv": float(np.mean(single["vt"])),
-            "wt_Uk_cv": float(np.mean(wt_big)),
-            "vt_Uk_cv": float(np.mean(vt_big)),
-        }
-
-
-def _suspect_prefixes(q):
-    """For a stack of orthonormal blocks (B, rows, m), whether each column
-    prefix (length 0..m) holds a non-finite entry or deviates from
-    orthonormality by more than half ``ORTH_TOL``, the tolerance of
-    ``canonical_angles`` (max Gram error); a (B, m + 1) array."""
-    m = q.shape[2]
-    finite = np.logical_and.accumulate(np.isfinite(q).all(axis=1), axis=1)
-    dev = np.abs(q.swapaxes(1, 2) @ q - np.eye(m))
-    # entry (a, b) joins the prefixes longer than max(a, b)
-    newest = np.maximum(np.tril(dev).max(axis=2), np.triu(dev).max(axis=1))
-    suspect = np.zeros((q.shape[0], m + 1), dtype=bool)
-    suspect[:, 1:] = ~finite | ~(np.maximum.accumulate(newest, axis=1) <= ORTH_TOL / 2)
-    return suspect
+        out = {}
+        for space, (gram, q) in self._blocks().items():
+            out[f"{space}_uk_cv"] = float(np.mean(_vector_sin2(gram[k - 1], first, second)))
+            # the first k reduced columns are the reduction of the first k
+            # input columns alone, as Gram-Schmidt is prefix-stable
+            out[f"{space}_Uk_cv"] = float(np.mean(pair_sin2(q[:, :, :k], first, second)[0]))
+        return out
 
 
 def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, K,
@@ -324,52 +255,36 @@ def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, 
     return (mean, spread) if return_dispersion else mean
 
 
-def _vector_sin2(a, b):
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def _vector_sin2(gram, first, second):
+    """1 - cos^2 of the angle between vectors ``first[i]`` and
+    ``second[i]``, from the Gram matrix of the vectors; raises for a zero
+    vector in a pair."""
+    sq = np.diagonal(gram)
+    if not (np.all(sq[first]) and np.all(sq[second])):
         raise ValueError("zero vector in angle computation")
-    cos = float(a @ b / (na * nb))
-    return max(0.0, 1.0 - cos**2)
-
-
-def _orthonormal_sin2(qa, qb):
-    """Squared sin-Theta between two orthonormal (possibly reduced) blocks;
-    returns (value, effective dimension)."""
-    keff = min(qa.shape[1], qb.shape[1])
-    if keff == 0:
-        raise ValueError("zero-dimensional subspace in angle computation")
-    cosines = canonical_angles(qa, qb)
-    return float(keff - np.sum(cosines[:keff] ** 2)), keff
-
-
-def _subspace_sin2(a, b):
-    """Squared sin-Theta after orthonormalising (and if needed reducing)
-    both blocks; returns (value, effective dimension)."""
-    qa, _ = gram_schmidt_reduce(np.asarray(a, dtype=float))
-    qb, _ = gram_schmidt_reduce(np.asarray(b, dtype=float))
-    return _orthonormal_sin2(qa, qb)
+    cos = gram[first, second] / (np.sqrt(sq[first]) * np.sqrt(sq[second]))
+    return np.maximum(0.0, 1.0 - cos**2)
 
 
 def estimation_error(cov: CovarianceModel, truth: CcaEstimate, est: CcaEstimate, k):
     """Squared sin-Theta errors of the k-th pair and leading-k subspaces.
 
     wt_* compares raw weight vectors, vt_* compares them after
-    pre-multiplication by Sxx^{1/2} (variate space).
+    pre-multiplication by Sxx^{1/2} (variate space).  ``effective_k`` is
+    the smaller variate subspace dimension after Gram-Schmidt reduction.
     """
     if k > min(truth.k, est.k):
         raise ValueError(f"k={k} exceeds available pairs")
     half = sym_matrix_power(cov.sxx, 0.5)
-    u_t, u_e = truth.u_dirs[:, k - 1], est.u_dirs[:, k - 1]
-    out = {
-        "wt_uk": _vector_sin2(u_t, u_e),
-        "vt_uk": _vector_sin2(half @ u_t, half @ u_e),
-    }
-    out["wt_Uk"], _ = _subspace_sin2(truth.u_dirs[:, :k], est.u_dirs[:, :k])
-    out["vt_Uk"], out["effective_k"] = _subspace_sin2(
-        half @ truth.u_dirs[:, :k], half @ est.u_dirs[:, :k]
-    )
-    return out
+    u_t, u_e = truth.u_dirs[:, :k], est.u_dirs[:, :k]
+    # truth against estimate in weight space, then in variate space
+    blocks = np.stack([u_t, u_e, half @ u_t, half @ u_e])
+    first, second = [0, 2], [1, 3]
+    columns = blocks[:, :, k - 1]
+    single = _vector_sin2(columns @ columns.T, first, second)
+    big, keff = pair_sin2(reduce_stack(blocks), first, second)
+    return {"wt_uk": float(single[0]), "vt_uk": float(single[1]),
+            "wt_Uk": float(big[0]), "vt_Uk": float(big[1]), "effective_k": int(keff[1])}
 
 
 def cv_instability(data: PairedDataset, fold_estimates, k):

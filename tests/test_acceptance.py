@@ -25,8 +25,8 @@ from regcca.experiments import (
     summarise_canonical_pair,
 )
 from regcca.glasso import glasso_fit, kkt_residual
-from regcca.linalg import canonical_angles, sym_matrix_power
-from regcca.metrics import _orthonormal_sin2, aggregate, gauss_mutual_info, mutual_information
+from regcca.linalg import canonical_angles, pair_sin2, sym_matrix_power
+from regcca.metrics import aggregate, gauss_mutual_info, mutual_information
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
 
@@ -160,7 +160,7 @@ def test_criterion_6_randomised_property_families():
         z = random_orthonormal(rng, 9, 3)
         w = random_orthonormal(rng, 9, 3)
         cos2 = float(np.sum(canonical_angles(z, w) ** 2))
-        sin2, _ = _orthonormal_sin2(z, w)
+        [sin2], _ = pair_sin2(np.stack([z, w]), [0], [1])
         assert abs(cos2 + sin2 - 3) <= 1e-10
         pz, pw = z @ z.T, w @ w.T
         assert abs(sin2 - np.linalg.norm(pz @ (np.eye(9) - pw)) ** 2) <= 1e-9

@@ -358,6 +358,33 @@ class TestConfigErrors:
             "name": "canonical_pair", "n": 40, "sample_seed": "3",
             "params": {"p": 5, "q": 4, "rhos": [0.8], "support_size": 2, "seed": 1}}},
          "generator.sample_seed"),
+        ("sweep", {"metrics": {"k_list": [True]}}, "metrics.k_list"),
+        ("sweep", {"metrics": [1]}, "config.metrics"),
+        ("sweep", {"metrics": {"aggregations": 1}}, "metrics.aggregations"),
+        ("sweep", {"folds": 2}, "config.folds"),
+        ("compare", {"registration": "orthogonal"}, "config.registration"),
+        ("biplot", {"output": ["x"]}, "config.output"),
+        ("fit", {"estimators": [0.5]}, "estimators[0]"),
+        ("biplot", {"output": {"biplot_threshold": "x"}}, "output.biplot_threshold"),
+        ("fit", {"data": None, "generator": {"name": "canonical_pair", "n": 40,
+                                            "params": [5, 4]}}, "generator.params"),
+        ("fit", {"data": None, "generator": {
+            "name": "canonical_pair", "n": True,
+            "params": {"p": 5, "q": 4, "rhos": [0.8], "support_size": 2, "seed": 1}}},
+         "generator.n"),
+        ("fit", {"data": None, "generator": {
+            "name": "canonical_pair", "n": -5,
+            "params": {"p": 5, "q": 4, "rhos": [0.8], "support_size": 2, "seed": 1}}},
+         "generator.n"),
+        ("synth-bench", {"generator": {"preset": "canonical-pair",
+                                       "params": {"n_seeds": "x"}}}, "generator.params.n_seeds"),
+        # exit 0, the value taken as 1, 1.0, 0.5 or true
+        ("fit", {"estimators": [{"kind": "rcca", "penalty": 0.5, "K": True}]}, "estimators[0].K"),
+        ("fit", {"estimators": [{"kind": "rcca", "penalty": True, "K": 1}]},
+         "estimators[0].penalty"),
+        ("fit", {"estimators": [{"kind": "rcca", "penalty": "0.5", "K": 1}]},
+         "estimators[0].penalty"),
+        ("fit", {"output": {"export_data": "no"}}, "output.export_data"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -381,6 +408,18 @@ class TestConfigErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["config error: --seed: expected a non-negative int, got -1"]
+
+    # both used to run serially with exit 0
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_flag_exits_2(self, tmp_path, toy_csv, capsys, jobs):
+        cfg = write_config(tmp_path, "ok.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "rcca", "K": 1}],
+            "grid": {"values": [0.1, 0.3]}, "folds": {"V": 2}})
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: --jobs: expected a positive int, got {jobs}"]
 
 
 class TestCompareAndBiplot:

@@ -11,9 +11,9 @@ from conftest import random_orthonormal
 from regcca.compare import overlap_matrix, register, trajectory_comparison
 from regcca.datamodel import center_and_covariance
 from regcca.estimators import rcca_fit
-from regcca.linalg import canonical_angles, gram_schmidt_metric, gram_schmidt_reduce
-from regcca.metrics import _orthonormal_sin2
+from regcca.linalg import canonical_angles, gram_schmidt_metric, gram_schmidt_reduce, pair_sin2
 from regcca.synth import canonical_pair_covariance, mvn_sample
+from test_metrics import _ref_subspace_sin2
 
 
 def residual(z0, z1, m):
@@ -34,7 +34,7 @@ class TestRegister:
         z1 = rng.standard_normal((25, 3))
         m = register(z0, z1, "linear")
         q1, _ = np.linalg.qr(z1)
-        sin2, _ = _orthonormal_sin2(z0, q1)
+        [sin2], _ = pair_sin2(np.stack([z0, q1]), [0], [1])
         assert abs(residual(z0, z1, m) - sin2) <= 1e-9
 
     def test_orthogonal_matches_rotation_grid_brute_force(self, rng):
@@ -159,6 +159,33 @@ class TestTrajectoryComparison:
         data, ests = setup
         mat = trajectory_comparison([ests[0], ests[0]], data, metric="vt_Uk", k=2)
         assert mat[0, 1] <= 1e-10
+
+    def test_entries_match_per_pair_reference(self, setup):
+        # one estimate's second direction is a multiple of its first, so its
+        # block reduces to one column; another is degenerate, so masked
+        data, ests = setup
+        base = ests[2]
+        u = base.u_dirs.copy()
+        u[:, 1] = -3.0 * u[:, 0]
+        reduced = type(base)(u_dirs=u, v_dirs=base.v_dirs, rho=base.rho,
+                             provenance=base.provenance)
+        assert gram_schmidt_reduce(data.x @ u)[1] == [0]
+        masked = type(base)(u_dirs=base.u_dirs, v_dirs=base.v_dirs, rho=base.rho,
+                            provenance=type(base.provenance)(algorithm="rcca", degenerate=True))
+        ests = [ests[0], masked, reduced, ests[1], base]
+        for metric in ("vt_Uk", "wt_Uk"):
+            mat = trajectory_comparison(ests, data, metric=metric, k=2)
+            for i, a in enumerate(ests):
+                for j, b in enumerate(ests):
+                    if a is masked or b is masked:
+                        assert np.isnan(mat[i, j])
+                    elif i == j:
+                        assert mat[i, j] == 0.0
+                    else:
+                        ua, ub = a.u_dirs[:, :2], b.u_dirs[:, :2]
+                        if metric == "vt_Uk":
+                            ua, ub = data.x @ ua, data.x @ ub
+                        assert abs(mat[i, j] - _ref_subspace_sin2(ua, ub)) <= 1e-12
 
     def test_degenerate_masked(self, setup):
         data, ests = setup

@@ -23,9 +23,9 @@ from regcca.estimators import (
 )
 from regcca.experiments import CANONICAL_PAIR_DEFAULTS
 from regcca.linalg import signed_corrs, soft_threshold, thin_svd
-from regcca.metrics import _subspace_sin2
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_cca_core import reference_cca_from_covariance
+from test_metrics import _ref_subspace_sin2
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def toy_data(rng):
 
 
 def sin2_theta(a, b):
-    return _subspace_sin2(a, b)[0]
+    return _ref_subspace_sin2(a, b)
 
 
 def variate_angle(data, est_a, est_b, k=1):

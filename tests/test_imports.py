@@ -1,0 +1,38 @@
+"""The package's modules use each other's public names only.
+
+An underscore-prefixed name is private to the module that defines it: a
+sibling that imports one depends on a detail its owner may change without
+notice.  Dunder names such as ``__version__`` are public.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regcca"
+
+
+def private_sibling_imports(source):
+    """(module, name) of every private name that the module with this
+    ``source`` imports from another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0
+                                                 or (node.module or "").startswith("regcca")):
+            found += [(node.module, alias.name) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_walker_finds_a_private_import():
+    source = ("import numpy as np\nfrom numpy import _globals\n"
+              "from .metrics import _vector_sin2, cv_cc_agg\nfrom . import __version__\n"
+              "from regcca.linalg import _require_finite\n")
+    assert private_sibling_imports(source) == [("metrics", "_vector_sin2"),
+                                               ("regcca.linalg", "_require_finite")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_sibling_imports(path):
+    assert private_sibling_imports(path.read_text()) == []

@@ -9,11 +9,12 @@ from regcca.linalg import (
     canonical_angles,
     gram_schmidt_metric,
     gram_schmidt_reduce,
+    pair_sin2,
+    reduce_stack,
     sym_eig,
     sym_matrix_power,
     thin_svd,
 )
-from regcca.metrics import _orthonormal_sin2
 
 
 class TestCompactSvd:
@@ -145,7 +146,7 @@ class TestCanonicalAngles:
         for k in (1, 2, 3):
             z = random_orthonormal(rng, 9, k)
             w = random_orthonormal(rng, 9, k)
-            sin2, keff = _orthonormal_sin2(z, w)
+            [sin2], [keff] = pair_sin2(np.stack([z, w]), [0], [1])
             assert keff == k
             assert abs(np.sum(canonical_angles(z, w) ** 2) + sin2 - k) <= 1e-10
 
@@ -154,7 +155,7 @@ class TestCanonicalAngles:
         for _ in range(20):
             z = random_orthonormal(rng, 10, 3)
             w = random_orthonormal(rng, 10, 3)
-            sin2, _ = _orthonormal_sin2(z, w)
+            [sin2], _ = pair_sin2(np.stack([z, w]), [0], [1])
             pz = z @ z.T
             pw = w @ w.T
             frob = np.linalg.norm(pz @ (np.eye(10) - pw)) ** 2
@@ -165,6 +166,57 @@ class TestCanonicalAngles:
         w = random_orthonormal(rng, 6, 2)
         with pytest.raises(LinalgError, match="Gram deviation"):
             canonical_angles(z, w)
+
+
+class TestPairSin2:
+    def test_padded_pairs_match_canonical_angles(self, rng):
+        # blocks of 3, 2 and 1 dimensions, padded with zero columns to 3
+        blocks = [random_orthonormal(rng, 8, d) for d in (3, 2, 1, 3)]
+        q = np.zeros((4, 8, 3))
+        for b, block in enumerate(blocks):
+            q[b, :, :block.shape[1]] = block
+        first, second = np.triu_indices(4, 1)
+        sin2, keff = pair_sin2(q, first, second)
+        for p, (i, j) in enumerate(zip(first, second)):
+            k = min(blocks[i].shape[1], blocks[j].shape[1])
+            cos = canonical_angles(blocks[i], blocks[j])
+            assert keff[p] == k
+            assert abs(sin2[p] - (k - np.sum(cos[:k] ** 2))) <= 1e-12
+
+    def test_every_block_checked_in_stack_order(self, rng):
+        q = np.stack([random_orthonormal(rng, 6, 2) for _ in range(3)])
+        bad = q.copy()
+        bad[1, :, 0] *= 2.0
+        bad[2, 0, 1] = np.nan
+        # block 2 is in no pair, and finiteness is checked first
+        with pytest.raises(LinalgError, match="block 2 contains non-finite entries"):
+            pair_sin2(bad, [0], [1])
+        bad[2] = q[2]
+        with pytest.raises(LinalgError, match="block 1 columns not orthonormal: Gram deviation 3"):
+            pair_sin2(bad, [0], [2])
+        # a deviation within ORTH_TOL is accepted
+        bad[1] = q[1] * (1.0 + 1e-10)
+        assert pair_sin2(bad, [0], [1])[1].tolist() == [2]
+
+    def test_zero_dimensional_block_raises_only_in_a_pair(self, rng):
+        q = np.stack([random_orthonormal(rng, 6, 2) for _ in range(3)])
+        q[1] = 0.0
+        sin2, keff = pair_sin2(q, [0], [2])
+        assert keff.tolist() == [2] and 0.0 <= sin2[0] <= 2.0
+        with pytest.raises(LinalgError, match="zero-dimensional subspace"):
+            pair_sin2(q, [0, 2], [2, 1])
+
+    def test_reduce_stack_keeps_columns_in_place(self, rng):
+        m = rng.standard_normal((2, 7, 3))
+        m[1, :, 1] = 2.0 * m[1, :, 0]
+        q = reduce_stack(m)
+        np.testing.assert_array_equal(q[0], gram_schmidt_reduce(m[0])[0])
+        np.testing.assert_array_equal(q[1][:, [0, 2]], gram_schmidt_reduce(m[1])[0])
+        assert np.all(q[1, :, 1] == 0.0)
+        # a dropped column in the middle pads like a trailing one
+        [sin2], [keff] = pair_sin2(q, [0], [1])
+        ref = 2 - np.sum(canonical_angles(q[0], q[1][:, [0, 2]]) ** 2)
+        assert keff == 2 and abs(sin2 - ref) <= 1e-12
 
 
 class TestGramSchmidtMetric:

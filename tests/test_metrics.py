@@ -592,30 +592,46 @@ class TestCvCriteria:
             return type(exc), str(exc)
         return None
 
-    def test_first_failing_pair_or_fold_wins(self, k3_setup):
-        # fold 2 has a NaN in its second column and fold 3 is all zero: at
-        # k = 1 pair (0, 3) fails first, from k = 2 on pair (0, 2) does
+    def test_first_failing_fold_or_stack_check_wins(self, k3_setup):
+        # fold 2 has a NaN in its second column and fold 3 is all zero.
+        # instability checks the whole stack: a zero k-th column anywhere
+        # wins at every k (the per-pair loop raises for the NaN of pair
+        # (0, 2) from k = 2 on); cc_agg still raises for the first failing
+        # fold
         data, folds, traj = k3_setup
         ests = list(traj.fold_estimates(0))
         u = ests[2].u_dirs.copy()
         u[0, 1] = np.nan
         ests[2] = _replace_u(ests[2], u)
+        healthy_fold_3 = ests[3]
         u = ests[3].u_dirs.copy()
         u[:, :] = 0.0
         ests[3] = _replace_u(ests[3], u)
         crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
-        got = self._first_error(crit.instability, 1)
-        assert got == self._first_error(reference_cv_instability, data, ests, 1)
-        assert got == (ValueError, "zero vector in angle computation")
+        assert (self._first_error(reference_cv_instability, data, ests, 1)
+                == (ValueError, "zero vector in angle computation"))
         for k in (2, 3):
-            got = self._first_error(crit.instability, k)
-            assert got == self._first_error(reference_cv_instability, data, ests, k)
-            assert got == (LinalgError, "second block contains non-finite entries")
+            assert (self._first_error(reference_cv_instability, data, ests, k)
+                    == (LinalgError, "second block contains non-finite entries"))
+        for k in (1, 2, 3):
+            assert (self._first_error(crit.instability, k)
+                    == (ValueError, "zero vector in angle computation"))
         for mode in ("successive", "subspace"):
             for k in (1, 2, 3):
                 got = self._first_error(crit.cc_agg, mode, "sq_sum", k)
                 ref = self._first_error(reference_cv_cc_agg, mode, "sq_sum", data, ests, folds, k)
                 assert got == ref
+        # the NaN alone: k = 1 reads only first columns and is defined, the
+        # prefix blocks from k = 2 on hold the NaN of the stack's block 2
+        ests[3] = healthy_fold_3
+        crit = CvCriteria(data, ests, 3)
+        ref = reference_cv_instability(data, ests, 1)
+        got = crit.instability(1)
+        for key in ref:
+            assert abs(got[key] - ref[key]) <= 1e-12
+        for k in (2, 3):
+            assert (self._first_error(crit.instability, k)
+                    == (LinalgError, "block 2 contains non-finite entries"))
         ests[1] = None
         crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
         assert (self._first_error(crit.cc_agg, "subspace", "sq_sum", 2)
