@@ -4,7 +4,8 @@
 Builds a fixed oracle covariance by graphical-lasso-bootstrapping synthetic
 seed data, redraws n samples per seed, and sweeps rcca/spls/scca/gcca over
 their grids with V-fold cross-validation.  Records CV correlation criteria
-next to their oracle counterparts and the top-3 subspace errors.
+next to their oracle counterparts, the top-3 subspace errors and whether
+every fit of the cell converged.
 """
 
 import argparse
@@ -43,7 +44,8 @@ def main():
             continue
         print(f"{kind}: cv-oracle gap={vals['median_cv_oracle_gap_r2s1']:.3f} "
               f"vt_U3={vals['median_vt_U3']:.3f} wt_U3={vals['median_wt_U3']:.3f} "
-              f"best R2s3-cv={vals['median_best_R2s3_cv']:.3f}")
+              f"best R2s3-cv={vals['median_best_R2s3_cv']:.3f} "
+              f"non-converged cells={vals['nonconverged_cells']}")
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .estimators import (
     gcca_fit,
     rcca_fit,
     scca_fit,
+    scca_kkt_residuals,
     spls_fit,
     sweep_trajectory,
 )

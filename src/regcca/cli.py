@@ -98,6 +98,20 @@ def _check_type(where, value, like):
     return value
 
 
+def _check_like(where, value, like):
+    """``_check_type`` of ``value`` and of its parts: each element of a list
+    against the first element of ``like``, each value of a dict against
+    ``like``'s value under the same key (or its first value)."""
+    _check_type(where, value, like)
+    if isinstance(like, list) and like:
+        for i, item in enumerate(value):
+            _check_like(f"{where}[{i}]", item, like[0])
+    elif isinstance(like, dict) and like:
+        for key, item in value.items():
+            _check_like(f"{where}.{key}", item, like.get(key, next(iter(like.values()))))
+    return value
+
+
 def _check_int(where, value, positive=False):
     """A non-negative int, as NumPy's generators take a seed, or with
     ``positive`` an int of at least 1."""
@@ -426,7 +440,7 @@ def _cmd_synth_bench(config, outdir, seed, jobs):
     if unknown:
         raise ConfigError(f"generator.params: {', '.join(unknown)} not a parameter of {preset}")
     for name, value in params.items():
-        _check_type(f"generator.params.{name}", value, defaults[name])
+        _check_like(f"generator.params.{name}", value, defaults[name])
     records = run(**params)
     write_csv_table(Path(outdir) / f"bench_{preset}.csv", fields,
                     [[r.get(f) for f in fields] for r in records])

@@ -7,7 +7,8 @@ rcca   ridge-regularised CCA: plug-in CCA on (1-c)*C + c*I within-view blocks;
 spls   penalised matrix decomposition with Euclidean-metric constraints and
        rank-one deflation; not a true CCA method.
 scca   l1-penalised CCA with covariance-metric constraints, solved by
-       interleaved linearised-ADMM blocks with dual recycling.
+       interleaved linearised-ADMM blocks with dual recycling, Anderson
+       accelerated and certified by a KKT residual per pair.
 gcca   graphical-lasso plug-in: estimate the joint precision, invert, run
        exact CCA on the implied covariance.
 
@@ -39,7 +40,7 @@ from .datamodel import (
     write_json,
 )
 from .glasso import GlassoConvergenceError, glasso_fit
-from .linalg import signed_corrs, soft_threshold, thin_svd
+from .linalg import AndersonMemory, signed_corrs, soft_threshold, thin_svd
 
 __all__ = [
     "EstimatorSpec",
@@ -48,6 +49,7 @@ __all__ = [
     "rcca_fit",
     "spls_fit",
     "scca_fit",
+    "scca_kkt_residuals",
     "gcca_fit",
     "fit_estimator",
     "fit_options",
@@ -282,16 +284,17 @@ def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
     """n_steps linearised-ADMM updates for one weight vector.
 
     xt stacks the data rows with the orthogonality-constraint rows; xdata is
-    the plain data block (first n rows of xt).  The dual update uses the
-    full constraint residual, which reduces to x.u - z for the first pair.
+    the plain data block (first rows of xt), in ``scca_fit`` the thin-QR
+    factor of the data.  The dual update uses the full constraint residual,
+    which reduces to x.u - z for the first pair.
 
     Each step costs two mat-vecs: the constraint residual r = xt.u - (z, 0)
     that closes a step is the one that opens the next (u and z have not
     moved in between), so it is carried across steps, and the z-update reads
     x.u from the same product.  The iterates are those of the four-mat-vec
     step bit for bit when xt is the data block (the first pair); below
-    constraint rows, BLAS may round the leading n entries of xt.u in the
-    last place differently from xdata.u.  xi is updated in place.
+    constraint rows, BLAS may round the leading entries of xt.u in the last
+    place differently from xdata.u.  xi is updated in place.
     """
     n = xdata.shape[0]
     coef = mu / lam_step
@@ -323,6 +326,73 @@ def _scca_init(cxy, tau, k):
     return left[:, k - 1].copy(), right[:, k - 1].copy()
 
 
+def _thin_factor(block):
+    """The R factor of a thin QR of a data block: min(n, p) rows with the
+    block's Gram matrix, on which the LADMM blocks run in place of the n
+    data rows."""
+    return np.linalg.qr(block, mode="r")
+
+
+def _view_kkt(gram, c, w, w_prev, tau):
+    """KKT residual of one view's subproblem at w, the other view fixed.
+
+    w minimises -w.c + tau*||w||_1 subject to w.G.w <= 1 and W_prev.T G w = 0
+    when 0 is in -c + tau*d||w||_1 + gamma*G.w + G.W_prev.eta with gamma >= 0.
+    gamma and eta are fitted by least squares on the support of w; the
+    residual is the Euclidean distance of the rest to tau*d||w||_1 plus the
+    norm of the orthogonality rows W_prev.T G w.  w and the columns of
+    W_prev have unit variance (w.G.w = 1) or are zero.
+    """
+    gw = gram @ w
+    basis = np.column_stack([gw, gram @ w_prev])
+    support = w != 0.0
+    target = c - tau * np.sign(w)
+    coef = np.zeros(basis.shape[1])
+    if support.any():
+        coef = np.linalg.lstsq(basis[support], target[support], rcond=None)[0]
+        if coef[0] < 0.0:
+            coef[0] = 0.0
+            coef[1:] = np.linalg.lstsq(basis[support, 1:], target[support], rcond=None)[0]
+    rest = basis @ coef - c
+    gap = np.where(support, rest + tau * np.sign(w), np.maximum(np.abs(rest) - tau, 0.0))
+    return float(np.linalg.norm(gap) + np.linalg.norm(w_prev.T @ gw))
+
+
+def _unit_variance(w, gram):
+    """w scaled to w.G.w = 1; zero stays zero."""
+    var = float(w @ gram @ w)
+    return w / math.sqrt(var) if var > 0.0 else w
+
+
+def _pair_kkt(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
+    """The pair certificate: the larger of the u and v ``_view_kkt`` at the
+    unit-variance pair, against previous pairs ``u_prev``, ``v_prev`` of
+    unit variance."""
+    u, v = _unit_variance(u, cxx), _unit_variance(v, cyy)
+    return max(_view_kkt(cxx, cxy @ v, u, u_prev, tau),
+               _view_kkt(cyy, cxy.T @ u, v, v_prev, tau))
+
+
+def scca_kkt_residuals(data: PairedDataset, tau, u_dirs, v_dirs):
+    """The scca certificate (``_pair_kkt``) of each pair of direction
+    columns on centred ``data``, pair k against the pairs before it."""
+    _require_centred(data)
+    cxx, cyy, cxy = data.x.T @ data.x, data.y.T @ data.y, data.x.T @ data.y
+    cxx, cyy, cxy = cxx / data.n, cyy / data.n, cxy / data.n
+    u_hat = np.column_stack([_unit_variance(u, cxx) for u in np.asarray(u_dirs, float).T])
+    v_hat = np.column_stack([_unit_variance(v, cyy) for v in np.asarray(v_dirs, float).T])
+    return [_pair_kkt(cxx, cyy, cxy, u_hat[:, k], v_hat[:, k], u_hat[:, :k], v_hat[:, :k], tau)
+            for k in range(u_hat.shape[1])]
+
+
+# type-II Anderson memory of the scca outer map
+_SCCA_ANDERSON_DEPTH = 10
+# outer iterations between evaluations of the pair certificate
+_SCCA_CHECK_EVERY = 5
+# plain steps after the step that replaces a rejected extrapolation
+_SCCA_PLAIN_AFTER_REJECTION = 2
+
+
 def scca_fit(
     data: PairedDataset,
     tau,
@@ -336,17 +406,35 @@ def scca_fit(
     """l1-penalised CCA with covariance-metric orthogonality constraints.
 
     Pair k minimises ``-u.Cxy.v + tau*(||u||_1 + ||v||_1)`` subject to unit
-    variance and orthogonality to the previous pairs, by alternating short
-    linearised-ADMM blocks for u and v.  Data matrices are downscaled by
-    sqrt(n) internally so covariances are plain Gram matrices.  Dual
-    variables persist across outer iterations (``recycle_duals``); the outer
-    loop stops when both weight vectors move less than ``tol`` in l2.  Each
-    inner step costs two mat-vecs with the stacked constraint block; the
-    iterates are those of the textbook four-mat-vec step (see
-    ``_ladmm_block`` for the rounding caveat from the second pair on).
+    variance and covariance-metric orthogonality to the previous pairs, by
+    alternating blocks of ``n_steps_admm`` linearised-ADMM steps for u and
+    v (Suo et al. 2017).  Data matrices are downscaled by sqrt(n) so
+    covariances are plain Gram matrices, and each block runs on the thin-QR
+    factor R of its view (min(n, p) rows, the same Gram matrix) with the
+    orthogonality rows below it; z and xi stay in the column span, so the
+    iterates are those of the n-row block in exact arithmetic.  Each inner
+    step costs two mat-vecs (see ``_ladmm_block``).
 
-    Diagnostics in provenance record total inner iterations, for comparing
-    solver configurations.
+    One outer iteration maps the state (u, z_u, xi_u, v, z_v, xi_v) through
+    the u block and then the v block; the duals carry over
+    (``recycle_duals``) or restart from the weights.  The outer iteration
+    is type-II Anderson accelerated with glasso's safeguard: an
+    extrapolation whose fixed-point residual exceeds the one of the point it
+    came from is dropped for the plain step from that point, and two more
+    plain steps follow before the next extrapolation.  The memory is
+    cleared when the sign pattern of (u, v) changes.
+
+    The stop rule is a certificate: the pair's KKT residual (``_view_kkt``
+    of u and of v, the larger of the two), evaluated at the unit-variance
+    pair the fit returns, every few outer iterations.  The pair stops when
+    it is at most ``tol``; ``converged`` means every pair did so within
+    ``max_outer`` outer iterations.
+
+    ``provenance.info`` records ``total_inner_iterations`` (every LADMM
+    step run, rejected extrapolations included), ``n_steps_admm``,
+    ``recycle_duals`` and per pair ``kkt_residuals``, ``outer_iterations``,
+    ``extrapolations_rejected`` and ``last_outer_moves`` (the l2 moves of u
+    and v in the last accepted outer iteration).
     """
     _require_fit_inputs("scca", tau, data, K)
     n = data.n
@@ -355,69 +443,111 @@ def scca_fit(
     cxx = xd.T @ xd
     cyy = yd.T @ yd
     cxy = xd.T @ yd
+    xr, yr = _thin_factor(xd), _thin_factor(yd)
+    mx, my = xr.shape[0], yr.shape[0]
 
-    def unit_variance(weight, block):
-        nw = np.linalg.norm(block @ weight)
-        return weight / nw if nw > 0 else weight
+    def fresh_duals(weight, stacked, rows):
+        res = stacked @ weight
+        zz = res[:rows].copy()
+        nz = np.linalg.norm(zz)
+        if nz > 1.0:
+            zz = zz / nz
+        res[:rows] -= zz
+        return zz, res
 
     us, vs = [], []
+    # the pairs so far at unit variance, as the certificate reads them
+    u_hat, v_hat = np.zeros((data.p, 0)), np.zeros((data.q, 0))
     total_inner = 0
-    all_converged = True
-    last_moves = []
+    info = {"kkt_residuals": [], "outer_iterations": [], "extrapolations_rejected": [],
+            "last_outer_moves": []}
     for k in range(1, K + 1):
         u_prev = np.column_stack(us) if us else np.zeros((data.p, 0))
         v_prev = np.column_stack(vs) if vs else np.zeros((data.q, 0))
-        xt = np.vstack([xd, (cxx @ u_prev).T])
-        yt = np.vstack([yd, (cyy @ v_prev).T])
+        xt = np.vstack([xr, (cxx @ u_prev).T])
+        yt = np.vstack([yr, (cyy @ v_prev).T])
         mu_x = lambda_step / (2.0 * max(_step_bound(xt), 1e-30))
         mu_y = lambda_step / (2.0 * max(_step_bound(yt), 1e-30))
 
         u, v = _scca_init(cxy, tau, k)
-        u, v = unit_variance(u, xd), unit_variance(v, yd)
+        u, v = _unit_variance(u, cxx), _unit_variance(v, cyy)
+        # the state (u, z_u, xi_u, v, z_v, xi_v) as one vector, and where
+        # each part sits in it
+        state = np.concatenate([u, *fresh_duals(u, xt, mx), v, *fresh_duals(v, yt, my)])
+        ends = np.cumsum([data.p, mx, xt.shape[0], data.q, my, yt.shape[0]])
+        at_u, at_zu, at_xiu, at_v, at_zv, at_xiv = map(slice, np.r_[0, ends[:-1]], ends)
+        at_weights = np.r_[at_u, at_v]
 
-        def fresh_duals(weight, stacked, block):
-            zz = block @ weight
-            nz = np.linalg.norm(zz)
-            if nz > 1.0:
-                zz = zz / nz
-            res = stacked @ weight
-            res[:n] -= zz
-            return zz, res
-
-        z_u, xi_u = fresh_duals(u, xt, xd)
-        z_v, xi_v = fresh_duals(v, yt, yd)
-
-        converged = False
-        last_move = (np.inf, np.inf)
-        for _ in range(max_outer):
-            u_old, v_old = u, v
+        def outer_map(state):
+            # xi is updated in place, the rest is replaced
+            u, z_u, xi_u = state[at_u], state[at_zu], state[at_xiu].copy()
+            v, z_v, xi_v = state[at_v], state[at_zv], state[at_xiv].copy()
             if not recycle_duals:
-                z_u, xi_u = fresh_duals(u, xt, xd)
-            u, z_u, xi_u = _ladmm_block(
-                u, z_u, xi_u, xt, xd, cxy @ v, tau, lambda_step, mu_x, n_steps_admm
-            )
+                z_u, xi_u = fresh_duals(u, xt, mx)
+            u, z_u, xi_u = _ladmm_block(u, z_u, xi_u, xt, xr, cxy @ v, tau, lambda_step, mu_x,
+                                        n_steps_admm)
             if not recycle_duals:
-                z_v, xi_v = fresh_duals(v, yt, yd)
-            v, z_v, xi_v = _ladmm_block(
-                v, z_v, xi_v, yt, yd, cxy.T @ u, tau, lambda_step, mu_y, n_steps_admm
-            )
+                z_v, xi_v = fresh_duals(v, yt, my)
+            v, z_v, xi_v = _ladmm_block(v, z_v, xi_v, yt, yr, cxy.T @ u, tau, lambda_step, mu_y,
+                                        n_steps_admm)
+            return np.concatenate([u, z_u, xi_u, v, z_v, xi_v])
+
+        def certificate(image):
+            return _pair_kkt(cxx, cyy, cxy, image[at_u], image[at_v], u_hat, v_hat, tau)
+
+        memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH)
+        last_signs = None
+        # the last point evaluated with a plain or accepted step: its
+        # fixed-point residual, its norm and its image
+        base_f, base_res, base_image = np.zeros_like(state), np.inf, state
+        extrapolated = False
+        rejected = it = plain = 0
+        kkt, checked = np.inf, -1
+        for it in range(1, max_outer + 1):
+            image = outer_map(state)
             total_inner += 2 * n_steps_admm
-            last_move = (
-                float(np.linalg.norm(u - u_old)),
-                float(np.linalg.norm(v - v_old)),
-            )
-            if last_move[0] < tol and last_move[1] < tol:
-                converged = True
-                break
-        all_converged &= converged
-        last_moves.append(last_move)
-        us.append(u)
-        vs.append(v)
+            f = image - state
+            res = float(np.linalg.norm(f))
+            if extrapolated and res > base_res:
+                # the extrapolation made the residual grow: take the plain
+                # step from the point it was extrapolated from
+                rejected += 1
+                state, extrapolated, plain = base_image, False, _SCCA_PLAIN_AFTER_REJECTION
+                continue
+            base_f, base_res, base_image = f, res, image
+            if it % _SCCA_CHECK_EVERY == 0:
+                kkt, checked = certificate(image), it
+                if kkt <= tol:
+                    break
+            # on one sign pattern of (u, v) the outer map is affine but for
+            # the ball projection; a new pattern is a new map, whose
+            # residuals do not mix with the old ones
+            signs = np.sign(image[at_weights])
+            if not np.array_equal(signs, last_signs):
+                memory.clear()
+            last_signs = signs
+            memory.push(f, image)
+            if memory.count > 1 and not plain:
+                state, extrapolated = memory.extrapolate(), True
+            else:
+                state, extrapolated, plain = image, False, max(plain - 1, 0)
+        if checked != it:
+            kkt = certificate(base_image)
+        info["kkt_residuals"].append(kkt)
+        info["outer_iterations"].append(it)
+        info["extrapolations_rejected"].append(rejected)
+        info["last_outer_moves"].append((float(np.linalg.norm(base_f[at_u])),
+                                         float(np.linalg.norm(base_f[at_v]))))
+        us.append(base_image[at_u])
+        vs.append(base_image[at_v])
+        u_hat = np.column_stack([u_hat, _unit_variance(us[-1], cxx)])
+        v_hat = np.column_stack([v_hat, _unit_variance(vs[-1], cyy)])
 
-    info = {"total_inner_iterations": total_inner, "n_steps_admm": n_steps_admm,
-            "recycle_duals": recycle_duals, "last_outer_moves": last_moves}
+    info.update(total_inner_iterations=total_inner, n_steps_admm=n_steps_admm,
+                recycle_duals=recycle_duals)
+    converged = all(r <= tol for r in info["kkt_residuals"])
     return _estimate("scca", tau, data, np.column_stack(us), np.column_stack(vs),
-                     converged=all_converged, info=info)
+                     converged=converged, info=info)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ BOOTSTRAP_PANEL_DEFAULTS = {
 }
 
 BOOTSTRAP_PANEL_FIELDS = ["kind", "penalty", "seed", "r2s1_cv", "r2s1", "r2s3_cv", "R2s3_cv",
-                          "vt_U3", "wt_U3"]
+                          "vt_U3", "wt_U3", "converged"]
 
 
 def _bootstrap_truth(cfg):
@@ -165,7 +165,9 @@ def run_bootstrap_panel_bench(**overrides):
 
     The oracle covariance is fixed across seeds; each seed redraws the n
     samples.  Records carry CV and oracle correlation criteria plus the
-    top-3 subspace errors, per (kind, penalty, seed).
+    top-3 subspace errors, per (kind, penalty, seed) cell, and
+    ``converged``: whether every fit of the cell (its V fold fits and the
+    full-sample fit) converged.
     """
     cfg = {**BOOTSTRAP_PANEL_DEFAULTS, **overrides}
     boot_cov = _bootstrap_truth(cfg)
@@ -200,6 +202,7 @@ def run_bootstrap_panel_bench(**overrides):
                     continue
                 row["vt_U3"] = err["vt_Uk"]
                 row["wt_U3"] = err["wt_Uk"]
+                row["converged"] = all(e.provenance.converged for e in fold_ests + [full])
                 records.append(row)
     return records
 
@@ -208,8 +211,9 @@ def summarise_bootstrap_panel(records, kinds):
     """Medians over seeds of the panel's acceptance quantities.
 
     ``seeds_used`` counts the seeds with at least one record of the kind;
-    the medians are present only when it is positive (a kind whose cells
-    were all skipped has none).
+    the medians, and ``nonconverged_cells`` (the kind's records over all
+    seeds with ``converged`` false), are present only when it is positive
+    (a kind whose cells were all skipped has none).
     """
     out = {}
     seeds = sorted({r["seed"] for r in records})
@@ -232,5 +236,6 @@ def summarise_bootstrap_panel(records, kinds):
                 median_vt_U3=float(np.median(vt3)),
                 median_wt_U3=float(np.median(wt3)),
                 median_best_R2s3_cv=float(np.median(best_R)),
+                nonconverged_cells=sum(not r["converged"] for r in records if r["kind"] == kind),
             )
     return out

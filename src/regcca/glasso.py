@@ -32,15 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import soft_threshold
+from .linalg import AndersonMemory, soft_threshold
 
 __all__ = ["PrecisionEstimate", "GlassoConvergenceError", "glasso_fit", "kkt_residual"]
 
 # Anderson memory: how many recent fixed-point residuals are mixed.
 ANDERSON_MEMORY = 5
-# Tikhonov weight of the mixing least-squares solve, relative to the mean
-# squared residual norm in memory; keeps nearly collinear residuals solvable.
-ANDERSON_REG = 1e-10
 
 
 class GlassoError(ValueError):
@@ -110,42 +107,6 @@ def _logdet_prox(v, c, rho):
     return 0.5 * (x + x.T)
 
 
-class _AndersonMemory:
-    """The last ANDERSON_MEMORY fixed-point residuals and images, flattened,
-    with the Gram matrix of the residuals updated one row per push."""
-
-    def __init__(self, shape):
-        size = int(np.prod(shape))
-        self.shape = shape
-        self.residuals = np.empty((ANDERSON_MEMORY, size))
-        self.images = np.empty((ANDERSON_MEMORY, size))
-        self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
-        self.count = self.head = 0
-
-    def clear(self):
-        self.count = self.head = 0
-
-    def push(self, residual, image):
-        i = self.head
-        self.residuals[i] = residual.ravel()
-        self.images[i] = image.ravel()
-        self.count = min(self.count + 1, ANDERSON_MEMORY)
-        self.head = (i + 1) % ANDERSON_MEMORY
-        # einsum rather than BLAS: OpenBLAS threads these long, thin products
-        row = np.einsum("ij,j->i", self.residuals[: self.count], self.residuals[i])
-        self.gram[i, : self.count] = row
-        self.gram[: self.count, i] = row
-
-    def extrapolate(self):
-        """Affine combination of the images whose residuals mix to least
-        norm: alpha minimises ||sum_j alpha_j f_j|| with sum_j alpha_j = 1."""
-        n = self.count
-        gram = self.gram[:n, :n].copy()
-        gram.flat[:: n + 1] += ANDERSON_REG * np.trace(gram) / n
-        y = np.linalg.solve(gram, np.ones(n))
-        return np.einsum("i,ij->j", y / np.sum(y), self.images[:n]).reshape(self.shape)
-
-
 def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     """Anderson-accelerated ADMM solve of the off-diagonal l1-penalised
     Gaussian log-likelihood (see the module docstring for the iteration).
@@ -194,7 +155,7 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     diag = np.maximum(np.diagonal(c), 1e-12)
     s = np.diag(1.0 / diag)
     z = s.copy()
-    memory = _AndersonMemory(c.shape)
+    memory = AndersonMemory(c.shape, ANDERSON_MEMORY)
     # the last point evaluated with a plain or accepted step: its fixed-point
     # residual norm, its image T(S) and the soft-threshold of that image
     base_res = np.inf

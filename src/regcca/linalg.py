@@ -7,6 +7,8 @@ eigenvalues to a power, and is the one clamp every whitening and
 (``gram_schmidt_metric`` is its strict form, ``reduce_stack`` its stacked
 use); ``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the
 one squared sin-Theta, and ``signed_corrs`` per-column correlations.
+``AndersonMemory`` is the one type-II Anderson mixing of a fixed-point
+iteration, shared by the glasso and scca solvers.
 
 Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
@@ -30,12 +32,17 @@ __all__ = [
     "gram_schmidt_metric",
     "gram_schmidt_reduce",
     "reduce_stack",
+    "AndersonMemory",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
 # largest max-entry deviation of a Gram matrix from the identity that still
 # counts as orthonormal columns
 ORTH_TOL = 1e-8
+# Tikhonov weight of the Anderson mixing least-squares solve, relative to the
+# mean squared residual norm in memory; keeps nearly collinear residuals
+# solvable
+ANDERSON_REG = 1e-10
 
 
 class LinalgError(ValueError):
@@ -247,3 +254,55 @@ def gram_schmidt_metric(m, g=None):
         j = next((i for i, col in enumerate(kept) if i != col), len(kept))
         raise LinalgError(f"rank deficiency at column {j}")
     return q
+
+
+class AndersonMemory:
+    """The last ``depth`` fixed-point residuals f_j = T(s_j) - s_j and
+    images T(s_j) of an iteration s <- T(s), flattened, with the Gram matrix
+    of the residuals updated one row per push.
+
+    ``extrapolate`` is the type-II Anderson step (Walker & Ni 2011): the
+    affine combination of the images whose residuals mix to the least norm.
+    A solver clears the memory when its map changes.
+    """
+
+    def __init__(self, shape, depth):
+        size = int(np.prod(shape))
+        self.shape = shape
+        self.depth = depth
+        self.residuals = np.empty((depth, size))
+        self.images = np.empty((depth, size))
+        self.gram = np.empty((depth, depth))
+        self.count = self.head = 0
+
+    def clear(self):
+        self.count = self.head = 0
+
+    def push(self, residual, image):
+        i = self.head
+        self.residuals[i] = residual.ravel()
+        self.images[i] = image.ravel()
+        self.count = min(self.count + 1, self.depth)
+        self.head = (i + 1) % self.depth
+        # einsum rather than BLAS: OpenBLAS threads these long, thin products
+        row = np.einsum("ij,j->i", self.residuals[: self.count], self.residuals[i])
+        self.gram[i, : self.count] = row
+        self.gram[: self.count, i] = row
+
+    def weights(self):
+        """alpha over the slots in memory: it minimises
+        ||sum_j alpha_j f_j|| subject to sum_j alpha_j = 1, by the
+        regularised normal equations of the residuals' Gram matrix.  When
+        every residual in memory is zero, all weight is on the newest."""
+        n = self.count
+        gram = self.gram[:n, :n].copy()
+        trace = np.trace(gram)
+        if trace == 0.0:
+            return np.eye(n)[(self.head - 1) % self.depth]
+        gram.flat[:: n + 1] += ANDERSON_REG * trace / n
+        y = np.linalg.solve(gram, np.ones(n))
+        return y / np.sum(y)
+
+    def extrapolate(self):
+        """The affine combination of the images with the ``weights``."""
+        return np.einsum("i,ij->j", self.weights(), self.images[: self.count]).reshape(self.shape)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import regcca.cli
+from regcca import estimators
 from regcca.cli import main
 from regcca.compare import overlap_matrix, registered_overlaps, trajectory_comparison
 from regcca.datamodel import center_and_covariance, load_two_view_csv, make_folds, save_two_view_csv
@@ -385,6 +386,13 @@ class TestConfigErrors:
         ("fit", {"estimators": [{"kind": "rcca", "penalty": "0.5", "K": 1}]},
          "estimators[0].penalty"),
         ("fit", {"output": {"export_data": "no"}}, "output.export_data"),
+        # a TypeError traceback inside the preset
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "n_list": ["x"], "kinds": ["rcca"], "grids": {"rcca": [0.2]}}}},
+         "generator.params.n_list"),
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "n_list": [40], "kinds": ["rcca"], "grids": {"rcca": ["a"]}}}},
+         "generator.params.grids.rcca"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -547,6 +555,19 @@ class TestSynthBench:
             warnings.simplefilter("error")
             summary = summarise_bootstrap_panel(records, ["scca"])
         assert summary == {"scca": {"seeds_used": 0}}
+
+    def test_bootstrap_panel_counts_nonconverged_cells(self, monkeypatch):
+        kw = {"n_seeds": 1, "kinds": ["spls"], "grids": {"spls": [1.5, 4.0]}}
+        records = run_bootstrap_panel_bench(**kw)
+        assert [r["converged"] for r in records] == [True, True]
+        assert summarise_bootstrap_panel(records, ["spls"])["spls"]["nonconverged_cells"] == 0
+        # one alternation sweep never converges
+        fit = estimators.spls_fit
+        monkeypatch.setattr(estimators, "spls_fit",
+                            lambda data, s, K: fit(data, s, K, max_sweeps=1))
+        records = run_bootstrap_panel_bench(**kw)
+        assert [r["converged"] for r in records] == [False, False]
+        assert summarise_bootstrap_panel(records, ["spls"])["spls"]["nonconverged_cells"] == 2
 
     def test_unknown_preset_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bench.json", {

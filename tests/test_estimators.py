@@ -18,6 +18,7 @@ from regcca.estimators import (
     rcca_fit,
     save_estimate,
     scca_fit,
+    scca_kkt_residuals,
     spls_fit,
     sweep_trajectory,
 )
@@ -589,6 +590,89 @@ class TestScca:
         assert len(moves) == 1 and moves[0][0] > 1e-14
 
 
+class TestSccaCertificate:
+    def test_sample_cca_is_stationary_without_penalty(self, toy_data):
+        classic = sample_cca(toy_data, 1)
+        [kkt] = scca_kkt_residuals(toy_data, 0.0, classic.u_dirs, classic.v_dirs)
+        assert kkt <= 1e-8
+
+    def test_perturbed_direction_fails(self, toy_data):
+        est = scca_fit(toy_data, 0.02, 1)
+        [kkt] = scca_kkt_residuals(toy_data, 0.02, est.u_dirs, est.v_dirs)
+        assert est.provenance.converged and kkt <= 1e-6
+        bad = est.u_dirs.copy()
+        bad[np.argmax(np.abs(bad[:, 0])), 0] *= 1.01
+        [kkt] = scca_kkt_residuals(toy_data, 0.02, bad, est.v_dirs)
+        assert kkt > 1e-6
+
+    def test_three_pairs_certified_with_orthogonality_multipliers(self):
+        cov, _ = canonical_pair_covariance(10, 8, [0.85, 0.6, 0.4], 2, seed=31)
+        data, _ = center_and_covariance(mvn_sample(cov, 150, seed=32))
+        est = scca_fit(data, 0.02, 3)
+        stored = est.provenance.info["kkt_residuals"]
+        assert est.provenance.converged and len(stored) == 3
+        assert max(stored) <= 1e-6
+        again = scca_kkt_residuals(data, 0.02, est.u_dirs, est.v_dirs)
+        np.testing.assert_allclose(again, stored, rtol=1e-6, atol=1e-12)
+        # without the pairs before it (no eta), a later pair is not stationary
+        for k in (1, 2):
+            [alone] = scca_kkt_residuals(data, 0.02, est.u_dirs[:, k:k + 1],
+                                         est.v_dirs[:, k:k + 1])
+            assert alone > 1e-3
+
+    def test_one_outer_iteration_is_not_certified(self, toy_data):
+        est = scca_fit(toy_data, 0.02, 1, max_outer=1)
+        info = est.provenance.info
+        assert not est.provenance.converged
+        assert info["outer_iterations"] == [1] and info["kkt_residuals"][0] > 1e-6
+        [kkt] = scca_kkt_residuals(toy_data, 0.02, est.u_dirs, est.v_dirs)
+        assert kkt == pytest.approx(info["kkt_residuals"][0], rel=1e-6)
+
+    @pytest.mark.parametrize("n, p, rows", [(150, 10, 0), (150, 10, 2), (24, 30, 1)])
+    def test_ladmm_block_on_the_thin_factor(self, rng, n, p, rows):
+        # z and xi in the column span of the data: the block on R = Q'X
+        # runs the iterates of the block on X in Q-coordinates
+        xd = rng.standard_normal((n, p)) / np.sqrt(n)
+        q, r = np.linalg.qr(xd)
+        np.testing.assert_array_equal(estimators._thin_factor(xd), r)
+        m = r.shape[0]
+        cons = 0.3 * rng.standard_normal((rows, p))
+        u = 0.3 * rng.standard_normal(p)
+        z = xd @ u / max(1.0, np.linalg.norm(xd @ u))
+        xi = q @ (0.1 * rng.standard_normal(m))
+        xi_cons = 0.1 * rng.standard_normal(rows)
+        c = 0.5 * rng.standard_normal(p)
+        mu = 0.5 / estimators._step_bound(np.vstack([xd, cons]))
+        full = estimators._ladmm_block(u, z, np.r_[xi, xi_cons], np.vstack([xd, cons]), xd,
+                                       c, 0.05, 1.0, mu, 20)
+        thin = estimators._ladmm_block(u, q.T @ z, np.r_[q.T @ xi, xi_cons],
+                                       np.vstack([r, cons]), r, c, 0.05, 1.0, mu, 20)
+        np.testing.assert_allclose(thin[0], full[0], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(q @ thin[1], full[1], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(np.r_[q @ thin[2][:m], thin[2][m:]], full[2],
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_thin_factor_keeps_the_work_on_criterion_3(self, monkeypatch, n):
+        # the fit on the n-row blocks makes the same decisions; Anderson's
+        # least-squares weights carry rounding differences up to 1e-10 into
+        # the directions
+        for seed in range(3):
+            data = criterion_3_sample(n, seed)
+            for tau in (0.02, 0.05, 0.1, 0.2):
+                est = scca_fit(data, tau, 1)
+                monkeypatch.setattr(estimators, "_thin_factor", lambda block: block)
+                ref = scca_fit(data, tau, 1)
+                monkeypatch.undo()
+                for key in ("total_inner_iterations", "outer_iterations",
+                            "extrapolations_rejected"):
+                    assert est.provenance.info[key] == ref.provenance.info[key]
+                assert est.provenance.converged == ref.provenance.converged
+                for a, b in ((est.u_dirs, ref.u_dirs), (est.v_dirs, ref.v_dirs)):
+                    np.testing.assert_array_equal(a != 0.0, b != 0.0)
+                    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+
+
 def reference_ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
     """The linearised-ADMM block with four mat-vecs per step: the textbook
     form the fused block must reproduce bit for bit."""
@@ -781,6 +865,13 @@ class TestCommonContract:
         assert est.provenance.degenerate and not est.provenance.converged
         np.testing.assert_array_equal(est.v_dirs, 0.0)
         np.testing.assert_allclose(np.mean((toy_data.x @ est.u_dirs) ** 2, axis=0), 1.0)
+
+    def test_scca_options_are_pinned(self):
+        # the Anderson memory and the certificate's check interval are
+        # constants: a new scca knob is a new row here
+        assert estimators.fit_options("scca") == {
+            "lambda_step": 1.0, "n_steps_admm": 5, "tol": 1e-6, "max_outer": 2000,
+            "recycle_duals": True}
 
     def test_fit_options_read_through_a_wrapper(self, monkeypatch):
         assert estimators.fit_options("rcca") == {}

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_orthonormal, random_pd
 from regcca.linalg import (
+    AndersonMemory,
     LinalgError,
     canonical_angles,
     gram_schmidt_metric,
@@ -349,3 +350,40 @@ def test_sym_eig_reconstructs(seed, d):
     assert np.all(np.diff(w) <= 1e-12)
     err = np.linalg.norm(a - (q * w) @ q.T)
     assert err <= 1e-10 * max(np.linalg.norm(a), 1.0)
+
+
+class TestAndersonMemory:
+    def test_weights_solve_the_constrained_least_squares(self, rng):
+        memory = AndersonMemory((3, 4), 5)
+        pushed = [(rng.standard_normal((3, 4)), rng.standard_normal((3, 4))) for _ in range(7)]
+        for residual, image in pushed:
+            memory.push(residual, image)
+        assert memory.count == 5
+        # the ring holds the last five pushes; alpha minimises
+        # ||sum_j alpha_j f_j|| subject to sum_j alpha_j = 1 (Lagrange system)
+        order = [5, 6, 2, 3, 4]
+        f = np.column_stack([pushed[i][0].ravel() for i in order])
+        kkt = np.block([[2.0 * f.T @ f, np.ones((5, 1))], [np.ones((1, 5)), np.zeros((1, 1))]])
+        alpha = np.linalg.solve(kkt, np.r_[np.zeros(5), 1.0])[:5]
+        weights = memory.weights()
+        assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(weights, alpha, rtol=1e-6, atol=1e-9)
+        expected = sum(a * pushed[i][1] for a, i in zip(alpha, order))
+        np.testing.assert_allclose(memory.extrapolate(), expected, rtol=1e-6, atol=1e-9)
+
+    def test_clear_empties_the_memory(self, rng):
+        memory = AndersonMemory((6,), 3)
+        for _ in range(4):
+            memory.push(rng.standard_normal(6), rng.standard_normal(6))
+        memory.clear()
+        assert memory.count == 0
+        residual, image = rng.standard_normal(6), rng.standard_normal(6)
+        memory.push(residual, image)
+        np.testing.assert_array_equal(memory.weights(), [1.0])
+        np.testing.assert_array_equal(memory.extrapolate(), image)
+
+    def test_zero_residuals_keep_the_newest_image(self):
+        memory = AndersonMemory((2,), 3)
+        for value in (1.0, 2.0, 3.0, 4.0):
+            memory.push(np.zeros(2), np.full(2, value))
+        np.testing.assert_array_equal(memory.extrapolate(), [4.0, 4.0])
