@@ -9,10 +9,9 @@ every fit of the cell converged.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from regcca.datamodel import write_csv_table
+from regcca.datamodel import write_csv_table, write_json
 from regcca.experiments import (
     BOOTSTRAP_PANEL_DEFAULTS,
     BOOTSTRAP_PANEL_FIELDS,
@@ -36,8 +35,7 @@ def main():
                     [[r.get(f) for f in BOOTSTRAP_PANEL_FIELDS] for r in records])
 
     summary = summarise_bootstrap_panel(records, BOOTSTRAP_PANEL_DEFAULTS["kinds"])
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    write_json(outdir / "summary.json", summary)
     for kind, vals in summary.items():
         if not vals["seeds_used"]:
             print(f"{kind}: no seed with a scored cell")

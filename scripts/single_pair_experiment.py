@@ -8,10 +8,9 @@ Writes a long-format CSV plus a per-(kind, n) summary of grid-best medians.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from regcca.datamodel import write_csv_table
+from regcca.datamodel import write_csv_table, write_json
 from regcca.experiments import (
     CANONICAL_PAIR_DEFAULTS,
     CANONICAL_PAIR_FIELDS,
@@ -39,8 +38,7 @@ def main():
 
     summary = summarise_canonical_pair(records, args.kinds, args.n)
     printable = {f"{kind}@n={n}": vals for (kind, n), vals in summary.items()}
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(printable, fh, indent=2, sort_keys=True)
+    write_json(outdir / "summary.json", printable)
     for key in sorted(printable):
         vals = printable[key]
         print(f"{key}: oracle rho={vals['median_rho_oracle']:.3f} "

@@ -43,7 +43,7 @@ from .estimators import (
 )
 from . import experiments as ex
 from .glasso import GlassoConvergenceError
-from .metrics import CvCriteria, MetricReport, metric_name, validation_splits
+from .metrics import cv_table, validation_splits
 from .synth import canonical_pair_covariance, mvn_sample, powerlaw_precision
 
 
@@ -228,19 +228,21 @@ def _fit_listed(listed, data, seed, command):
     return fits
 
 
-def _parse_metrics(config):
-    sec = _require(config, "metrics", dict, default={})
-    k_list = sec.get("k_list", [1, 3, 5])
+def _k_list(config, default):
+    """``metrics.k_list``, or ``default`` where the config gives none."""
+    k_list = _require(config, "metrics", dict, default={}).get("k_list", default)
     if (not isinstance(k_list, list) or not k_list
             or not all(_is_int(k) and k >= 1 for k in k_list)):
         raise ConfigError("metrics.k_list: must be a nonempty list of positive integers")
-    aggs = _require(sec, "aggregations", list, "metrics", ["sq_sum"])
-    for a in aggs:
-        if a != "sq_sum":
-            raise ConfigError(
-                "metrics.aggregations: only 'sq_sum' is reportable in the metric CSV; "
-                "other aggregations are available through the library API"
-            )
+    return k_list
+
+
+def _parse_metrics(config):
+    k_list = _k_list(config, [1, 3, 5])
+    aggs = _require(config.get("metrics", {}), "aggregations", list, "metrics", ["sq_sum"])
+    if any(a != "sq_sum" for a in aggs):
+        raise ConfigError("metrics.aggregations: only 'sq_sum' is reportable in the metric CSV; "
+                          "other aggregations are available through the library API")
     return k_list
 
 
@@ -256,9 +258,8 @@ def _parse_registration(config, listed):
     ref = sec.get("reference", 0)
     if not _is_int(ref) or not 0 <= ref < len(listed):
         raise ConfigError("registration.reference: index out of range")
-    # by default the last metrics.k_list entry
-    k_list = _require(config, "metrics", dict, default={}).get("k_list", [3])
-    k = sec.get("comparison_k", k_list[-1] if isinstance(k_list, list) and k_list else None)
+    # by default the last metrics.k_list entry, or 3 without one
+    k = sec["comparison_k"] if "comparison_k" in sec else _k_list(config, [3])[-1]
     k_max = min(K for _, _, K, _ in listed)
     if not _is_int(k) or not 1 <= k <= k_max:
         raise ConfigError(f"registration.comparison_k: {k!r} is not an int in [1, {k_max}], "
@@ -325,7 +326,7 @@ def _cmd_sweep(config, outdir, seed, jobs):
     k_list = _parse_metrics(config)
     folds = _fold_plan(config, data, seed)
 
-    report = MetricReport()
+    rows = []
     warning_count = 0
     validation = validation_splits(data, folds)
     for kind, _, K, options in listed:
@@ -346,33 +347,12 @@ def _cmd_sweep(config, outdir, seed, jobs):
             warning_count += _warn(f"{kind} penalty[{i}] fold {fold} failed: {msg}")
 
         for i, penalty in enumerate(kind_grid):
-            fold_ests = traj.fold_estimates(i)
-            if any(e is None for e in fold_ests):
-                continue
-            k_avail = min(e.k for e in fold_ests)
-            ks = [k for k in k_list if k <= k_avail]
-            if not ks:
-                continue
-            crit = CvCriteria(data, fold_ests, max(ks), validation)
-            for k in ks:
-                # (family, value, dispersion) of each criterion computed before
-                # one fails
-                rows = []
-                try:
-                    for family, mode in (("r2s", "successive"), ("R2s", "subspace")):
-                        rows.append((family, *crit.cc_agg(mode, "sq_sum", k)))
-                    inst = crit.instability(k)
-                    rows += [(family, inst[family.replace("-", "_") + "k_cv"], None)
-                             for family in ("wt-u", "vt-u", "wt-U", "vt-U")]
-                except ValueError as exc:
-                    # degenerate fold estimates make some criteria undefined
-                    if not any(e.provenance.degenerate for e in fold_ests):
-                        raise
-                    warning_count += _warn(f"{kind} penalty[{i}] k={k} metrics skipped: {exc}")
-                for family, value, disp in rows:
-                    report.add(algorithm=kind, penalty=penalty, fold="cv", k=k, value=value,
-                               metric=metric_name(family, k, cv=True), dispersion=disp)
-    report.to_csv(Path(outdir) / "metrics.csv")
+            table, skipped = cv_table(data, traj.fold_estimates(i), validation, k_list)
+            for k, exc in skipped:
+                warning_count += _warn(f"{kind} penalty[{i}] k={k} metrics skipped: {exc}")
+            rows += [[kind, penalty, "cv", metric, k, value] for metric, k, value, _ in table]
+    write_csv_table(Path(outdir) / "metrics.csv",
+                    ["algorithm", "penalty", "fold", "metric", "k", "value"], rows)
     return warning_count
 
 

@@ -181,20 +181,9 @@ def split_fold(data: PairedDataset, plan: FoldPlan, v):
     va = plan.validation_rows(v)
     mx = data.x[tr].mean(axis=0)
     my = data.y[tr].mean(axis=0)
-    train = replace(
-        data,
-        x=data.x[tr] - mx,
-        y=data.y[tr] - my,
-        centred=True,
-        centring_means=(mx, my),
-    )
-    val = replace(
-        data,
-        x=data.x[va] - mx,
-        y=data.y[va] - my,
-        centred=False,
-        centring_means=(mx, my),
-    )
+    train, val = (replace(data, x=data.x[rows] - mx, y=data.y[rows] - my, centred=centred,
+                          centring_means=(mx, my))
+                  for rows, centred in ((tr, True), (va, False)))
     return train, val
 
 

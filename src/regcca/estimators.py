@@ -237,11 +237,10 @@ def _pmd_pair(cmat, s, max_sweeps=200, tol=1e-9):
     for _ in range(max_sweeps):
         u_new = _l1_ball_unit_vector(cmat @ v, s)
         v_new = _l1_ball_unit_vector(cmat.T @ u_new, s)
-        if np.linalg.norm(u_new - u) < tol and np.linalg.norm(v_new - v) < tol:
-            u, v = u_new, v_new
-            converged = True
-            break
+        converged = bool(np.linalg.norm(u_new - u) < tol and np.linalg.norm(v_new - v) < tol)
         u, v = u_new, v_new
+        if converged:
+            break
     d = float(u @ cmat @ v)
     return u, v, d, converged
 
@@ -391,13 +390,14 @@ _SCCA_ANDERSON_DEPTH = 10
 _SCCA_CHECK_EVERY = 5
 # plain steps after the step that replaces a rejected extrapolation
 _SCCA_PLAIN_AFTER_REJECTION = 2
+# the linearised-ADMM step size mu is this fraction of 1 / (2 ||X||^2)
+_SCCA_LAMBDA_STEP = 1.0
 
 
 def scca_fit(
     data: PairedDataset,
     tau,
     K,
-    lambda_step=1.0,
     n_steps_admm=5,
     tol=1e-6,
     max_outer=2000,
@@ -466,8 +466,8 @@ def scca_fit(
         v_prev = np.column_stack(vs) if vs else np.zeros((data.q, 0))
         xt = np.vstack([xr, (cxx @ u_prev).T])
         yt = np.vstack([yr, (cyy @ v_prev).T])
-        mu_x = lambda_step / (2.0 * max(_step_bound(xt), 1e-30))
-        mu_y = lambda_step / (2.0 * max(_step_bound(yt), 1e-30))
+        mu_x = _SCCA_LAMBDA_STEP / (2.0 * max(_step_bound(xt), 1e-30))
+        mu_y = _SCCA_LAMBDA_STEP / (2.0 * max(_step_bound(yt), 1e-30))
 
         u, v = _scca_init(cxy, tau, k)
         u, v = _unit_variance(u, cxx), _unit_variance(v, cyy)
@@ -484,12 +484,12 @@ def scca_fit(
             v, z_v, xi_v = state[at_v], state[at_zv], state[at_xiv].copy()
             if not recycle_duals:
                 z_u, xi_u = fresh_duals(u, xt, mx)
-            u, z_u, xi_u = _ladmm_block(u, z_u, xi_u, xt, xr, cxy @ v, tau, lambda_step, mu_x,
-                                        n_steps_admm)
+            u, z_u, xi_u = _ladmm_block(u, z_u, xi_u, xt, xr, cxy @ v, tau, _SCCA_LAMBDA_STEP,
+                                        mu_x, n_steps_admm)
             if not recycle_duals:
                 z_v, xi_v = fresh_duals(v, yt, my)
-            v, z_v, xi_v = _ladmm_block(v, z_v, xi_v, yt, yr, cxy.T @ u, tau, lambda_step, mu_y,
-                                        n_steps_admm)
+            v, z_v, xi_v = _ladmm_block(v, z_v, xi_v, yt, yr, cxy.T @ u, tau, _SCCA_LAMBDA_STEP,
+                                        mu_y, n_steps_admm)
             return np.concatenate([u, z_u, xi_u, v, z_v, xi_v])
 
         def certificate(image):
@@ -554,7 +554,7 @@ def scca_fit(
 # graphical CCA
 # ---------------------------------------------------------------------------
 
-def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000):
+def gcca_fit(data: PairedDataset, lam, K, glasso_max_iter=5000):
     """Graphical-lasso plug-in CCA.
 
     Fits a sparse joint precision to the sample covariance, inverts it and
@@ -564,7 +564,7 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_tol=1e-7, glasso_max_iter=5000)
     """
     _require_fit_inputs("gcca", lam, data, K)
     _, cov = center_and_covariance(data)
-    prec = glasso_fit(cov.joint(), lam, tol=glasso_tol, max_iter=glasso_max_iter)
+    prec = glasso_fit(cov.joint(), lam, max_iter=glasso_max_iter)
     model = CovarianceModel.from_joint(prec.sigma, data.p)
     est = cca_from_covariance(model, K, algorithm="gcca")
     return _estimate("gcca", lam, data, est.u_dirs, est.v_dirs, est.rho,

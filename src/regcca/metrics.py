@@ -6,13 +6,10 @@ variate-space squared sin-Theta quantities, u{k} / U{k} for single pairs
 versus leading-k subspaces, and a -cv suffix for the cross-validated forms.
 """
 
-import re
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
-from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold, write_csv_table
+from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold
 from .linalg import gram_schmidt_reduce, pair_sin2, reduce_stack, signed_corrs, sym_matrix_power
 
 __all__ = [
@@ -26,10 +23,10 @@ __all__ = [
     "validation_splits",
     "estimation_error",
     "cv_instability",
+    "cv_table",
     "mutual_information",
     "gauss_mutual_info",
-    "MetricRecord",
-    "MetricReport",
+    "METRIC_FAMILIES",
     "metric_name",
 ]
 
@@ -298,40 +295,44 @@ def cv_instability(data: PairedDataset, fold_estimates, k):
 # long-format reporting
 # ---------------------------------------------------------------------------
 
-_METRIC_NAME_RE = re.compile(r"^(r2s\d+|R2s\d+|(wt|vt)-(u|U)\d+)(-cv)?$")
+# the CV criterion families, in the order a sweep writes them: successive
+# and subspace correlations, then the four instabilities
+METRIC_FAMILIES = ("r2s", "R2s", "wt-u", "vt-u", "wt-U", "vt-U")
 
 
 def metric_name(family, k, cv=False):
     """Canonical metric identifier, e.g. ('r2s', 3, cv=True) -> 'r2s3-cv'."""
-    if family not in ("r2s", "R2s", "wt-u", "vt-u", "wt-U", "vt-U"):
+    if family not in METRIC_FAMILIES:
         raise ValueError(f"unknown metric family {family!r}")
     return f"{family}{k}" + ("-cv" if cv else "")
 
 
-@dataclass
-class MetricRecord:
-    algorithm: str
-    penalty: float
-    fold: object
-    metric: str
-    k: int
-    value: float
-    dispersion: float = None
+def cv_table(data: PairedDataset, fold_estimates, validation, k_list):
+    """The ``metrics.csv`` rows (metric, k, value, dispersion) of one
+    penalty's fold estimates, and the (k, error) of each k it skipped.
 
-    def __post_init__(self):
-        if not _METRIC_NAME_RE.match(self.metric):
-            raise ValueError(f"metric name {self.metric!r} outside the vocabulary")
-
-
-@dataclass
-class MetricReport:
-    records: list = field(default_factory=list)
-
-    def add(self, **kwargs):
-        self.records.append(MetricRecord(**kwargs))
-
-    def to_csv(self, path):
-        """Long-format CSV with columns (algorithm, penalty, fold, metric, k, value)."""
-        write_csv_table(path, ["algorithm", "penalty", "fold", "metric", "k", "value"],
-                        [[r.algorithm, float(r.penalty), r.fold, r.metric, r.k, float(r.value)]
-                         for r in self.records])
+    Each k of ``k_list`` that every fold estimate reaches gets one row per
+    ``METRIC_FAMILIES`` entry; an instability has no dispersion (None).
+    ``validation`` is the folds' ``validation_splits``.  When some fold
+    estimate is degenerate, a criterion's ValueError skips the rest of its
+    k, and the rows before it stay; otherwise the error propagates.
+    """
+    reach = min(0 if e is None else e.k for e in fold_estimates)
+    ks = [k for k in k_list if k <= reach]
+    crit = CvCriteria(data, fold_estimates, max(ks, default=0), validation)
+    rows, skipped = [], []
+    for k in ks:
+        try:
+            for family, mode in zip(METRIC_FAMILIES, ("successive", "subspace")):
+                rows.append((metric_name(family, k, cv=True), k,
+                             *crit.cc_agg(mode, "sq_sum", k)))
+            inst = crit.instability(k)
+            rows += [(metric_name(family, k, cv=True), k,
+                      inst[family.replace("-", "_") + "k_cv"], None)
+                     for family in METRIC_FAMILIES[2:]]
+        except ValueError as exc:
+            # degenerate fold estimates make some criteria undefined
+            if not any(e.provenance.degenerate for e in fold_estimates):
+                raise
+            skipped.append((k, exc))
+    return rows, skipped

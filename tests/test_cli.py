@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-import regcca.cli
+import regcca.metrics
 from regcca import estimators
 from regcca.cli import main
 from regcca.compare import overlap_matrix, registered_overlaps, trajectory_comparison
@@ -14,6 +14,7 @@ from regcca.datamodel import center_and_covariance, load_two_view_csv, make_fold
 from regcca.estimators import EstimatorSpec, fit_estimator, sweep_trajectory
 from regcca.experiments import run_bootstrap_panel_bench, summarise_bootstrap_panel
 from regcca.linalg import thin_svd
+from regcca.metrics import METRIC_FAMILIES
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_metrics import assert_rows_match, reference_sweep_rows
 
@@ -132,7 +133,7 @@ class TestSweepDeterminism:
         def broken(*args, **kwargs):
             raise ValueError("metric fault")
 
-        monkeypatch.setattr(regcca.cli.CvCriteria, "cc_agg", broken)
+        monkeypatch.setattr(regcca.metrics.CvCriteria, "cc_agg", broken)
         cfg = write_config(tmp_path, "sweep.json", {
             "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
             "estimators": [{"kind": "rcca", "K": 1}],
@@ -199,6 +200,21 @@ class TestSweepDeterminism:
         with open(out / "metrics.csv", newline="") as fh:
             kept = {(r[0], r[1]) for r in list(csv.reader(fh))[1:]}
         assert kept == {("rcca", "0.5"), ("spls", "2.0")}
+
+    def test_metrics_csv_layout(self, tmp_path, toy_csv):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+            "estimators": [{"kind": "rcca", "K": 1}],
+            "grid": {"values": [0.3]},
+            "folds": {"V": 2},
+            "metrics": {"k_list": [1]},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "algorithm,penalty,fold,metric,k,value"
+        assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
+            f"rcca,0.3,cv,{family}1-cv,1" for family in METRIC_FAMILIES]
 
     def test_input_files_unchanged(self, tmp_path, toy_csv):
         before = (open(toy_csv[0], "rb").read(), open(toy_csv[1], "rb").read())
@@ -393,6 +409,18 @@ class TestConfigErrors:
         ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
             "n_seeds": 1, "n_list": [40], "kinds": ["rcca"], "grids": {"rcca": ["a"]}}}},
          "generator.params.grids.rcca"),
+        # the default registration.comparison_k read an unchecked k_list
+        ("compare", {"metrics": {"k_list": ["a"]}}, "metrics.k_list"),
+        ("compare", {"metrics": {"k_list": [0]}}, "metrics.k_list"),
+        ("compare", {"metrics": {"k_list": [True]}}, "metrics.k_list"),
+        ("compare", {"metrics": {"k_list": "abc"}}, "metrics.k_list"),
+        # options that are now constants of their fits
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"lambda_step": 1.0}}]},
+         "estimators[0].options.lambda_step"),
+        ("fit", {"estimators": [{"kind": "gcca", "penalty": 0.1, "K": 1,
+                                 "options": {"glasso_tol": 1e-7}}]},
+         "estimators[0].options.glasso_tol"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -517,6 +545,18 @@ class TestCompareAndBiplot:
         blocks = [data.x @ est.u_dirs for _ in range(2)]
         blocks = [b / np.linalg.norm(b, axis=0) for b in blocks]
         assert np.array_equal(own, overlap_matrix(*blocks, squared=True).matrix)
+
+    @pytest.mark.parametrize("metrics, k", [(None, 3), ({}, 3), ({"k_list": [1, 2]}, 2)])
+    def test_comparison_k_defaults(self, tmp_path, toy_csv, metrics, k):
+        # the last metrics.k_list entry, or 3 without one
+        config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
+                  "estimators": [{"kind": "rcca", "penalty": 0.1, "K": 3}]}
+        if metrics is not None:
+            config["metrics"] = metrics
+        out = tmp_path / "out"
+        assert main(["compare", "--config", write_config(tmp_path, "cmp.json", config),
+                     "--out", str(out)]) == 0
+        assert (out / f"comparison_vt_Uk_{k}.csv").is_file()
 
     def test_biplot_threshold_respected(self, tmp_path, toy_csv):
         cfg = write_config(tmp_path, "bip.json", {

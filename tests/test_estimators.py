@@ -702,6 +702,7 @@ class TestFusedLadmm:
         np.testing.assert_array_equal(est.rho, ref.rho)
         assert est.provenance.info == ref.provenance.info
         assert est.provenance.converged == ref.provenance.converged
+        return est
 
     @pytest.mark.parametrize("n", [100, 400])
     def test_first_pair_on_criterion_3(self, monkeypatch, n):
@@ -710,8 +711,14 @@ class TestFusedLadmm:
             self.assert_bit_identical(monkeypatch, data, tau, 1)
 
     def test_fresh_duals(self, monkeypatch, toy_data):
-        self.assert_bit_identical(monkeypatch, toy_data, 0.02, 1, n_steps_admm=50,
-                                  recycle_duals=False)
+        # fresh duals with few inner steps never certify (the fixed point of
+        # the fresh-dual map is not a KKT point), so the fit is capped at
+        # 10 outer iterations, and shown to end uncertified
+        est = self.assert_bit_identical(monkeypatch, toy_data, 0.02, 1, n_steps_admm=50,
+                                        recycle_duals=False, max_outer=10)
+        assert not est.provenance.converged
+        assert est.provenance.info["outer_iterations"] == [10]
+        assert min(est.provenance.info["kkt_residuals"]) > 1e-6
 
     def test_more_variables_than_samples(self, monkeypatch):
         cov, _ = canonical_pair_covariance(30, 30, [0.9], 5, within_view="suo_sp", seed=7)
@@ -727,8 +734,15 @@ class TestFusedLadmm:
         # reads (here n=150 is not a multiple of the 4-row gemv block)
         cov, _ = canonical_pair_covariance(10, 8, [0.85, 0.6, 0.4], 2, seed=31)
         data, _ = center_and_covariance(mvn_sample(cov, 150, seed=32))
-        options = {} if recycle else {"n_steps_admm": 50, "recycle_duals": False}
+        # fresh duals never certify here (see test_fresh_duals): 64 outer
+        # iterations per pair
+        options = ({} if recycle
+                   else {"n_steps_admm": 50, "recycle_duals": False, "max_outer": 64})
         est = scca_fit(data, 0.02, 3, **options)
+        if not recycle:
+            assert not est.provenance.converged
+            assert est.provenance.info["outer_iterations"] == [64, 64, 64]
+            assert min(est.provenance.info["kkt_residuals"]) > 1e-6
         monkeypatch.setattr(estimators, "_ladmm_block", reference_ladmm_block)
         ref = scca_fit(data, 0.02, 3, **options)
         assert est.provenance.info["total_inner_iterations"] == \
@@ -867,15 +881,14 @@ class TestCommonContract:
         np.testing.assert_allclose(np.mean((toy_data.x @ est.u_dirs) ** 2, axis=0), 1.0)
 
     def test_scca_options_are_pinned(self):
-        # the Anderson memory and the certificate's check interval are
-        # constants: a new scca knob is a new row here
+        # the Anderson memory, the certificate's check interval and the step
+        # fraction are constants: a new scca knob is a new row here
         assert estimators.fit_options("scca") == {
-            "lambda_step": 1.0, "n_steps_admm": 5, "tol": 1e-6, "max_outer": 2000,
-            "recycle_duals": True}
+            "n_steps_admm": 5, "tol": 1e-6, "max_outer": 2000, "recycle_duals": True}
 
     def test_fit_options_read_through_a_wrapper(self, monkeypatch):
         assert estimators.fit_options("rcca") == {}
-        assert estimators.fit_options("gcca") == {"glasso_tol": 1e-7, "glasso_max_iter": 5000}
+        assert estimators.fit_options("gcca") == {"glasso_max_iter": 5000}
         before = estimators.fit_options("scca")
         assert before["recycle_duals"] is True and before["max_outer"] == 2000
 

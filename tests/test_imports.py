@@ -2,10 +2,13 @@
 
 An underscore-prefixed name is private to the module that defines it: a
 sibling that imports one depends on a detail its owner may change without
-notice.  Dunder names such as ``__version__`` are public.
+notice.  Dunder names such as ``__version__`` are public.  A module's
+``__all__`` names only what it defines or imports.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,21 @@ def test_walker_finds_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def unresolved_exports(module):
+    """The names in ``module.__all__`` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+def test_a_stale_export_is_found():
+    module = types.ModuleType("stale")
+    module.cv_table = object()
+    module.__all__ = ["cv_table", "MetricReport"]
+    assert unresolved_exports(module) == ["MetricReport"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_exported_names_resolve(path):
+    name = "regcca" if path.stem == "__init__" else f"regcca.{path.stem}"
+    assert unresolved_exports(importlib.import_module(name)) == []

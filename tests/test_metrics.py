@@ -21,12 +21,12 @@ from regcca.linalg import (
     sym_matrix_power,
 )
 from regcca.metrics import (
+    METRIC_FAMILIES,
     CvCriteria,
-    MetricRecord,
-    MetricReport,
     aggregate,
     cv_cc_agg,
     cv_instability,
+    cv_table,
     estimation_error,
     gauss_mutual_info,
     metric_name,
@@ -437,22 +437,14 @@ def reference_sweep_rows(kind, data, traj, folds, k_list):
 
 
 def core_sweep_rows(kind, data, fold_ests_by_penalty, folds, k_list):
-    """The same rows through one ``CvCriteria`` per penalty."""
+    """The same rows through one ``cv_table`` call per penalty."""
     rows, warns = [], []
     validation = validation_splits(data, folds)
     for i, (penalty, fold_ests) in enumerate(fold_ests_by_penalty):
-        ks = [k for k in k_list if k <= min(e.k for e in fold_ests)]
-        crit = CvCriteria(data, fold_ests, max(ks), validation)
-        for k in ks:
-            try:
-                for mode, family in (("successive", "r2s"), ("subspace", "R2s")):
-                    val, _ = crit.cc_agg(mode, "sq_sum", k)
-                    rows.append((penalty, metric_name(family, k, cv=True), k, val))
-                inst = crit.instability(k)
-                for family, key in INSTABILITY_FAMILIES:
-                    rows.append((penalty, metric_name(family, k, cv=True), k, inst[key]))
-            except ValueError as exc:
-                warns.append(f"warning: {kind} penalty[{i}] k={k} metrics skipped: {exc}")
+        table, skipped = cv_table(data, fold_ests, validation, k_list)
+        rows += [(penalty, metric, k, value) for metric, k, value, _ in table]
+        warns += [f"warning: {kind} penalty[{i}] k={k} metrics skipped: {exc}"
+                  for k, exc in skipped]
     return rows, warns
 
 
@@ -660,25 +652,30 @@ class TestCvCriteria:
         with pytest.raises(ValueError, match="validation splits"):
             CvCriteria(data, traj.fold_estimates(0), 2).cc_agg("subspace", "sq_sum", 1)
 
+    def test_table_rows_carry_the_correlation_dispersion(self, k3_setup):
+        data, folds, traj = k3_setup
+        validation = validation_splits(data, folds)
+        ests = traj.fold_estimates(1)
+        rows, skipped = cv_table(data, ests, validation, [2, 1])
+        assert skipped == []
+        assert [r[0] for r in rows] == [f"{family}{k}-cv" for k in (2, 1)
+                                        for family in METRIC_FAMILIES]
+        crit = CvCriteria(data, ests, 2, validation)
+        for metric, k, value, spread in rows:
+            if metric.startswith(("r2s", "R2s")):
+                mode = "successive" if metric.startswith("r2s") else "subspace"
+                assert (value, spread) == crit.cc_agg(mode, "sq_sum", k)
+            else:
+                assert spread is None
+        # a penalty with a failed fold cell has no rows
+        ests[2] = None
+        assert cv_table(data, ests, validation, [1, 2]) == ([], [])
+
 
 class TestReport:
-    def test_vocabulary_enforced(self):
-        MetricRecord(algorithm="rcca", penalty=0.1, fold="cv", metric="r2s3-cv", k=3, value=1.0)
-        with pytest.raises(ValueError):
-            MetricRecord(algorithm="rcca", penalty=0.1, fold="cv", metric="banana", k=3, value=1.0)
-
     def test_metric_name_builder(self):
         assert metric_name("r2s", 5, cv=True) == "r2s5-cv"
         assert metric_name("R2s", 1) == "R2s1"
         assert metric_name("wt-U", 3, cv=True) == "wt-U3-cv"
         with pytest.raises(ValueError):
             metric_name("xx", 1)
-
-    def test_csv_layout(self, tmp_path):
-        rep = MetricReport()
-        rep.add(algorithm="gcca", penalty=0.01, fold="cv", metric="R2s3-cv", k=3, value=1.25)
-        path = tmp_path / "metrics.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "algorithm,penalty,fold,metric,k,value"
-        assert lines[1].startswith("gcca,0.01,cv,R2s3-cv,3,")
