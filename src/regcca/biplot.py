@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca_core import CcaEstimate, cca_from_covariance
+from .cca_core import CcaEstimate, cca_from_covariance, require_pairs
 from .datamodel import CovarianceModel, PairedDataset, center_and_covariance, write_csv_table
 
 __all__ = [
@@ -114,11 +114,6 @@ def structure_correlations(source, estimate: CcaEstimate, variate_view="x", K=No
     )
 
 
-def _corr_from_cov(block, var_left, var_right):
-    denom = np.sqrt(np.outer(var_left, var_right))
-    return block / denom
-
-
 def verify_biplot_bounds(cov: CovarianceModel, estimate: CcaEstimate, K):
     """Max violations of the biplot approximation bounds for an exact
     population decomposition.
@@ -129,37 +124,21 @@ def verify_biplot_bounds(cov: CovarianceModel, estimate: CcaEstimate, K):
     numerical error.  K=0 would make the between-view bound vacuous and is
     rejected.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1; the K=0 bound is vacuous")
-    if K > min(cov.p, cov.q):
-        raise ValueError("K exceeds min(p, q)")
+    require_pairs(cov, K)
     coords = structure_correlations(cov, estimate, variate_view="x", K=K)
-    phi_x, phi_y = coords.x_coords, coords.y_coords
     full = cca_from_covariance(cov, min(cov.p, cov.q))
     rho_next = float(full.rho[K]) if K < min(cov.p, cov.q) else 0.0
-
-    vx = np.diagonal(cov.sxx)
-    vy = np.diagonal(cov.syy)
-    slack_x = np.sqrt(np.clip(1.0 - np.sum(phi_x**2, axis=1), 0.0, None))
-    slack_y = np.sqrt(np.clip(1.0 - np.sum(phi_y**2, axis=1), 0.0, None))
-
-    def max_violation(corr, phi_a, phi_b, slack_a, slack_b, factor):
-        approx = phi_a @ phi_b.T
-        bound = factor * np.outer(slack_a, slack_b)
-        return float(np.max(np.abs(corr - approx) - bound))
-
-    return {
-        "within_x": max_violation(
-            _corr_from_cov(cov.sxx, vx, vx), phi_x, phi_x, slack_x, slack_x, 1.0
-        ),
-        "within_y": max_violation(
-            _corr_from_cov(cov.syy, vy, vy), phi_y, phi_y, slack_y, slack_y, 1.0
-        ),
-        "between": max_violation(
-            _corr_from_cov(cov.sxy, vx, vy), phi_x, phi_y, slack_x, slack_y, rho_next
-        ),
-        "rho_next": rho_next,
-    }
+    # every variable of both views at once: the joint correlation matrix,
+    # its approximation and the bound, rho_next on the between-view blocks
+    p = cov.p
+    phi = np.vstack([coords.x_coords, coords.y_coords])
+    sd = np.sqrt(np.concatenate([np.diagonal(cov.sxx), np.diagonal(cov.syy)]))
+    slack = np.sqrt(np.clip(1.0 - np.sum(phi**2, axis=1), 0.0, None))
+    in_y = np.arange(phi.shape[0]) >= p
+    factor = np.where(in_y[:, None] == in_y, 1.0, rho_next)
+    excess = np.abs(cov.joint() / np.outer(sd, sd) - phi @ phi.T) - factor * np.outer(slack, slack)
+    return {"within_x": float(np.max(excess[:p, :p])), "within_y": float(np.max(excess[p:, p:])),
+            "between": float(np.max(excess[:p, p:])), "rho_next": rho_next}
 
 
 def export_biplot(coords: BiplotCoordinates, threshold, path):

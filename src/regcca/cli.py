@@ -38,6 +38,7 @@ from .estimators import (
     fit_estimator,
     fit_options,
     penalty_in_domain,
+    require_options,
     save_estimate,
     sweep_trajectory,
 )
@@ -203,6 +204,10 @@ def _parse_estimators(config, data):
                 raise ConfigError(f"{where}.options.{name}: not an option of {kind} "
                                   f"(options: {', '.join(known) or 'none'})")
             _check_type(f"{where}.options.{name}", value, known[name])
+        try:
+            require_options(kind, options)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.options.{exc}") from exc
         penalty = e.get("penalty")
         if penalty is not None:
             _check_type(f"{where}.penalty", penalty, 0.0)
@@ -421,6 +426,16 @@ def _cmd_synth_bench(config, outdir, seed, jobs):
         raise ConfigError(f"generator.params: {', '.join(unknown)} not a parameter of {preset}")
     for name, value in params.items():
         _check_like(f"generator.params.{name}", value, defaults[name])
+    grids = params.get("grids", defaults["grids"])
+    for i, kind in enumerate(params.get("kinds", defaults["kinds"])):
+        if kind not in KINDS:
+            raise ConfigError(f"generator.params.kinds[{i}]: unknown kind {kind!r}")
+        if kind not in grids:
+            raise ConfigError(f"generator.params.grids.{kind}: missing, but kinds lists {kind}")
+        for j, penalty in enumerate(grids[kind]):
+            if not penalty_in_domain(kind, penalty):
+                raise ConfigError(f"generator.params.grids.{kind}[{j}]: {penalty} is outside "
+                                  f"the {kind} penalty domain")
     records = run(**params)
     write_csv_table(Path(outdir) / f"bench_{preset}.csv", fields,
                     [[r.get(f) for f in fields] for r in records])

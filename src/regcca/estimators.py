@@ -45,7 +45,6 @@ from .linalg import AndersonMemory, signed_corrs, soft_threshold, thin_svd
 __all__ = [
     "EstimatorSpec",
     "TrajectoryResult",
-    "RccaSpectra",
     "rcca_fit",
     "spls_fit",
     "scca_fit",
@@ -53,6 +52,7 @@ __all__ = [
     "gcca_fit",
     "fit_estimator",
     "fit_options",
+    "require_options",
     "sweep_trajectory",
     "save_estimate",
     "load_estimate",
@@ -104,10 +104,11 @@ def _require_centred(data: PairedDataset):
         raise ValueError("estimator expects centred data; run center_and_covariance first")
 
 
-def _require_fit_inputs(kind, penalty, data: PairedDataset, K):
-    """What every fit requires: a penalty in the kind's domain, centred
-    data and K in [1, min(p, q)]."""
+def _require_fit_inputs(kind, penalty, data: PairedDataset, K, options=None):
+    """What every fit requires: a penalty in the kind's domain, solver
+    ``options`` in their ranges, centred data and K in [1, min(p, q)]."""
     _require_penalty(kind, penalty)
+    require_options(kind, options or {})
     _require_centred(data)
     require_pairs(data, K)
 
@@ -139,15 +140,6 @@ def _estimate(kind, penalty, data: PairedDataset, u, v, rho=None, degenerate=Fal
 # ridge CCA
 # ---------------------------------------------------------------------------
 
-class RccaSpectra(CovarianceSpectra):
-    """The penalty-free part of rcca on one training split: the
-    ``CovarianceSpectra`` of its sample covariance, which serves every
-    penalty of a path."""
-
-    def __init__(self, data: PairedDataset):
-        super().__init__(center_and_covariance(data)[1])
-
-
 def rcca_fit(data: PairedDataset, c, K, spectra=None):
     """Ridge-regularised CCA with tied penalty c in [0, 1].
 
@@ -158,12 +150,12 @@ def rcca_fit(data: PairedDataset, c, K, spectra=None):
 
     The target is whitened in the eigenbases of Cxx and Cyy
     (``CovarianceSpectra.solve``), so a penalty costs one SVD of a p x q
-    matrix; ``spectra`` (the ``RccaSpectra`` of ``data``) lets a penalty
-    path share one eigendecomposition per view.
+    matrix; ``spectra`` (the ``CovarianceSpectra`` of the sample covariance
+    of ``data``) lets a penalty path share one eigendecomposition per view.
     """
     _require_fit_inputs("rcca", c, data, K)
     if spectra is None:
-        spectra = RccaSpectra(data)
+        spectra = CovarianceSpectra(center_and_covariance(data)[1])
     return _estimate("rcca", c, data, *spectra.solve(K, c))
 
 
@@ -254,7 +246,7 @@ def spls_fit(data: PairedDataset, s, K, max_sweeps=200, tol=1e-9):
     the deflation scalar, so correlation metrics compare like-for-like with
     the CCA methods.
     """
-    _require_fit_inputs("spls", s, data, K)
+    _require_fit_inputs("spls", s, data, K, {"max_sweeps": max_sweeps, "tol": tol})
     _, cov = center_and_covariance(data)
     cmat = cov.sxy.copy()
     us, vs = [], []
@@ -418,11 +410,9 @@ def scca_fit(
     One outer iteration maps the state (u, z_u, xi_u, v, z_v, xi_v) through
     the u block and then the v block; the duals carry over
     (``recycle_duals``) or restart from the weights.  The outer iteration
-    is type-II Anderson accelerated with glasso's safeguard: an
-    extrapolation whose fixed-point residual exceeds the one of the point it
-    came from is dropped for the plain step from that point, and two more
-    plain steps follow before the next extrapolation.  The memory is
-    cleared when the sign pattern of (u, v) changes.
+    is type-II Anderson accelerated by ``AndersonMemory``, with two plain
+    steps after a rejected extrapolation and the sign pattern of (u, v) as
+    the key of the map.
 
     The stop rule is a certificate: the pair's KKT residual (``_view_kkt``
     of u and of v, the larger of the two), evaluated at the unit-variance
@@ -436,7 +426,8 @@ def scca_fit(
     ``extrapolations_rejected`` and ``last_outer_moves`` (the l2 moves of u
     and v in the last accepted outer iteration).
     """
-    _require_fit_inputs("scca", tau, data, K)
+    _require_fit_inputs("scca", tau, data, K,
+                        {"n_steps_admm": n_steps_admm, "tol": tol, "max_outer": max_outer})
     n = data.n
     xd = data.x / np.sqrt(n)
     yd = data.y / np.sqrt(n)
@@ -495,51 +486,36 @@ def scca_fit(
         def certificate(image):
             return _pair_kkt(cxx, cyy, cxy, image[at_u], image[at_v], u_hat, v_hat, tau)
 
-        memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH)
-        last_signs = None
-        # the last point evaluated with a plain or accepted step: its
-        # fixed-point residual, its norm and its image
-        base_f, base_res, base_image = np.zeros_like(state), np.inf, state
-        extrapolated = False
-        rejected = it = plain = 0
+        memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH, _SCCA_PLAIN_AFTER_REJECTION)
         kkt, checked = np.inf, -1
         for it in range(1, max_outer + 1):
             image = outer_map(state)
             total_inner += 2 * n_steps_admm
             f = image - state
             res = float(np.linalg.norm(f))
-            if extrapolated and res > base_res:
-                # the extrapolation made the residual grow: take the plain
-                # step from the point it was extrapolated from
-                rejected += 1
-                state, extrapolated, plain = base_image, False, _SCCA_PLAIN_AFTER_REJECTION
+            if memory.rejects(res):
+                state = memory.base_image
                 continue
-            base_f, base_res, base_image = f, res, image
+            # on one sign pattern of (u, v) the outer map is affine but for
+            # the ball projection; a new pattern is a new map, whose
+            # residuals do not mix with the old ones
+            memory.accept(f, image, res, np.sign(image[at_weights]))
             if it % _SCCA_CHECK_EVERY == 0:
                 kkt, checked = certificate(image), it
                 if kkt <= tol:
                     break
-            # on one sign pattern of (u, v) the outer map is affine but for
-            # the ball projection; a new pattern is a new map, whose
-            # residuals do not mix with the old ones
-            signs = np.sign(image[at_weights])
-            if not np.array_equal(signs, last_signs):
-                memory.clear()
-            last_signs = signs
-            memory.push(f, image)
-            if memory.count > 1 and not plain:
-                state, extrapolated = memory.extrapolate(), True
-            else:
-                state, extrapolated, plain = image, False, max(plain - 1, 0)
+            state = memory.next_point(image)
+        # the pair is the last accepted point
         if checked != it:
-            kkt = certificate(base_image)
+            kkt = certificate(memory.base_image)
         info["kkt_residuals"].append(kkt)
         info["outer_iterations"].append(it)
-        info["extrapolations_rejected"].append(rejected)
-        info["last_outer_moves"].append((float(np.linalg.norm(base_f[at_u])),
-                                         float(np.linalg.norm(base_f[at_v]))))
-        us.append(base_image[at_u])
-        vs.append(base_image[at_v])
+        info["extrapolations_rejected"].append(memory.rejected)
+        moves = memory.base_residual
+        info["last_outer_moves"].append((float(np.linalg.norm(moves[at_u])),
+                                         float(np.linalg.norm(moves[at_v]))))
+        us.append(memory.base_image[at_u])
+        vs.append(memory.base_image[at_v])
         u_hat = np.column_stack([u_hat, _unit_variance(us[-1], cxx)])
         v_hat = np.column_stack([v_hat, _unit_variance(vs[-1], cyy)])
 
@@ -562,7 +538,7 @@ def gcca_fit(data: PairedDataset, lam, K, glasso_max_iter=5000):
     every cross-view entry the correlations are all zero and the estimate is
     flagged degenerate.
     """
-    _require_fit_inputs("gcca", lam, data, K)
+    _require_fit_inputs("gcca", lam, data, K, {"glasso_max_iter": glasso_max_iter})
     _, cov = center_and_covariance(data)
     prec = glasso_fit(cov.joint(), lam, max_iter=glasso_max_iter)
     model = CovarianceModel.from_joint(prec.sigma, data.p)
@@ -590,6 +566,18 @@ def fit_options(kind):
     return {p.name: p.default
             for p in inspect.signature(fit_function(kind)).parameters.values()
             if isinstance(p.default, (bool, int, float))}
+
+
+def require_options(kind, options):
+    """Raise ValueError naming the first of a kind's solver ``options``
+    outside the range every option has: at least 1 for an int default,
+    above 0 for a float default."""
+    for name, default in fit_options(kind).items():
+        value = options.get(name, default)
+        if type(default) is int and value < 1:
+            raise ValueError(f"{name}: expected an int of at least 1, got {value}")
+        if type(default) is float and not value > 0:
+            raise ValueError(f"{name}: expected a number above 0, got {value}")
 
 
 def fit_estimator(spec: EstimatorSpec, data: PairedDataset):
@@ -628,8 +616,8 @@ class _CellFit:
 
     The data and folds are bound once, so a process pool pickles them once
     per chunk of cells rather than once per cell.  Each fold's training
-    split, and for rcca its ``RccaSpectra``, are kept once made, so cells
-    of one fold share them.  A solver failure comes back as (None,
+    split, and for rcca its ``CovarianceSpectra``, are kept once made, so
+    cells of one fold share them.  A solver failure comes back as (None,
     message) and never aborts the sweep.
     """
 
@@ -652,7 +640,7 @@ class _CellFit:
             spec = EstimatorSpec(kind=kind, penalty=penalty, K=K, options=options)
             if kind == "rcca":
                 if fold not in self._spectra:
-                    self._spectra[fold] = RccaSpectra(train)
+                    self._spectra[fold] = CovarianceSpectra(center_and_covariance(train)[1])
                 est = rcca_fit(train, penalty, K, spectra=self._spectra[fold], **options)
             else:
                 est = fit_estimator(spec, train)

@@ -90,17 +90,11 @@ def summarise_canonical_pair(records, kinds, n_list):
                 if r["kind"] != kind or r["n"] != n or r["metric"] == "failure":
                     continue
                 by_seed.setdefault(r["seed"], {}).setdefault(r["penalty"], {})[r["metric"]] = r["value"]
-            best_rho, best_wt, best_vt = [], [], []
-            for seed, by_pen in sorted(by_seed.items()):
-                pen = max(by_pen, key=lambda p: by_pen[p]["rho_oracle"])
-                best_rho.append(by_pen[pen]["rho_oracle"])
-                best_wt.append(by_pen[pen]["wt_u1"])
-                best_vt.append(by_pen[pen]["vt_u1"])
-            out[(kind, n)] = {
-                "median_rho_oracle": float(np.median(best_rho)),
-                "median_wt_u1": float(np.median(best_wt)),
-                "median_vt_u1": float(np.median(best_vt)),
-            }
+            # each seed's metrics at its oracle-best penalty
+            best = [max(by_pen.values(), key=lambda m: m["rho_oracle"])
+                    for _, by_pen in sorted(by_seed.items())]
+            out[(kind, n)] = {f"median_{name}": float(np.median([m[name] for m in best]))
+                              for name in ("rho_oracle", "wt_u1", "vt_u1")}
     return out
 
 

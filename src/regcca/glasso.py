@@ -13,17 +13,12 @@ Douglas-Rachford fixed-point iteration on S = Z + U (U the scaled dual):
     X    = logdet-prox(2 Z - S, rho)   exact, by one symmetric eigendecomposition
     T(S) = X + S - Z
 
-Taking S <- T(S) at every step is plain ADMM.  Type-II Anderson acceleration
-(Walker & Ni 2011; Fu, Zhang & Boyd 2020) instead steps to the affine
-combination of the last few images T(S_j) whose fixed-point residuals
-T(S_j) - S_j combine to the least norm, with weights from a regularised
-least-squares solve.  A safeguard keeps the method no worse than ADMM: when
-the residual at an extrapolated point exceeds the residual at the point it
-was extrapolated from, the extrapolation is dropped and the plain step from
-that point is taken instead.
+Taking S <- T(S) at every step is plain ADMM.  ``linalg.AndersonMemory``
+accelerates it by type-II Anderson mixing of the last few images T(S_j),
+with its safeguard, which keeps the method no worse than ADMM.
 
 rho is adapted by residual balancing (factor 2 when one ADMM residual
-exceeds the other tenfold), which rescales U and clears the Anderson memory.
+exceeds the other tenfold), which rescales U; the memory is keyed by rho.
 Convergence is certified by the first-order optimality (KKT) residual, not
 by the ADMM or fixed-point residuals.
 """
@@ -111,9 +106,8 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     """Anderson-accelerated ADMM solve of the off-diagonal l1-penalised
     Gaussian log-likelihood (see the module docstring for the iteration).
 
-    Each iteration costs one eigendecomposition.  An extrapolated point
-    whose fixed-point residual exceeds the one at the point it came from is
-    rejected in favour of the plain ADMM step from that point.  The KKT
+    Each iteration costs one eigendecomposition; ``AndersonMemory`` decides
+    between the extrapolation and the plain ADMM step.  The KKT
     residual of the symmetrised iterate is checked every 10 iterations, and
     whenever both ADMM residuals fall below 10 * tol; the solve stops as
     soon as it is at most ``tol``.
@@ -156,12 +150,6 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     s = np.diag(1.0 / diag)
     z = s.copy()
     memory = AndersonMemory(c.shape, ANDERSON_MEMORY)
-    # the last point evaluated with a plain or accepted step: its fixed-point
-    # residual norm, its image T(S) and the soft-threshold of that image
-    base_res = np.inf
-    base_image = base_z = None
-    extrapolated = False
-    accepted = rejected = 0
 
     primal = dual = np.inf
     kkt = np.inf
@@ -172,34 +160,24 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
         f = x - z
         res = float(np.linalg.norm(f))
         factor = 1.0
-        if extrapolated and res > base_res:
-            # the extrapolation made the residual grow: take the plain step
-            # from the point it was extrapolated from (already evaluated, so
-            # there are no new ADMM residuals to balance)
-            rejected += 1
-            s, z = base_image, base_z
-            extrapolated = False
+        if memory.rejects(res):
+            # the plain step from the base point is already evaluated, so
+            # there are no new ADMM residuals to balance
+            s = memory.base_image
+            z = _penalty_prox(s, lam / rho)
         else:
-            if extrapolated:
-                accepted += 1
             image = s + f
             z_plain = _penalty_prox(image, lam / rho)
             primal = float(np.linalg.norm(x - z_plain))
             dual = float(np.linalg.norm(rho * (z_plain - z)))
-            base_res, base_image, base_z = res, image, z_plain
-            memory.push(f, image)
+            memory.accept(f, image, res, rho)
             # residual balancing keeps the two ADMM residuals comparable
             if primal > 10.0 * dual:
                 factor = 2.0
             elif dual > 10.0 * primal:
                 factor = 0.5
-            if factor == 1.0 and memory.count > 1:
-                s = memory.extrapolate()
-                z = _penalty_prox(s, lam / rho)
-                extrapolated = True
-            else:
-                s, z = image, z_plain
-                extrapolated = False
+            s = memory.next_point(image, mix=factor == 1.0)
+            z = _penalty_prox(s, lam / rho) if memory.extrapolated else z_plain
 
         if it % check_every == 0 or (primal < tol * 10 and dual < tol * 10):
             try:
@@ -210,16 +188,15 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
                 break
 
         if factor != 1.0:
-            # rescale U = S - Z to the new rho; the memory belongs to the old map
+            # rescale U = S - Z to the new rho, a new map for the memory
             rho *= factor
             s = z + (s - z) / factor
-            memory.clear()
 
     omega = 0.5 * (z + z.T)
     diagnostics = {
         "iterations": it,
-        "extrapolations_accepted": accepted,
-        "extrapolations_rejected": rejected,
+        "extrapolations_accepted": memory.accepted,
+        "extrapolations_rejected": memory.rejected,
         "primal_residual": primal,
         "dual_residual": dual,
         "kkt_residual": kkt,

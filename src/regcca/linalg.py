@@ -7,8 +7,8 @@ eigenvalues to a power, and is the one clamp every whitening and
 (``gram_schmidt_metric`` is its strict form, ``reduce_stack`` its stacked
 use); ``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the
 one squared sin-Theta, and ``signed_corrs`` per-column correlations.
-``AndersonMemory`` is the one type-II Anderson mixing of a fixed-point
-iteration, shared by the glasso and scca solvers.
+``AndersonMemory`` is the one safeguarded type-II Anderson acceleration of
+a fixed-point iteration, shared by the glasso and scca solvers.
 
 Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
@@ -257,26 +257,69 @@ def gram_schmidt_metric(m, g=None):
 
 
 class AndersonMemory:
-    """The last ``depth`` fixed-point residuals f_j = T(s_j) - s_j and
-    images T(s_j) of an iteration s <- T(s), flattened, with the Gram matrix
-    of the residuals updated one row per push.
+    """Type-II Anderson acceleration of a fixed-point iteration s <- T(s)
+    with its safeguard (Walker & Ni 2011; Fu, Zhang & Boyd 2020): the one
+    policy of the glasso and scca solvers.
 
-    ``extrapolate`` is the type-II Anderson step (Walker & Ni 2011): the
-    affine combination of the images whose residuals mix to the least norm.
-    A solver clears the memory when its map changes.
+    The memory keeps the last ``depth`` residuals f_j = T(s_j) - s_j and
+    images T(s_j), flattened, with the Gram matrix of the residuals updated
+    one row per ``push``; ``extrapolate`` is the affine combination of the
+    images whose residuals mix to the least norm.  A solver evaluates T at
+    each ``next_point``.  The memory ``rejects`` an extrapolation whose
+    residual norm exceeds the one of the base point, the last point given
+    to ``accept``: the solver then steps to ``base_image``, the plain
+    step from the base point, and ``plain_after_rejection`` plain steps
+    follow.  A new ``key`` of the map (glasso's ADMM penalty, scca's sign
+    pattern) clears the memory, as residuals of two maps do not mix.
+    ``accepted`` and ``rejected`` count the extrapolations.
     """
 
-    def __init__(self, shape, depth):
+    def __init__(self, shape, depth, plain_after_rejection=0):
         size = int(np.prod(shape))
         self.shape = shape
         self.depth = depth
+        self.plain_after_rejection = plain_after_rejection
         self.residuals = np.empty((depth, size))
         self.images = np.empty((depth, size))
         self.gram = np.empty((depth, depth))
         self.count = self.head = 0
+        self.key = None
+        # the base point's residual, its norm and its image
+        self.base_residual, self.base_norm, self.base_image = None, np.inf, None
+        self.extrapolated = False
+        self.accepted = self.rejected = self.plain = 0
 
     def clear(self):
         self.count = self.head = 0
+
+    def rejects(self, res):
+        """Whether the point just evaluated, of residual norm ``res``, is an
+        extrapolation to drop; counts it if so."""
+        if not (self.extrapolated and res > self.base_norm):
+            return False
+        self.rejected += 1
+        self.extrapolated = False
+        self.plain = self.plain_after_rejection
+        return True
+
+    def accept(self, residual, image, res, key):
+        """Make the point just evaluated the base point and push it."""
+        if self.extrapolated:
+            self.accepted += 1
+        if not np.array_equal(key, self.key):
+            self.clear()
+        self.key = key
+        self.base_residual, self.base_norm, self.base_image = residual, res, image
+        self.push(residual, image)
+
+    def next_point(self, image, mix=True):
+        """The extrapolation, or ``image`` when ``mix`` is false, fewer than
+        two slots are filled or a plain step is due."""
+        self.extrapolated = mix and self.count > 1 and not self.plain
+        if self.extrapolated:
+            return self.extrapolate()
+        self.plain = max(self.plain - 1, 0)
+        return image
 
     def push(self, residual, image):
         i = self.head

@@ -421,6 +421,37 @@ class TestConfigErrors:
         ("fit", {"estimators": [{"kind": "gcca", "penalty": 0.1, "K": 1,
                                  "options": {"glasso_tol": 1e-7}}]},
          "estimators[0].options.glasso_tol"),
+        # options outside their ranges: exit 0 with converged false, or
+        # exit 3 (gcca)
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"max_outer": 0}}]},
+         "estimators[0].options.max_outer"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"max_outer": -3}}]},
+         "estimators[0].options.max_outer"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"n_steps_admm": 0}}]},
+         "estimators[0].options.n_steps_admm"),
+        ("fit", {"estimators": [{"kind": "scca", "penalty": 0.1, "K": 1,
+                                 "options": {"tol": -1}}]},
+         "estimators[0].options.tol"),
+        ("sweep", {"estimators": [{"kind": "scca", "K": 1, "options": {"max_outer": 0}}]},
+         "estimators[0].options.max_outer"),
+        ("fit", {"estimators": [{"kind": "gcca", "penalty": 0.1, "K": 1,
+                                 "options": {"glasso_max_iter": 0}}]},
+         "estimators[0].options.glasso_max_iter"),
+        ("compare", {"estimators": [{"kind": "spls", "penalty": 2.0, "K": 1,
+                                     "options": {"tol": 0.0}}]},
+         "estimators[0].options.tol"),
+        # a KeyError or ValueError traceback inside the preset
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "n_list": [40], "kinds": ["foo"]}}}, "generator.params.kinds"),
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "n_list": [40], "kinds": ["scca"], "grids": {"gcca": [0.1]}}}},
+         "generator.params.grids.scca"),
+        ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
+            "n_seeds": 1, "kinds": ["gcca"], "grids": {"gcca": [-0.1]}}}},
+         "generator.params.grids.gcca"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},

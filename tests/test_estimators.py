@@ -178,7 +178,7 @@ class TestRccaSpectral:
         assert sin2_theta(data.y @ est.v_dirs, data.y @ ref.v_dirs) <= 1e-8
 
     def test_shared_spectra_equal_fresh_fit(self, toy_data):
-        spectra = estimators.RccaSpectra(toy_data)
+        spectra = cca_core.CovarianceSpectra(center_and_covariance(toy_data)[1])
         for c in (0.0, 0.3, 1.0):
             shared = rcca_fit(toy_data, c, 3, spectra=spectra)
             fresh = rcca_fit(toy_data, c, 3)
@@ -920,6 +920,31 @@ class TestCommonContract:
         with pytest.raises(ValueError, match=message):
             EstimatorSpec(kind=kind, penalty=penalty, K=1)
         assert not estimators.penalty_in_domain(kind, penalty)
+
+    # each used to run: scca and spls ended with converged false, gcca in a
+    # glasso failure
+    @pytest.mark.parametrize("kind, penalty, name, value, message", [
+        ("scca", 0.1, "max_outer", 0, "an int of at least 1, got 0"),
+        ("scca", 0.1, "max_outer", -3, "an int of at least 1, got -3"),
+        ("scca", 0.1, "n_steps_admm", 0, "an int of at least 1, got 0"),
+        ("scca", 0.1, "tol", -1.0, "a number above 0, got -1.0"),
+        ("scca", 0.1, "tol", float("nan"), "a number above 0, got nan"),
+        ("spls", 2.0, "max_sweeps", 0, "an int of at least 1, got 0"),
+        ("spls", 2.0, "tol", 0.0, "a number above 0, got 0.0"),
+        ("gcca", 0.1, "glasso_max_iter", 0, "an int of at least 1, got 0"),
+    ])
+    def test_options_outside_their_range_rejected(self, toy_data, kind, penalty, name, value,
+                                                  message):
+        with pytest.raises(ValueError, match=f"^{name}: expected {message}$"):
+            estimators.fit_function(kind)(toy_data, penalty, 1, **{name: value})
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            estimators.require_options(kind, {name: value})
+
+    def test_smallest_options_in_range_run(self, toy_data):
+        est = scca_fit(toy_data, 0.1, 1, n_steps_admm=1, max_outer=1, tol=1e-300)
+        assert est.provenance.info["outer_iterations"] == [1]
+        assert not est.provenance.converged
+        estimators.require_options("scca", {"recycle_duals": False})
 
     @pytest.mark.parametrize("K", [0, 6])
     @pytest.mark.parametrize(

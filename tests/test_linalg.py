@@ -387,3 +387,56 @@ class TestAndersonMemory:
         for value in (1.0, 2.0, 3.0, 4.0):
             memory.push(np.zeros(2), np.full(2, value))
         np.testing.assert_array_equal(memory.extrapolate(), [4.0, 4.0])
+
+    @staticmethod
+    def _filled(memory, rng, count, key="map"):
+        """``count`` accepted random points; returns the last image."""
+        for _ in range(count):
+            residual, image = rng.standard_normal(3), rng.standard_normal(3)
+            memory.accept(residual, image, float(np.linalg.norm(residual)), key)
+        return image
+
+    def test_a_rejected_extrapolation_keeps_the_base_point(self, rng):
+        memory = AndersonMemory((3,), 4)
+        image = self._filled(memory, rng, 2)
+        base, base_norm = memory.base_image, memory.base_norm
+        point = memory.next_point(image)
+        assert memory.extrapolated and point is not image
+        # a residual that does not grow is not rejected
+        assert not memory.rejects(base_norm)
+        assert memory.rejects(2.0 * base_norm)
+        assert (memory.rejected, memory.accepted) == (1, 0)
+        assert memory.base_image is base and memory.base_norm == base_norm
+        assert not memory.extrapolated and not memory.rejects(2.0 * base_norm)
+
+    @pytest.mark.parametrize("plain_after_rejection", [0, 2])
+    def test_plain_steps_follow_a_rejection(self, rng, plain_after_rejection):
+        memory = AndersonMemory((3,), 4, plain_after_rejection)
+        memory.next_point(self._filled(memory, rng, 2))
+        assert memory.rejects(2.0 * memory.base_norm)
+        # the step from the base point is accepted, then the plain steps
+        # run before the next extrapolation
+        steps = []
+        for _ in range(plain_after_rejection + 1):
+            image = self._filled(memory, rng, 1)
+            steps.append(memory.next_point(image) is not image)
+        assert steps == [False] * plain_after_rejection + [True]
+        assert memory.accepted == 0
+
+    def test_a_new_key_clears_the_memory(self, rng):
+        memory = AndersonMemory((3,), 4)
+        self._filled(memory, rng, 3, key=np.array([1.0, -1.0]))
+        self._filled(memory, rng, 1, key=np.array([1.0, -1.0]))
+        assert memory.count == 4
+        image = self._filled(memory, rng, 1, key=np.array([1.0, 0.0]))
+        assert memory.count == 1
+        np.testing.assert_array_equal(memory.extrapolate(), image)
+        assert memory.next_point(image) is image and not memory.extrapolated
+
+    def test_no_mixing_never_extrapolates(self, rng):
+        memory = AndersonMemory((3,), 4)
+        for _ in range(6):
+            image = self._filled(memory, rng, 1)
+            assert memory.next_point(image, mix=False) is image
+            assert not memory.extrapolated
+        assert memory.count == 4 and (memory.accepted, memory.rejected) == (0, 0)
