@@ -123,13 +123,17 @@ def _check_int(where, value, positive=False):
     return value
 
 
+def _strictly_monotone(vals):
+    diffs = np.diff(vals)
+    return bool(np.all(diffs > 0) or np.all(diffs < 0))
+
+
 def _parse_grid(section):
     if "values" in section:
         vals = section["values"]
         if not isinstance(vals, list) or not vals or not all(_is_number(v) for v in vals):
             raise ConfigError("grid.values: must be a nonempty list of numbers")
-        diffs = np.diff(vals)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        if not _strictly_monotone(vals):
             raise ConfigError("grid.values: must be strictly monotone")
         return [float(v) for v in vals]
     if "log10_from" in section and "log10_to" in section:
@@ -405,12 +409,13 @@ def _cmd_biplot(config, outdir, seed, jobs):
     return warning_count + sum(_warn(message) for message in coords.warnings)
 
 
-# preset name -> (defaults, run function, columns of its CSV)
+# preset name -> (defaults, run function, columns of its CSV, whether it
+# sweeps each grid, which sweep_trajectory needs nonempty and strictly monotone)
 _PRESETS = {
     "canonical-pair": (ex.CANONICAL_PAIR_DEFAULTS, ex.run_canonical_pair_bench,
-                       ex.CANONICAL_PAIR_FIELDS),
+                       ex.CANONICAL_PAIR_FIELDS, False),
     "bootstrap-panel": (ex.BOOTSTRAP_PANEL_DEFAULTS, ex.run_bootstrap_panel_bench,
-                        sorted(ex.BOOTSTRAP_PANEL_FIELDS)),
+                        sorted(ex.BOOTSTRAP_PANEL_FIELDS), True),
 }
 
 
@@ -419,7 +424,7 @@ def _cmd_synth_bench(config, outdir, seed, jobs):
     preset = _require(sec, "preset", str, "generator")
     if preset not in _PRESETS:
         raise ConfigError(f"generator.preset: unknown preset {preset!r}")
-    defaults, run, fields = _PRESETS[preset]
+    defaults, run, fields, sweeps = _PRESETS[preset]
     params = _require(sec, "params", dict, "generator", {})
     unknown = sorted(set(params) - set(defaults))
     if unknown:
@@ -432,6 +437,9 @@ def _cmd_synth_bench(config, outdir, seed, jobs):
             raise ConfigError(f"generator.params.kinds[{i}]: unknown kind {kind!r}")
         if kind not in grids:
             raise ConfigError(f"generator.params.grids.{kind}: missing, but kinds lists {kind}")
+        if sweeps and not (grids[kind] and _strictly_monotone(grids[kind])):
+            raise ConfigError(f"generator.params.grids.{kind}: {preset} sweeps it, so it must "
+                              f"be nonempty and strictly monotone")
         for j, penalty in enumerate(grids[kind]):
             if not penalty_in_domain(kind, penalty):
                 raise ConfigError(f"generator.params.grids.{kind}[{j}]: {penalty} is outside "

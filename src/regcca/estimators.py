@@ -409,7 +409,11 @@ def scca_fit(
 
     One outer iteration maps the state (u, z_u, xi_u, v, z_v, xi_v) through
     the u block and then the v block; the duals carry over
-    (``recycle_duals``) or restart from the weights.  The outer iteration
+    (``recycle_duals``) or restart from the weights.  Restarted duals make
+    the fixed point of the outer map a KKT point only when each block nearly
+    solves its subproblem: with few inner steps (50, say) it is not one, so
+    such a fit runs to ``max_outer`` and reports ``converged=False``; with
+    the 1,000 inner steps of criterion 7 the fits certify.  The outer iteration
     is type-II Anderson accelerated by ``AndersonMemory``, with two plain
     steps after a rejected extrapolation and the sign pattern of (u, v) as
     the key of the map.

@@ -1,4 +1,5 @@
-"""Graphical Lasso by Anderson-accelerated ADMM with a KKT stationarity certificate.
+"""Graphical Lasso by Anderson-accelerated ADMM and a Newton polish, with a
+KKT stationarity certificate.
 
 Solves, for symmetric input C and penalty lam > 0,
 
@@ -21,6 +22,24 @@ rho is adapted by residual balancing (factor 2 when one ADMM residual
 exceeds the other tenfold), which rescales U; the memory is keyed by rho.
 Convergence is certified by the first-order optimality (KKT) residual, not
 by the ADMM or fixed-point residuals.
+
+The ADMM converges linearly, and its last digits cost most of its
+eigendecompositions.  Once the KKT residual of an ADMM iterate omega is at
+most POLISH_HANDOFF, the fit hands off to a Newton polish, the active-set
+second-order step of QUIC (Hsieh, Sustik, Dhillon & Ravikumar 2014):
+with the support and the off-diagonal signs s of omega frozen, the
+objective is smooth,
+
+    -log det X + trace(C X) + lam * sum_{i != j} s_ij X_ij   on the support,
+
+and Newton steps from omega converge quadratically.  Each step is solved
+inexactly by preconditioned conjugate gradients (Dembo, Eisenstat &
+Steihaug 1982) on the Hessian product W D W, W = inv(X), and shortened
+until X stays positive definite; no Hessian is formed.  The polished X is
+returned only when no frozen sign flipped and its KKT residual, by the
+formula of ``kkt_residual``, is at most tol: the certificate of the ADMM.
+Otherwise the ADMM continues from its own state, untouched, and the next
+polish waits until the ADMM's KKT residual has fallen tenfold.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +52,18 @@ __all__ = ["PrecisionEstimate", "GlassoConvergenceError", "glasso_fit", "kkt_res
 
 # Anderson memory: how many recent fixed-point residuals are mixed.
 ANDERSON_MEMORY = 5
+# KKT residual of an ADMM iterate at which the Newton polish is first tried;
+# on criterion-3 (d=60) and panel fold (d=90) covariances 1e-3 took fewer
+# eigendecompositions and less CPU than 1e-4, which reaches the polish later
+POLISH_HANDOFF = 1e-3
+# the polish aims at a KKT residual of POLISH_DEPTH * tol, near the rounding
+# floor, so that its result does not depend on where its CG solves stopped:
+# polished at tol itself, gcca fits of permuted variables differed by up to
+# 1e-6 where the ADMM's agree to 1e-10
+POLISH_DEPTH = 1e-5
+# caps of one polish: its Newton steps, and the CG steps of one Newton step
+NEWTON_STEPS = 5
+CG_STEPS = 200
 
 
 class GlassoError(ValueError):
@@ -68,6 +99,15 @@ def _pd_inverse(a):
     return inv_factor.T @ inv_factor
 
 
+def _violation(g, omega, lam):
+    """Max entrywise violation of the GLasso stationarity conditions at
+    omega, given G = inv(omega) - C."""
+    g = 0.5 * (g + g.T)
+    violation = np.where(omega == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(omega)))
+    np.fill_diagonal(violation, np.abs(np.diagonal(g)))
+    return max(float(np.max(violation)), 0.0)
+
+
 def kkt_residual(c, omega, lam):
     """Max entrywise violation of the GLasso stationarity conditions.
 
@@ -80,11 +120,78 @@ def kkt_residual(c, omega, lam):
     inv = _pd_inverse(omega)
     if inv is None:
         raise GlassoError("omega is not positive definite")
-    g = inv - c
-    g = 0.5 * (g + g.T)
-    violation = np.where(omega == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(omega)))
-    np.fill_diagonal(violation, np.abs(np.diagonal(g)))
-    return max(float(np.max(violation)), 0.0)
+    return _violation(inv - c, omega, lam)
+
+
+def _newton_cg(omega, w, grad, support, eta):
+    """Preconditioned CG on the Newton system of the polish at omega (with
+    inverse w): (W D W) restricted to the support = -grad.  The
+    preconditioner is (Omega R Omega) restricted to the support, the exact
+    inverse of the Hessian W D W when the support is full, and positive
+    definite on any support.  Each CG step costs four d x d products, two
+    for the Hessian and two for the preconditioner.  Stops once the
+    residual norm is at most eta * ||grad||, or after CG_STEPS steps.
+    Returns the symmetric step D and the number of CG steps."""
+    target = eta * float(np.linalg.norm(grad))
+    delta = np.zeros_like(grad)
+    r = -grad
+    z = np.where(support, omega @ r @ omega, 0.0)
+    p = z
+    rz = float(np.vdot(r, z))
+    steps = 0
+    while steps < CG_STEPS and float(np.linalg.norm(r)) > target:
+        hp = np.where(support, w @ p @ w, 0.0)
+        alpha = rz / float(np.vdot(p, hp))
+        delta += alpha * p
+        r -= alpha * hp
+        z = np.where(support, omega @ r @ omega, 0.0)
+        rz, rz_old = float(np.vdot(r, z)), rz
+        p = z + (rz / rz_old) * p
+        steps += 1
+    return 0.5 * (delta + delta.T), steps
+
+
+def _newton_polish(c, omega, w, lam, tol):
+    """Newton steps from omega (PD, with inverse w) on its support and
+    off-diagonal signs, frozen (see the module docstring).
+
+    The forcing term of each inexact Newton step is min(0.5, max |grad|),
+    so the steps converge quadratically.  They stop when the KKT residual
+    is at most POLISH_DEPTH * tol, when the gradient on the support is that
+    small (what is left of the residual then lies off the support, where
+    no Newton step reaches, or is rounding), or after NEWTON_STEPS steps.
+
+    Returns (omega, kkt) of the last iterate when its KKT residual is at
+    most tol, None when it is not or a frozen sign flipped; then the Newton
+    steps and the d x d products of CG taken.
+    """
+    support = omega != 0.0
+    signs = np.sign(omega)
+    penalty = lam * signs
+    np.fill_diagonal(penalty, 0.0)
+    kkt = np.inf
+    steps = products = 0
+    while steps < NEWTON_STEPS and kkt > POLISH_DEPTH * tol:
+        grad = np.where(support, c - w + penalty, 0.0)
+        largest = float(np.max(np.abs(grad)))
+        if steps and largest <= POLISH_DEPTH * tol:
+            break
+        delta, cg_steps = _newton_cg(omega, w, grad, support, min(0.5, largest))
+        steps += 1
+        products += 4 * cg_steps
+        t = 1.0
+        while True:
+            candidate = omega + t * delta
+            inv = _pd_inverse(candidate)
+            if inv is not None:
+                break
+            t *= 0.5
+        omega, w = candidate, inv
+        # off the support omega stays exactly zero, and a PD diagonal positive
+        if not np.array_equal(np.sign(omega), signs):
+            return None, steps, products
+        kkt = _violation(w - c, omega, lam)
+    return ((omega, kkt) if kkt <= tol else None), steps, products
 
 
 def _penalty_prox(s, thr):
@@ -104,13 +211,21 @@ def _logdet_prox(v, c, rho):
 
 def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     """Anderson-accelerated ADMM solve of the off-diagonal l1-penalised
-    Gaussian log-likelihood (see the module docstring for the iteration).
+    Gaussian log-likelihood, finished by a Newton polish (see the module
+    docstring for both).
 
     Each iteration costs one eigendecomposition; ``AndersonMemory`` decides
     between the extrapolation and the plain ADMM step.  The KKT
     residual of the symmetrised iterate is checked every 10 iterations, and
     whenever both ADMM residuals fall below 10 * tol; the solve stops as
-    soon as it is at most ``tol``.
+    soon as it is at most ``tol``.  A check whose residual is at most
+    POLISH_HANDOFF (at first; after a rejected polish, a tenth of the
+    residual at that polish) hands the iterate to the Newton polish, at
+    most NEWTON_STEPS steps of at most CG_STEPS CG steps each, aimed at a
+    residual of POLISH_DEPTH * tol.  Its result is returned when it
+    certifies by the same KKT residual and ``tol``; otherwise the ADMM
+    continues.  Either way the returned precision has a KKT residual of at
+    most ``tol``, as ``kkt_residual`` computes it.
 
     Parameters
     ----------
@@ -126,12 +241,16 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     The ADMM penalty rho starts at 1 and is rescaled by residual balancing
     (see the module docstring); other starting values gave no speed-up.
 
-    The returned ``diagnostics`` hold ``iterations`` (eigendecompositions,
-    including those spent on rejected extrapolations),
+    The returned ``diagnostics`` hold ``iterations`` (the ADMM's
+    eigendecompositions, including those spent on rejected extrapolations),
     ``extrapolations_accepted`` and ``extrapolations_rejected`` (Anderson
     steps kept and dropped by the safeguard), the last ADMM ``primal_residual``
-    and ``dual_residual``, the ``kkt_residual``, the final ``rho`` and
-    ``converged``.
+    and ``dual_residual``, the ``kkt_residual`` of the returned precision,
+    the final ``rho``, ``newton_steps`` and ``cg_products`` (Newton steps
+    and the d x d matrix products of their CG solves, four per CG step,
+    over every polish, rejected ones included), ``polished`` (whether the
+    returned precision is the polish's) and ``converged``.
+    ``GlassoConvergenceError.diagnostics`` holds the same keys.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -154,6 +273,9 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     primal = dual = np.inf
     kkt = np.inf
     it = 0
+    polish = None
+    next_polish = POLISH_HANDOFF
+    newton_steps = cg_products = 0
     check_every = 10
     for it in range(1, max_iter + 1):
         x = _logdet_prox(2.0 * z - s, c, rho)
@@ -180,19 +302,25 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
             z = _penalty_prox(s, lam / rho) if memory.extrapolated else z_plain
 
         if it % check_every == 0 or (primal < tol * 10 and dual < tol * 10):
-            try:
-                kkt = kkt_residual(c, 0.5 * (z + z.T), lam)
-            except GlassoError:
-                kkt = np.inf
+            omega = 0.5 * (z + z.T)
+            inv = _pd_inverse(omega)
+            kkt = np.inf if inv is None else _violation(inv - c, omega, lam)
             if kkt <= tol:
                 break
+            if kkt <= next_polish:
+                polish, steps, products = _newton_polish(c, omega, inv, lam, tol)
+                newton_steps += steps
+                cg_products += products
+                if polish is not None:
+                    omega, kkt = polish
+                    break
+                next_polish = kkt / 10.0
 
         if factor != 1.0:
             # rescale U = S - Z to the new rho, a new map for the memory
             rho *= factor
             s = z + (s - z) / factor
 
-    omega = 0.5 * (z + z.T)
     diagnostics = {
         "iterations": it,
         "extrapolations_accepted": memory.accepted,
@@ -201,6 +329,9 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
         "dual_residual": dual,
         "kkt_residual": kkt,
         "rho": rho,
+        "newton_steps": newton_steps,
+        "cg_products": cg_products,
+        "polished": polish is not None,
         "converged": kkt <= tol,
     }
     if kkt > tol:

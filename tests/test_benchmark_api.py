@@ -5,7 +5,9 @@ instead of failing, and the by-hand ``panel`` workload is not run by the
 suite, so a renamed or deleted public name would otherwise go unnoticed.
 The ``cli_session`` workload counts the CLI's fits through the outermost
 ``fit_estimator`` and ``sweep_trajectory`` calls, so a command that fitted
-around them would read as fewer fits per CPU second.  The benchmark files
+around them would read as fewer fits per CPU second.  The workloads also
+read solver diagnostics from ``provenance.info``; a renamed key would zero a
+counter or fail every gcca output check.  The benchmark files
 are read, not changed: ``spans.py`` is imported from its path (it imports
 only the standard library) and ``workloads.py`` is parsed.
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import regcca as rc
 import regcca.cli
 from regcca import estimators
 from test_cli import toy_csv, write_config  # noqa: F401  (toy_csv is a fixture)
@@ -130,3 +133,56 @@ def test_cli_fits_pass_through_the_captured_calls(tmp_path, toy_csv, command, li
         interposer.restore()
     assert captured == [("sweep_trajectory" if command == "sweep" else "fit_estimator")] * fits
     assert regcca.cli.fit_estimator is estimators.fit_estimator
+
+
+def provenance_info_reads(source):
+    """Every key path that ``source`` reads from an estimate's
+    ``provenance.info``, by constant subscripts and a closing ``.get(key, ...)``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "info"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "provenance"):
+            continue
+        keys = []
+        parent = parents.get(node)
+        while (isinstance(parent, ast.Subscript) and parent.value is node
+               and isinstance(parent.slice, ast.Constant)):
+            keys.append(parent.slice.value)
+            node, parent = parent, parents.get(parent)
+        if isinstance(parent, ast.Attribute) and parent.attr == "get":
+            call = parents.get(parent)
+            if isinstance(call, ast.Call) and isinstance(call.args[0], ast.Constant):
+                keys.append(call.args[0].value)
+        reads.add(tuple(keys))
+    return reads
+
+
+# what the workloads' solver counts and output checks read, per estimator kind
+BENCHMARK_INFO_READS = {"gcca": {("glasso", "iterations"), ("glasso", "kkt_residual")},
+                        "scca": {("total_inner_iterations",)}}
+
+
+def test_the_info_reader_finds_subscripts_and_get():
+    source = ("a = est.provenance.info['glasso']['iterations']\n"
+              "b = sum(e.provenance.info.get('steps', 0) for e in ests)\n"
+              "c = est.provenance.algorithm\n")
+    assert provenance_info_reads(source) == {("glasso", "iterations"), ("steps",)}
+
+
+def test_the_benchmark_reads_the_listed_diagnostics():
+    reads = provenance_info_reads((PERFBENCH / "workloads.py").read_text())
+    assert reads == set.union(*BENCHMARK_INFO_READS.values())
+
+
+@pytest.mark.parametrize("kind, penalty", [("gcca", 0.1), ("scca", 0.05)])
+def test_fits_carry_the_diagnostics_the_benchmark_reads(kind, penalty):
+    cov, _ = rc.canonical_pair_covariance(6, 5, [0.8], 2, seed=3)
+    data, _ = rc.center_and_covariance(rc.mvn_sample(cov, 60, seed=4))
+    est = rc.fit_estimator(rc.EstimatorSpec(kind=kind, penalty=penalty, K=1), data)
+    for path in BENCHMARK_INFO_READS[kind]:
+        value = est.provenance.info
+        for key in path:
+            value = value[key]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), path

@@ -452,6 +452,13 @@ class TestConfigErrors:
         ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
             "n_seeds": 1, "kinds": ["gcca"], "grids": {"gcca": [-0.1]}}}},
          "generator.params.grids.gcca"),
+        # the bootstrap-panel preset sweeps its grids, as the canonical-pair one does not
+        ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
+            "n_seeds": 1, "kinds": ["rcca"], "grids": {"rcca": []}}}},
+         "generator.params.grids.rcca"),
+        ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
+            "n_seeds": 1, "kinds": ["rcca"], "grids": {"rcca": [0.1, 0.5, 0.3]}}}},
+         "generator.params.grids.rcca"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -614,6 +621,18 @@ class TestSynthBench:
         lines = (out / "bench_canonical-pair.csv").read_text().strip().splitlines()
         # 2 seeds x 1 n x 1 kind x 2 penalties x 3 metrics + header
         assert len(lines) == 13
+
+    @pytest.mark.parametrize("grid", [[], [0.1, 0.5, 0.3]])
+    def test_canonical_pair_preset_fits_penalties_one_by_one(self, tmp_path, grid):
+        # no sweep, so a grid the bootstrap-panel preset rejects is accepted
+        cfg = write_config(tmp_path, "bench.json", {
+            "generator": {"preset": "canonical-pair", "params": {
+                "n_seeds": 1, "n_list": [60], "kinds": ["rcca"], "grids": {"rcca": grid}}},
+        })
+        out = tmp_path / "out"
+        assert main(["synth-bench", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "bench_canonical-pair.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 3 * len(grid)
 
     def test_bootstrap_panel_skips_degenerate_cell(self):
         # scca at tau=5 zeroes the directions, so the cell's criteria are undefined

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from regcca.datamodel import center_and_covariance
+from regcca import glasso
+from regcca.datamodel import center_and_covariance, make_folds, split_fold
+from regcca.experiments import BOOTSTRAP_PANEL_DEFAULTS, _bootstrap_truth
 from regcca.glasso import GlassoConvergenceError, GlassoError, glasso_fit, kkt_residual
 from regcca.synth import canonical_pair_covariance, mvn_sample
 
@@ -145,7 +147,86 @@ class TestAcceleration:
         assert total <= ref_total / 2
         assert rejected > 0  # the safeguard path ran
 
+    def test_the_newton_polish_halves_the_eigendecompositions(self):
+        # the inputs above: 808 eigendecompositions by the ADMM alone
+        total = 0
+        for n in (100, 400):
+            c = canonical_pair_sample_covariance(n, seed=n)
+            for lam in (0.05, 0.1, 0.2, 0.4):
+                est = glasso_fit(c, lam)
+                diag = est.diagnostics
+                assert diag["polished"]
+                assert diag["newton_steps"] > 0 and diag["cg_products"] > 0
+                assert kkt_residual(c, est.omega, lam) == diag["kkt_residual"] <= 1e-7
+                total += diag["iterations"]
+        assert total <= 485
 
+
+def panel_fold_covariance():
+    """The joint covariance gcca_fit passes to glasso on the first training
+    fold of criterion-4 sample seed 0 (p=60, q=30)."""
+    cfg = BOOTSTRAP_PANEL_DEFAULTS
+    data, _ = center_and_covariance(mvn_sample(_bootstrap_truth(cfg), cfg["n"], seed=500))
+    train, _ = split_fold(data, make_folds(data.n, cfg["V"], seed=0), 0)
+    _, sample = center_and_covariance(train)
+    return sample.joint()
+
+
+def off_diagonal_entry(omega, nonzero):
+    """(i, j), i < j, of the median-magnitude nonzero off-diagonal entry of
+    omega, or of the first zero one."""
+    i, j = np.nonzero(np.triu(omega != 0.0 if nonzero else omega == 0.0, k=1))
+    if not nonzero:
+        return i[0], j[0]
+    k = np.argsort(np.abs(omega[i, j]))[len(i) // 2]
+    return i[k], j[k]
+
+
+def corrupt(omega, how):
+    """omega with a wrong support or sign pattern, still positive definite."""
+    bad = omega.copy()
+    i, j = off_diagonal_entry(omega, nonzero=how != "add")
+    if how == "drop":
+        bad[i, j] = 0.0
+    elif how == "flip":
+        bad[i, j] = -bad[i, j]
+    else:
+        bad[i, j] = 1e-3 * np.sqrt(omega[i, i] * omega[j, j])
+    bad[j, i] = bad[i, j]
+    return bad
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("how", ["drop", "add", "flip"])
+    @pytest.mark.parametrize("source", ["canonical_pair_n40", "panel_fold"])
+    def test_a_wrong_pattern_is_rejected_and_the_admm_certifies(self, monkeypatch, source,
+                                                                 how):
+        # n=40 < p+q=60: a singular sample covariance; and one d=90 fold
+        if source == "panel_fold":
+            c, lam = panel_fold_covariance(), 0.05
+        else:
+            c, lam = canonical_pair_sample_covariance(40, seed=40), 0.1
+        polish = glasso._newton_polish
+        results = []
+
+        def first_on_a_wrong_pattern(c, omega, w, lam, tol):
+            if not results:
+                omega = corrupt(omega, how)
+                w = np.linalg.inv(omega)
+            results.append(polish(c, omega, w, lam, tol))
+            return results[-1]
+
+        monkeypatch.setattr(glasso, "_newton_polish", first_on_a_wrong_pattern)
+        est = glasso_fit(c, lam)
+        diag = est.diagnostics
+        assert results[0][0] is None
+        assert len(results) > 1 and results[-1][0] is not None
+        assert diag["polished"] and diag["converged"]
+        assert diag["newton_steps"] == sum(steps for _, steps, _ in results)
+        assert kkt_residual(c, est.omega, lam) == diag["kkt_residual"] <= 1e-7
+        # the fit without the wrong start has the same support
+        monkeypatch.setattr(glasso, "_newton_polish", polish)
+        np.testing.assert_array_equal(est.omega != 0.0, glasso_fit(c, lam).omega != 0.0)
 
 
 class TestGlassoFit:
@@ -214,8 +295,10 @@ class TestGlassoFit:
             glasso_fit(c, 0.05, tol=1e-12, max_iter=3)
         diag = err.value.diagnostics
         assert diag["iterations"] == 3
-        for key in ("kkt_residual", "extrapolations_accepted", "extrapolations_rejected"):
+        for key in ("kkt_residual", "extrapolations_accepted", "extrapolations_rejected",
+                    "newton_steps", "cg_products", "polished"):
             assert key in diag
+        assert not diag["polished"]
 
     def test_invalid_inputs_rejected(self, rng):
         c = random_correlation(rng, 4)
