@@ -41,6 +41,9 @@ def main():
     write_json(outdir / "summary.json", printable)
     for key in sorted(printable):
         vals = printable[key]
+        if not vals["seeds_used"]:
+            print(f"{key}: no seed with a scored penalty")
+            continue
         print(f"{key}: oracle rho={vals['median_rho_oracle']:.3f} "
               f"wt_u1={vals['median_wt_u1']:.3f} vt_u1={vals['median_vt_u1']:.3f}")
 

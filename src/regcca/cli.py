@@ -38,6 +38,7 @@ from .estimators import (
     fit_estimator,
     fit_options,
     penalty_in_domain,
+    require_grid,
     require_options,
     save_estimate,
     sweep_trajectory,
@@ -61,17 +62,14 @@ def _config_hash(config):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _require(config, field, typ, where="config", default=None):
-    """``config[field]``, an instance of ``typ`` unless that is None; a
-    field without a ``default`` must be present."""
+def _require(config, field, like, where="config", default=None):
+    """``config[field]``, checked by ``_check_like`` against the prototype
+    ``like``; a field without a ``default`` must be present."""
     if field not in config:
         if default is None:
             raise ConfigError(f"{where}.{field}: missing required field")
         return default
-    val = config[field]
-    if typ is not None and not isinstance(val, typ):
-        raise ConfigError(f"{where}.{field}: expected {typ.__name__}, got {type(val).__name__}")
-    return val
+    return _check_like(f"{where}.{field}", config[field], like)
 
 
 # a bool is an int to Python, but never a number to a config
@@ -79,31 +77,21 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_type(where, value, like):
-    """``value``, which must be of the type of ``like``: a bool for a bool,
-    an int for an int, any number for a float, else ``like``'s type."""
+def _check_like(where, value, like):
+    """``value``, of the type of ``like`` (a bool for a bool, an int for an
+    int, any number for a float, else ``like``'s type), as are its parts:
+    each element of a list checked against ``like``'s first, each value of a
+    dict against ``like``'s under the same key (or its first value)."""
     if isinstance(like, bool):
         ok, name = isinstance(value, bool), "bool"
     elif isinstance(like, int):
         ok, name = _is_int(value), "int"
     elif isinstance(like, float):
-        ok, name = _is_number(value), "number"
+        ok, name = _is_int(value) or isinstance(value, float), "number"
     else:
         ok, name = isinstance(value, type(like)), type(like).__name__
     if not ok:
         raise ConfigError(f"{where}: expected {name}, got {type(value).__name__}")
-    return value
-
-
-def _check_like(where, value, like):
-    """``_check_type`` of ``value`` and of its parts: each element of a list
-    against the first element of ``like``, each value of a dict against
-    ``like``'s value under the same key (or its first value)."""
-    _check_type(where, value, like)
     if isinstance(like, list) and like:
         for i, item in enumerate(value):
             _check_like(f"{where}[{i}]", item, like[0])
@@ -113,54 +101,59 @@ def _check_like(where, value, like):
     return value
 
 
+def _checked(where, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ValueError is a config fault at
+    ``where``; NumPy's LinAlgError, a ValueError too, stays a solver failure."""
+    try:
+        return check(*args, **kwargs)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _check_int(where, value, positive=False):
     """A non-negative int, as NumPy's generators take a seed, or with
     ``positive`` an int of at least 1."""
-    _check_type(where, value, 0)
+    _check_like(where, value, 0)
     if value < int(positive):
         raise ConfigError(f"{where}: expected a {'positive' if positive else 'non-negative'} "
                           f"int, got {value}")
     return value
 
 
-def _strictly_monotone(vals):
-    diffs = np.diff(vals)
-    return bool(np.all(diffs > 0) or np.all(diffs < 0))
-
-
 def _parse_grid(section):
+    """The penalty grid of either form, checked by ``require_grid``."""
     if "values" in section:
-        vals = section["values"]
-        if not isinstance(vals, list) or not vals or not all(_is_number(v) for v in vals):
-            raise ConfigError("grid.values: must be a nonempty list of numbers")
-        if not _strictly_monotone(vals):
-            raise ConfigError("grid.values: must be strictly monotone")
-        return [float(v) for v in vals]
+        values = _check_like("grid.values", section["values"], [0.0])
+        return _checked("grid.values", require_grid, [float(v) for v in values])
     if "log10_from" in section and "log10_to" in section:
         # log-spaced, with a fixed number of points per decade
         for name in ("log10_from", "log10_to"):
-            _check_type(f"grid.{name}", section[name], 0.0)
+            _check_like(f"grid.{name}", section[name], 0.0)
         per_decade = _check_int("grid.per_decade", section.get("per_decade", 9), positive=True)
         lo, hi = float(section["log10_from"]), float(section["log10_to"])
-        n = int(round((hi - lo) * per_decade)) + 1
-        return [float(10.0**e) for e in np.linspace(lo, hi, max(n, 2))]
+        # a non-finite span has no point count; its two points are not monotone
+        n = int(round((hi - lo) * per_decade)) + 1 if np.isfinite(hi - lo) else 2
+        grid = [float(10.0**e) for e in np.linspace(lo, hi, max(n, 2))]
+        return _checked("grid", require_grid, grid)
     raise ConfigError("grid: need either 'values' or 'log10_from'/'log10_to'")
 
 
 def _load_dataset(config, seed):
     if "data" in config:
-        sec = _require(config, "data", dict)
-        x_path = _require(sec, "x_csv", str, "data")
-        y_path = _require(sec, "y_csv", str, "data")
+        sec = _require(config, "data", {})
+        x_path = _require(sec, "x_csv", "", "data")
+        y_path = _require(sec, "y_csv", "", "data")
         try:
             return load_two_view_csv(x_path, y_path)
         except (DataError, OSError) as exc:
             raise ConfigError(f"data: {exc}") from exc
     if "generator" in config:
-        sec = _require(config, "generator", dict)
-        name = _require(sec, "name", str, "generator")
-        params = dict(_require(sec, "params", dict, "generator", {}))
-        n = _check_int("generator.n", _require(sec, "n", None, "generator"), positive=True)
+        sec = _require(config, "generator", {})
+        name = _require(sec, "name", "", "generator")
+        params = dict(_require(sec, "params", {}, "generator", {}))
+        n = _check_int("generator.n", _require(sec, "n", 0, "generator"), positive=True)
         sample_seed = _check_int("generator.sample_seed", sec.get("sample_seed", seed))
         cov = _generator_covariance(name, params)
         return mvn_sample(cov, n, seed=sample_seed)
@@ -187,38 +180,32 @@ def _parse_estimators(config, data):
     ``EstimatorSpec``'s field order, with penalty None where the entry gives
     none (a sweep takes the grid's)."""
     listed = []
-    ests = _require(config, "estimators", list)
+    ests = _require(config, "estimators", [])
     if not ests:
         raise ConfigError("estimators: must list at least one estimator")
     for i, e in enumerate(ests):
         where = f"estimators[{i}]"
-        _check_type(where, e, {})
-        kind = _require(e, "kind", str, where)
+        _check_like(where, e, {})
+        kind = _require(e, "kind", "", where)
         if kind not in KINDS:
             raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-        K = _check_type(f"{where}.K", _require(e, "K", None, where), 0)
-        try:
-            require_pairs(data, K)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.K: {exc}") from exc
-        options = _require(e, "options", dict, where, {})
+        K = _require(e, "K", 0, where)
+        _checked(f"{where}.K", require_pairs, data, K)
+        options = _require(e, "options", {}, where, {})
         known = fit_options(kind)
         for name, value in options.items():
             if name not in known:
                 raise ConfigError(f"{where}.options.{name}: not an option of {kind} "
                                   f"(options: {', '.join(known) or 'none'})")
-            _check_type(f"{where}.options.{name}", value, known[name])
+            _check_like(f"{where}.options.{name}", value, known[name])
         try:
             require_options(kind, options)
         except ValueError as exc:
             raise ConfigError(f"{where}.options.{exc}") from exc
         penalty = e.get("penalty")
         if penalty is not None:
-            _check_type(f"{where}.penalty", penalty, 0.0)
-            try:
-                penalty = EstimatorSpec(kind=kind, penalty=float(penalty), K=K).penalty
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
+            _check_like(f"{where}.penalty", penalty, 0.0)
+            penalty = _checked(where, EstimatorSpec, kind, float(penalty), K).penalty
         listed.append((kind, penalty, K, dict(options)))
     return listed
 
@@ -239,7 +226,7 @@ def _fit_listed(listed, data, seed, command):
 
 def _k_list(config, default):
     """``metrics.k_list``, or ``default`` where the config gives none."""
-    k_list = _require(config, "metrics", dict, default={}).get("k_list", default)
+    k_list = _require(config, "metrics", {}, default={}).get("k_list", default)
     if (not isinstance(k_list, list) or not k_list
             or not all(_is_int(k) and k >= 1 for k in k_list)):
         raise ConfigError("metrics.k_list: must be a nonempty list of positive integers")
@@ -248,7 +235,7 @@ def _k_list(config, default):
 
 def _parse_metrics(config):
     k_list = _k_list(config, [1, 3, 5])
-    aggs = _require(config.get("metrics", {}), "aggregations", list, "metrics", ["sq_sum"])
+    aggs = _require(config.get("metrics", {}), "aggregations", [], "metrics", ["sq_sum"])
     if any(a != "sq_sum" for a in aggs):
         raise ConfigError("metrics.aggregations: only 'sq_sum' is reportable in the metric CSV; "
                           "other aggregations are available through the library API")
@@ -256,7 +243,7 @@ def _parse_metrics(config):
 
 
 def _parse_registration(config, listed):
-    sec = _require(config, "registration", dict, default={})
+    sec = _require(config, "registration", {}, default={})
     mode = sec.get("mode", "orthogonal")
     if mode not in MODES:
         raise ConfigError(f"registration.mode: {mode!r} is not one of {', '.join(MODES)}")
@@ -304,8 +291,8 @@ def _warn(message):
 
 def _cmd_fit(config, outdir, seed, jobs):
     raw = _load_dataset(config, seed)
-    export = _require(config, "output", dict, default={}).get("export_data", False)
-    if _check_type("output.export_data", export, False):
+    export = _require(config, "output", {}, default={}).get("export_data", False)
+    if _check_like("output.export_data", export, False):
         save_two_view_csv(raw, Path(outdir) / "data_x.csv", Path(outdir) / "data_y.csv")
     data, _ = center_and_covariance(raw)
     fits = _fit_listed(_parse_estimators(config, data), data, seed, "fit")
@@ -319,18 +306,15 @@ def _cmd_fit(config, outdir, seed, jobs):
 
 
 def _fold_plan(config, data, seed):
-    sec = _require(config, "folds", dict, default={})
-    V = _check_type("folds.V", sec.get("V", 5), 0)
+    sec = _require(config, "folds", {}, default={})
+    V = _check_like("folds.V", sec.get("V", 5), 0)
     fold_seed = _check_int("folds.seed", sec.get("seed", seed))
-    try:
-        return make_folds(data.n, V, seed=fold_seed)
-    except DataError as exc:
-        raise ConfigError(f"folds: {exc}") from exc
+    return _checked("folds", make_folds, data.n, V, seed=fold_seed)
 
 
 def _cmd_sweep(config, outdir, seed, jobs):
     data, _ = center_and_covariance(_load_dataset(config, seed))
-    grid = _parse_grid(_require(config, "grid", dict))
+    grid = _parse_grid(_require(config, "grid", {}))
     listed = _parse_estimators(config, data)
     k_list = _parse_metrics(config)
     folds = _fold_plan(config, data, seed)
@@ -395,11 +379,11 @@ def _cmd_compare(config, outdir, seed, jobs):
 def _cmd_biplot(config, outdir, seed, jobs):
     data, _ = center_and_covariance(_load_dataset(config, seed))
     listed = _parse_estimators(config, data)
-    out_sec = _require(config, "output", dict, default={})
+    out_sec = _require(config, "output", {}, default={})
     view = out_sec.get("variate_view", "x")
     if view not in ("x", "y"):
         raise ConfigError(f"output.variate_view: {view!r} is not 'x' or 'y'")
-    threshold = _check_type("output.biplot_threshold", out_sec.get("biplot_threshold", 0.0), 0.0)
+    threshold = _check_like("output.biplot_threshold", out_sec.get("biplot_threshold", 0.0), 0.0)
     # the biplot shows the first listed estimator
     [(label, est)] = _fit_listed(listed[:1], data, seed, "biplot")
     degenerate = est.provenance.degenerate
@@ -410,7 +394,9 @@ def _cmd_biplot(config, outdir, seed, jobs):
 
 
 # preset name -> (defaults, run function, columns of its CSV, whether it
-# sweeps each grid, which sweep_trajectory needs nonempty and strictly monotone)
+# sweeps each grid, which must then pass require_grid).  A preset runs its
+# seeds serially (--jobs is for sweep only), and a ValueError it raises is
+# a parameter it rejects.
 _PRESETS = {
     "canonical-pair": (ex.CANONICAL_PAIR_DEFAULTS, ex.run_canonical_pair_bench,
                        ex.CANONICAL_PAIR_FIELDS, False),
@@ -420,31 +406,29 @@ _PRESETS = {
 
 
 def _cmd_synth_bench(config, outdir, seed, jobs):
-    sec = _require(config, "generator", dict)
-    preset = _require(sec, "preset", str, "generator")
+    sec = _require(config, "generator", {})
+    preset = _require(sec, "preset", "", "generator")
     if preset not in _PRESETS:
         raise ConfigError(f"generator.preset: unknown preset {preset!r}")
     defaults, run, fields, sweeps = _PRESETS[preset]
-    params = _require(sec, "params", dict, "generator", {})
+    params = _require(sec, "params", {}, "generator", {})
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"generator.params: {', '.join(unknown)} not a parameter of {preset}")
-    for name, value in params.items():
-        _check_like(f"generator.params.{name}", value, defaults[name])
+    _check_like("generator.params", params, defaults)
     grids = params.get("grids", defaults["grids"])
     for i, kind in enumerate(params.get("kinds", defaults["kinds"])):
         if kind not in KINDS:
             raise ConfigError(f"generator.params.kinds[{i}]: unknown kind {kind!r}")
         if kind not in grids:
             raise ConfigError(f"generator.params.grids.{kind}: missing, but kinds lists {kind}")
-        if sweeps and not (grids[kind] and _strictly_monotone(grids[kind])):
-            raise ConfigError(f"generator.params.grids.{kind}: {preset} sweeps it, so it must "
-                              f"be nonempty and strictly monotone")
+        if sweeps:
+            _checked(f"generator.params.grids.{kind}", require_grid, grids[kind])
         for j, penalty in enumerate(grids[kind]):
             if not penalty_in_domain(kind, penalty):
                 raise ConfigError(f"generator.params.grids.{kind}[{j}]: {penalty} is outside "
                                   f"the {kind} penalty domain")
-    records = run(**params)
+    records = _checked("generator.params", run, **params)
     write_csv_table(Path(outdir) / f"bench_{preset}.csv", fields,
                     [[r.get(f) for f in fields] for r in records])
     return 0

@@ -53,6 +53,7 @@ __all__ = [
     "fit_estimator",
     "fit_options",
     "require_options",
+    "require_grid",
     "sweep_trajectory",
     "save_estimate",
     "load_estimate",
@@ -60,26 +61,37 @@ __all__ = [
 
 KINDS = ("rcca", "spls", "scca", "gcca")
 
+# kind -> (lower bound, upper bound, whether the lower bound is excluded)
 _PENALTY_RANGES = {
-    "rcca": (0.0, 1.0),
-    "spls": (1.0, np.inf),
-    "scca": (0.0, np.inf),
-    "gcca": (0.0, np.inf),
+    "rcca": (0.0, 1.0, False),
+    "spls": (1.0, np.inf, False),
+    "scca": (0.0, np.inf, False),
+    "gcca": (0.0, np.inf, True),
 }
 
 
 def penalty_in_domain(kind, penalty):
-    """Whether ``penalty`` is legal for ``kind``: inside its closed range in
-    ``_PENALTY_RANGES``, and strictly positive for gcca."""
-    lo, hi = _PENALTY_RANGES[kind]
-    return lo <= penalty <= hi and not (kind == "gcca" and penalty <= 0)
+    """Whether ``penalty`` is legal for ``kind``: inside its range in
+    ``_PENALTY_RANGES``."""
+    lo, hi, open_lo = _PENALTY_RANGES[kind]
+    return (lo < penalty if open_lo else lo <= penalty) and penalty <= hi
 
 
 def _require_penalty(kind, penalty):
     if not penalty_in_domain(kind, penalty):
-        lo, hi = _PENALTY_RANGES[kind]
-        opening = "(" if kind == "gcca" else "["
-        raise ValueError(f"{kind} penalty {penalty} outside {opening}{lo}, {hi}]")
+        lo, hi, open_lo = _PENALTY_RANGES[kind]
+        raise ValueError(f"{kind} penalty {penalty} outside {'(' if open_lo else '['}{lo}, {hi}]")
+
+
+def require_grid(grid):
+    """``grid`` as a list; a penalty grid must be nonempty and strictly monotone."""
+    grid = list(grid)
+    if not grid:
+        raise ValueError("penalty grid must be nonempty")
+    diffs = np.diff(np.asarray(grid, dtype=float))
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("penalty grid must be strictly monotone")
+    return grid
 
 
 @dataclass
@@ -717,12 +729,7 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
     eigendecompositions) serve all its penalties, in the pool once per
     chunk; ``estimates`` and ``failures`` list them penalty by penalty.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("penalty grid must be nonempty")
-    diffs = np.diff(np.asarray(grid, dtype=float))
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("penalty grid must be strictly monotone")
+    grid = require_grid(grid)
     _require_centred(data)
     options = dict(options or {})
 

@@ -48,7 +48,8 @@ def run_canonical_pair_bench(**overrides):
 
     Returns long-format records (kind, penalty, n, seed, metric, value)
     with the oracle first-pair correlation and the weight/variate errors of
-    the first pair, for every grid point.
+    the first pair, for every grid point.  A degenerate estimate whose
+    criteria are undefined gets no record, as in the panel.
     """
     cfg = {**CANONICAL_PAIR_DEFAULTS, **overrides}
     cov, truth = canonical_pair_covariance(
@@ -69,8 +70,15 @@ def run_canonical_pair_bench(**overrides):
                         records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
                                             metric="failure", value=str(exc)))
                         continue
-                    rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1], est.v_dirs[:, :1]))
-                    err = estimation_error(cov, truth, est, 1)
+                    try:
+                        rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1],
+                                                 est.v_dirs[:, :1]))
+                        err = estimation_error(cov, truth, est, 1)
+                    except ValueError:
+                        # degenerate estimates make the criteria undefined
+                        if not est.provenance.degenerate:
+                            raise
+                        continue
                     for mname, mval in (("rho_oracle", rho_or),
                                         ("wt_u1", err["wt_uk"]),
                                         ("vt_u1", err["vt_uk"])):
@@ -80,8 +88,9 @@ def run_canonical_pair_bench(**overrides):
 
 
 def summarise_canonical_pair(records, kinds, n_list):
-    """Per (kind, n): median over seeds of the grid-best oracle correlation,
-    and the weight/variate errors at that oracle-best penalty."""
+    """Per (kind, n): ``seeds_used``, the seeds with a scored penalty, and when
+    it is positive the medians over them of the grid-best oracle correlation
+    and of the weight/variate errors at that oracle-best penalty."""
     out = {}
     for kind in kinds:
         for n in n_list:
@@ -93,8 +102,10 @@ def summarise_canonical_pair(records, kinds, n_list):
             # each seed's metrics at its oracle-best penalty
             best = [max(by_pen.values(), key=lambda m: m["rho_oracle"])
                     for _, by_pen in sorted(by_seed.items())]
-            out[(kind, n)] = {f"median_{name}": float(np.median([m[name] for m in best]))
-                              for name in ("rho_oracle", "wt_u1", "vt_u1")}
+            out[(kind, n)] = {"seeds_used": len(best)}
+            if best:
+                out[(kind, n)].update({f"median_{name}": float(np.median([m[name] for m in best]))
+                                       for name in ("rho_oracle", "wt_u1", "vt_u1")})
     return out
 
 

@@ -161,9 +161,9 @@ def _newton_polish(c, omega, w, lam, tol):
     small (what is left of the residual then lies off the support, where
     no Newton step reaches, or is rounding), or after NEWTON_STEPS steps.
 
-    Returns (omega, kkt) of the last iterate when its KKT residual is at
-    most tol, None when it is not or a frozen sign flipped; then the Newton
-    steps and the d x d products of CG taken.
+    Returns (omega, w, kkt) of the last iterate, w its inverse, when its KKT
+    residual is at most tol, None when it is not or a frozen sign flipped;
+    then the Newton steps and the d x d products of CG taken.
     """
     support = omega != 0.0
     signs = np.sign(omega)
@@ -191,7 +191,7 @@ def _newton_polish(c, omega, w, lam, tol):
         if not np.array_equal(np.sign(omega), signs):
             return None, steps, products
         kkt = _violation(w - c, omega, lam)
-    return ((omega, kkt) if kkt <= tol else None), steps, products
+    return ((omega, w, kkt) if kkt <= tol else None), steps, products
 
 
 def _penalty_prox(s, thr):
@@ -225,7 +225,8 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     residual of POLISH_DEPTH * tol.  Its result is returned when it
     certifies by the same KKT residual and ``tol``; otherwise the ADMM
     continues.  Either way the returned precision has a KKT residual of at
-    most ``tol``, as ``kkt_residual`` computes it.
+    most ``tol``, as ``kkt_residual`` computes it; ``sigma`` is the
+    symmetrised inverse that the certifying check or polish step computed.
 
     Parameters
     ----------
@@ -312,7 +313,7 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
                 newton_steps += steps
                 cg_products += products
                 if polish is not None:
-                    omega, kkt = polish
+                    omega, inv, kkt = polish
                     break
                 next_polish = kkt / 10.0
 
@@ -340,10 +341,6 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
             f"(kkt_residual={kkt:.3e} > tol={tol:.1e})",
             diagnostics,
         )
-    sigma = _pd_inverse(omega)
-    if sigma is None:
-        raise GlassoConvergenceError(
-            "converged iterate is not PD (Cholesky factorisation failed)", diagnostics
-        )
-    sigma = 0.5 * (sigma + sigma.T)
+    # the certificate inverted omega by its Cholesky factor, so it is PD
+    sigma = 0.5 * (inv + inv.T)
     return PrecisionEstimate(omega=omega, sigma=sigma, lam=float(lam), diagnostics=diagnostics)

@@ -6,13 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
+import regcca.experiments
 import regcca.metrics
 from regcca import estimators
 from regcca.cli import main
 from regcca.compare import overlap_matrix, registered_overlaps, trajectory_comparison
 from regcca.datamodel import center_and_covariance, load_two_view_csv, make_folds, save_two_view_csv
 from regcca.estimators import EstimatorSpec, fit_estimator, sweep_trajectory
-from regcca.experiments import run_bootstrap_panel_bench, summarise_bootstrap_panel
+from regcca.experiments import (
+    run_bootstrap_panel_bench,
+    run_canonical_pair_bench,
+    summarise_bootstrap_panel,
+    summarise_canonical_pair,
+)
 from regcca.linalg import thin_svd
 from regcca.metrics import METRIC_FAMILIES
 from regcca.synth import canonical_pair_covariance, mvn_sample
@@ -459,6 +465,21 @@ class TestConfigErrors:
         ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
             "n_seeds": 1, "kinds": ["rcca"], "grids": {"rcca": [0.1, 0.5, 0.3]}}}},
          "generator.params.grids.rcca"),
+        # a one-point log grid, and a NaN bound: a traceback from sweep_trajectory
+        # or from the point count
+        ("sweep", {"grid": {"log10_from": -1, "log10_to": -1}}, "grid"),
+        ("sweep", {"grid": {"log10_from": float("nan"), "log10_to": 0}}, "grid"),
+        # parameters the preset itself rejects: a ValueError traceback
+        ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
+            "n_seeds": 1, "kinds": ["rcca"], "V": 1}}}, "generator.params"),
+        ("synth-bench", {"generator": {"preset": "bootstrap-panel", "params": {
+            "n_seeds": 1, "kinds": ["rcca"], "K": 0}}}, "generator.params"),
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "n_list": [1]}}}, "generator.params"),
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "support_size": 100}}}, "generator.params"),
+        ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
+            "n_seeds": 1, "rho1": 1.5}}}, "generator.params"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -633,6 +654,30 @@ class TestSynthBench:
         assert main(["synth-bench", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "bench_canonical-pair.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3 * len(grid)
+
+    def test_canonical_pair_skips_degenerate_estimates(self):
+        # scca at tau=5 zeroes the directions, so its criteria are undefined
+        kw = {"n_seeds": 1, "n_list": [100], "kinds": ["scca", "gcca"],
+              "grids": {"scca": [5.0], "gcca": [5.0]}}
+        records = run_canonical_pair_bench(**kw)
+        assert {(r["kind"], r["metric"]) for r in records} == {
+            ("gcca", "rho_oracle"), ("gcca", "wt_u1"), ("gcca", "vt_u1")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarise_canonical_pair(records, ["scca", "gcca"], [100])
+        assert summary[("scca", 100)] == {"seeds_used": 0}
+        assert summary[("gcca", 100)]["seeds_used"] == 1
+        assert set(summary[("gcca", 100)]) == {"seeds_used", "median_rho_oracle",
+                                               "median_wt_u1", "median_vt_u1"}
+
+    def test_canonical_pair_raises_on_a_healthy_estimate(self, monkeypatch):
+        def undefined(*args):
+            raise ValueError("undefined criterion")
+
+        monkeypatch.setattr(regcca.experiments, "estimation_error", undefined)
+        with pytest.raises(ValueError, match="undefined criterion"):
+            run_canonical_pair_bench(n_seeds=1, n_list=[60], kinds=["rcca"],
+                                     grids={"rcca": [0.2]})
 
     def test_bootstrap_panel_skips_degenerate_cell(self):
         # scca at tau=5 zeroes the directions, so the cell's criteria are undefined

@@ -263,6 +263,20 @@ class TestGlassoFit:
         est = glasso_fit(c, 0.05)
         np.testing.assert_allclose(est.sigma @ est.omega, np.eye(6), atol=1e-7)
 
+    @pytest.mark.parametrize("source, polished", [("canonical_pair", True),
+                                                  ("diagonal", False)])
+    def test_sigma_is_the_certified_inverse(self, source, polished):
+        # a polished exit, and an ADMM-certified one at a penalty that
+        # leaves omega diagonal
+        if source == "canonical_pair":
+            c, lam = canonical_pair_sample_covariance(100, seed=100), 0.1
+        else:
+            c, lam = random_correlation(np.random.default_rng(0), 8), 1.0
+        est = glasso_fit(c, lam)
+        assert est.diagnostics["polished"] is polished
+        w = glasso._pd_inverse(est.omega)
+        np.testing.assert_array_equal(est.sigma, 0.5 * (w + w.T))
+
     def test_positive_definite_output_across_penalties(self, rng):
         c = random_correlation(rng, 6)
         for lam in (1e-4, 1e-2, 0.2, 1.0):
