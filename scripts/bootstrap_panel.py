@@ -29,7 +29,11 @@ def main():
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    records = run_bootstrap_panel_bench(n_seeds=args.seeds, n=args.n)
+    try:
+        records = run_bootstrap_panel_bench(n_seeds=args.seeds, n=args.n)
+    except ValueError as exc:
+        # the arguments only size the run, so the preset rejected one of them
+        parser.error(str(exc))
 
     write_csv_table(outdir / "records.csv", BOOTSTRAP_PANEL_FIELDS,
                     [[r.get(f) for f in BOOTSTRAP_PANEL_FIELDS] for r in records])

@@ -26,12 +26,17 @@ def main():
     parser.add_argument("--n", type=int, nargs="+",
                         default=CANONICAL_PAIR_DEFAULTS["n_list"],
                         help="sample sizes to benchmark")
-    parser.add_argument("--kinds", nargs="+", default=CANONICAL_PAIR_DEFAULTS["kinds"])
+    parser.add_argument("--kinds", nargs="+", default=CANONICAL_PAIR_DEFAULTS["kinds"],
+                        choices=list(CANONICAL_PAIR_DEFAULTS["grids"]))
     args = parser.parse_args()
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    records = run_canonical_pair_bench(n_seeds=args.seeds, n_list=args.n, kinds=args.kinds)
+    try:
+        records = run_canonical_pair_bench(n_seeds=args.seeds, n_list=args.n, kinds=args.kinds)
+    except ValueError as exc:
+        # the arguments only size the run, so the preset rejected one of them
+        parser.error(str(exc))
 
     write_csv_table(outdir / "records.csv", CANONICAL_PAIR_FIELDS,
                     [[r[f] for f in CANONICAL_PAIR_FIELDS] for r in records])

@@ -412,9 +412,7 @@ def _cmd_synth_bench(config, outdir, seed, jobs):
         raise ConfigError(f"generator.preset: unknown preset {preset!r}")
     defaults, run, fields, sweeps = _PRESETS[preset]
     params = _require(sec, "params", {}, "generator", {})
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ConfigError(f"generator.params: {', '.join(unknown)} not a parameter of {preset}")
+    _checked("generator.params", ex.preset_config, preset, defaults, params)
     _check_like("generator.params", params, defaults)
     grids = params.get("grids", defaults["grids"])
     for i, kind in enumerate(params.get("kinds", defaults["kinds"])):

@@ -283,7 +283,7 @@ def _step_bound(block):
     return float(np.linalg.eigvalsh(block.T @ block)[-1])
 
 
-def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
+def _ladmm_block(u, z, xi, xt, xdata, c, tau, mu, n_steps):
     """n_steps linearised-ADMM updates for one weight vector.
 
     xt stacks the data rows with the orthogonality-constraint rows; xdata is
@@ -300,13 +300,12 @@ def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
     place differently from xdata.u.  xi is updated in place.
     """
     n = xdata.shape[0]
-    coef = mu / lam_step
     shift = mu * c
     thr = mu * tau
     r = xt @ u
     r[:n] -= z
     for _ in range(n_steps):
-        u = soft_threshold(u - coef * (xt.T @ (r + xi)) + shift, thr)
+        u = soft_threshold(u - mu * (xt.T @ (r + xi)) + shift, thr)
         r = xt @ u
         w = r[:n] + xi[:n]
         nw = math.sqrt(w @ w)
@@ -314,6 +313,18 @@ def _ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
         r[:n] -= z
         xi += r
     return u, z, xi
+
+
+def _fresh_duals(w, xt, n):
+    """Duals restarted from the weight w: z, x.w (the first n rows of xt.w)
+    projected on the unit ball, and the constraint residual xi = xt.w - (z, 0)."""
+    xi = xt @ w
+    z = xi[:n].copy()
+    nz = np.linalg.norm(z)
+    if nz > 1.0:
+        z = z / nz
+    xi[:n] -= z
+    return z, xi
 
 
 def _scca_init(cxy, tau, k):
@@ -394,8 +405,6 @@ _SCCA_ANDERSON_DEPTH = 10
 _SCCA_CHECK_EVERY = 5
 # plain steps after the step that replaces a rejected extrapolation
 _SCCA_PLAIN_AFTER_REJECTION = 2
-# the linearised-ADMM step size mu is this fraction of 1 / (2 ||X||^2)
-_SCCA_LAMBDA_STEP = 1.0
 
 
 def scca_fit(
@@ -453,60 +462,37 @@ def scca_fit(
     xr, yr = _thin_factor(xd), _thin_factor(yd)
     mx, my = xr.shape[0], yr.shape[0]
 
-    def fresh_duals(weight, stacked, rows):
-        res = stacked @ weight
-        zz = res[:rows].copy()
-        nz = np.linalg.norm(zz)
-        if nz > 1.0:
-            zz = zz / nz
-        res[:rows] -= zz
-        return zz, res
-
-    us, vs = [], []
-    # the pairs so far at unit variance, as the certificate reads them
-    u_hat, v_hat = np.zeros((data.p, 0)), np.zeros((data.q, 0))
-    total_inner = 0
+    # the pairs so far, as fitted and at unit variance (the certificate's)
+    u_prev, v_prev = np.zeros((data.p, 0)), np.zeros((data.q, 0))
+    u_hat, v_hat = u_prev, v_prev
     info = {"kkt_residuals": [], "outer_iterations": [], "extrapolations_rejected": [],
             "last_outer_moves": []}
     for k in range(1, K + 1):
-        u_prev = np.column_stack(us) if us else np.zeros((data.p, 0))
-        v_prev = np.column_stack(vs) if vs else np.zeros((data.q, 0))
         xt = np.vstack([xr, (cxx @ u_prev).T])
         yt = np.vstack([yr, (cyy @ v_prev).T])
-        mu_x = _SCCA_LAMBDA_STEP / (2.0 * max(_step_bound(xt), 1e-30))
-        mu_y = _SCCA_LAMBDA_STEP / (2.0 * max(_step_bound(yt), 1e-30))
+        mu_x = 1.0 / (2.0 * max(_step_bound(xt), 1e-30))
+        mu_y = 1.0 / (2.0 * max(_step_bound(yt), 1e-30))
 
         u, v = _scca_init(cxy, tau, k)
         u, v = _unit_variance(u, cxx), _unit_variance(v, cyy)
         # the state (u, z_u, xi_u, v, z_v, xi_v) as one vector, and where
         # each part sits in it
-        state = np.concatenate([u, *fresh_duals(u, xt, mx), v, *fresh_duals(v, yt, my)])
+        state = np.concatenate([u, *_fresh_duals(u, xt, mx), v, *_fresh_duals(v, yt, my)])
         ends = np.cumsum([data.p, mx, xt.shape[0], data.q, my, yt.shape[0]])
         at_u, at_zu, at_xiu, at_v, at_zv, at_xiv = map(slice, np.r_[0, ends[:-1]], ends)
-        at_weights = np.r_[at_u, at_v]
-
-        def outer_map(state):
-            # xi is updated in place, the rest is replaced
-            u, z_u, xi_u = state[at_u], state[at_zu], state[at_xiu].copy()
-            v, z_v, xi_v = state[at_v], state[at_zv], state[at_xiv].copy()
-            if not recycle_duals:
-                z_u, xi_u = fresh_duals(u, xt, mx)
-            u, z_u, xi_u = _ladmm_block(u, z_u, xi_u, xt, xr, cxy @ v, tau, _SCCA_LAMBDA_STEP,
-                                        mu_x, n_steps_admm)
-            if not recycle_duals:
-                z_v, xi_v = fresh_duals(v, yt, my)
-            v, z_v, xi_v = _ladmm_block(v, z_v, xi_v, yt, yr, cxy.T @ u, tau, _SCCA_LAMBDA_STEP,
-                                        mu_y, n_steps_admm)
-            return np.concatenate([u, z_u, xi_u, v, z_v, xi_v])
-
-        def certificate(image):
-            return _pair_kkt(cxx, cyy, cxy, image[at_u], image[at_v], u_hat, v_hat, tau)
 
         memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH, _SCCA_PLAIN_AFTER_REJECTION)
         kkt, checked = np.inf, -1
         for it in range(1, max_outer + 1):
-            image = outer_map(state)
-            total_inner += 2 * n_steps_admm
+            # the outer map, the u block then the v block; xi is updated in
+            # place, the rest is replaced
+            u, z_u, xi_u = state[at_u], state[at_zu], state[at_xiu].copy()
+            v, z_v, xi_v = state[at_v], state[at_zv], state[at_xiv].copy()
+            if not recycle_duals:
+                (z_u, xi_u), (z_v, xi_v) = _fresh_duals(u, xt, mx), _fresh_duals(v, yt, my)
+            u, z_u, xi_u = _ladmm_block(u, z_u, xi_u, xt, xr, cxy @ v, tau, mu_x, n_steps_admm)
+            v, z_v, xi_v = _ladmm_block(v, z_v, xi_v, yt, yr, cxy.T @ u, tau, mu_y, n_steps_admm)
+            image = np.concatenate([u, z_u, xi_u, v, z_v, xi_v])
             f = image - state
             res = float(np.linalg.norm(f))
             if memory.rejects(res):
@@ -515,31 +501,31 @@ def scca_fit(
             # on one sign pattern of (u, v) the outer map is affine but for
             # the ball projection; a new pattern is a new map, whose
             # residuals do not mix with the old ones
-            memory.accept(f, image, res, np.sign(image[at_weights]))
+            memory.accept(f, image, res, np.sign(np.concatenate([u, v])))
             if it % _SCCA_CHECK_EVERY == 0:
-                kkt, checked = certificate(image), it
+                kkt, checked = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau), it
                 if kkt <= tol:
                     break
             state = memory.next_point(image)
         # the pair is the last accepted point
+        u, v = memory.base_image[at_u], memory.base_image[at_v]
         if checked != it:
-            kkt = certificate(memory.base_image)
+            kkt = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau)
         info["kkt_residuals"].append(kkt)
         info["outer_iterations"].append(it)
         info["extrapolations_rejected"].append(memory.rejected)
         moves = memory.base_residual
         info["last_outer_moves"].append((float(np.linalg.norm(moves[at_u])),
                                          float(np.linalg.norm(moves[at_v]))))
-        us.append(memory.base_image[at_u])
-        vs.append(memory.base_image[at_v])
-        u_hat = np.column_stack([u_hat, _unit_variance(us[-1], cxx)])
-        v_hat = np.column_stack([v_hat, _unit_variance(vs[-1], cyy)])
+        u_prev, v_prev = np.column_stack([u_prev, u]), np.column_stack([v_prev, v])
+        u_hat = np.column_stack([u_hat, _unit_variance(u, cxx)])
+        v_hat = np.column_stack([v_hat, _unit_variance(v, cyy)])
 
-    info.update(total_inner_iterations=total_inner, n_steps_admm=n_steps_admm,
-                recycle_duals=recycle_duals)
+    # every outer iteration runs both blocks, rejected extrapolations included
+    info.update(total_inner_iterations=2 * n_steps_admm * sum(info["outer_iterations"]),
+                n_steps_admm=n_steps_admm, recycle_duals=recycle_duals)
     converged = all(r <= tol for r in info["kkt_residuals"])
-    return _estimate("scca", tau, data, np.column_stack(us), np.column_stack(vs),
-                     converged=converged, info=info)
+    return _estimate("scca", tau, data, u_prev, v_prev, converged=converged, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +727,10 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = -(-len(cells) // (_CHUNKS_PER_WORKER * jobs))
+        # the pool starts all its workers at once: no more than there are chunks
+        workers = min(jobs, -(-len(cells) // chunksize))
         # the parent only waits while the pool runs
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(fit, cells, chunksize=chunksize))
     else:
         outcomes = [fit(cell) for cell in cells]

@@ -43,15 +43,25 @@ CANONICAL_PAIR_DEFAULTS = {
 CANONICAL_PAIR_FIELDS = ["kind", "penalty", "n", "seed", "metric", "value"]
 
 
+def preset_config(preset, defaults, overrides):
+    """``defaults`` updated by ``overrides``, each of which must be a key of
+    ``defaults``: a preset takes no keyword it would ignore."""
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)} not a parameter of {preset}")
+    return {**defaults, **overrides}
+
+
 def run_canonical_pair_bench(**overrides):
     """Error-versus-n experiment on the single-canonical-pair model.
 
     Returns long-format records (kind, penalty, n, seed, metric, value)
     with the oracle first-pair correlation and the weight/variate errors of
     the first pair, for every grid point.  A degenerate estimate whose
-    criteria are undefined gets no record, as in the panel.
+    criteria are undefined gets no record, as in the panel; an undefined
+    criterion of a healthy estimate is a RuntimeError.
     """
-    cfg = {**CANONICAL_PAIR_DEFAULTS, **overrides}
+    cfg = preset_config("canonical-pair", CANONICAL_PAIR_DEFAULTS, overrides)
     cov, truth = canonical_pair_covariance(
         cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
         within_view="suo_sp", seed=cfg["model_seed"],
@@ -74,10 +84,11 @@ def run_canonical_pair_bench(**overrides):
                         rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1],
                                                  est.v_dirs[:, :1]))
                         err = estimation_error(cov, truth, est, 1)
-                    except ValueError:
-                        # degenerate estimates make the criteria undefined
+                    except ValueError as exc:
+                        # degenerate estimates make the criteria undefined; on a
+                        # healthy one that is a program fault, not a parameter
                         if not est.provenance.degenerate:
-                            raise
+                            raise RuntimeError(f"{kind} at penalty {penalty}: {exc}") from exc
                         continue
                     for mname, mval in (("rho_oracle", rho_or),
                                         ("wt_u1", err["wt_uk"]),
@@ -172,9 +183,10 @@ def run_bootstrap_panel_bench(**overrides):
     samples.  Records carry CV and oracle correlation criteria plus the
     top-3 subspace errors, per (kind, penalty, seed) cell, and
     ``converged``: whether every fit of the cell (its V fold fits and the
-    full-sample fit) converged.
+    full-sample fit) converged.  An undefined criterion of a cell with no
+    degenerate estimate is a RuntimeError.
     """
-    cfg = {**BOOTSTRAP_PANEL_DEFAULTS, **overrides}
+    cfg = preset_config("bootstrap-panel", BOOTSTRAP_PANEL_DEFAULTS, overrides)
     boot_cov = _bootstrap_truth(cfg)
     kmax = cfg["K"]
     truth = cca_from_covariance(boot_cov, kmax)
@@ -200,10 +212,10 @@ def run_bootstrap_panel_bench(**overrides):
                     row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1],
                                               full.v_dirs[:, :1])
                     err = estimation_error(boot_cov, truth, full, kmax)
-                except ValueError:
+                except ValueError as exc:
                     # degenerate estimates make some criteria undefined; sweep skips them too
                     if not any(e.provenance.degenerate for e in fold_ests + [full]):
-                        raise
+                        raise RuntimeError(f"{kind} at penalty {penalty}: {exc}") from exc
                     continue
                 row["vt_U3"] = err["vt_Uk"]
                 row["wt_U3"] = err["wt_Uk"]

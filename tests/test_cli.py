@@ -35,6 +35,15 @@ def toy_csv(tmp_path):
     return str(x_path), str(y_path)
 
 
+@pytest.fixture
+def undefined_criterion(monkeypatch):
+    """The presets' estimation_error raising on every estimate, healthy or not."""
+    def undefined(*args):
+        raise ValueError("undefined criterion")
+
+    monkeypatch.setattr(regcca.experiments, "estimation_error", undefined)
+
+
 def write_config(tmp_path, name, config):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -670,14 +679,34 @@ class TestSynthBench:
         assert set(summary[("gcca", 100)]) == {"seeds_used", "median_rho_oracle",
                                                "median_wt_u1", "median_vt_u1"}
 
-    def test_canonical_pair_raises_on_a_healthy_estimate(self, monkeypatch):
-        def undefined(*args):
-            raise ValueError("undefined criterion")
-
-        monkeypatch.setattr(regcca.experiments, "estimation_error", undefined)
-        with pytest.raises(ValueError, match="undefined criterion"):
+    def test_canonical_pair_raises_on_a_healthy_estimate(self, undefined_criterion):
+        with pytest.raises(RuntimeError, match="rcca at penalty 0.2: undefined criterion"):
             run_canonical_pair_bench(n_seeds=1, n_list=[60], kinds=["rcca"],
                                      grids={"rcca": [0.2]})
+
+    def test_bootstrap_panel_raises_on_a_healthy_estimate(self, undefined_criterion):
+        with pytest.raises(RuntimeError, match="rcca at penalty 0.2: undefined criterion"):
+            run_bootstrap_panel_bench(n_seeds=1, kinds=["rcca"], grids={"rcca": [0.2]})
+
+    def test_a_criterion_fault_is_not_a_config_error(self, tmp_path, undefined_criterion, capsys):
+        # a program fault, not a parameter: it propagates and does not exit 2
+        cfg = write_config(tmp_path, "bench.json", {
+            "generator": {"preset": "canonical-pair", "params": {
+                "n_seeds": 1, "n_list": [60], "kinds": ["rcca"], "grids": {"rcca": [0.2]}}},
+        })
+        with pytest.raises(RuntimeError, match="undefined criterion"):
+            main(["synth-bench", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run, preset", [(run_canonical_pair_bench, "canonical-pair"),
+                                             (run_bootstrap_panel_bench, "bootstrap-panel")])
+    def test_an_unknown_keyword_is_rejected_before_any_fit(self, monkeypatch, run, preset):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the keywords were checked")
+
+        monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
+        with pytest.raises(ValueError, match=f"^kind, n_seed not a parameter of {preset}$"):
+            run(n_seed=1, kind="rcca")
 
     def test_bootstrap_panel_skips_degenerate_cell(self):
         # scca at tau=5 zeroes the directions, so the cell's criteria are undefined

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 
 import numpy as np
@@ -644,9 +645,9 @@ class TestSccaCertificate:
         c = 0.5 * rng.standard_normal(p)
         mu = 0.5 / estimators._step_bound(np.vstack([xd, cons]))
         full = estimators._ladmm_block(u, z, np.r_[xi, xi_cons], np.vstack([xd, cons]), xd,
-                                       c, 0.05, 1.0, mu, 20)
+                                       c, 0.05, mu, 20)
         thin = estimators._ladmm_block(u, q.T @ z, np.r_[q.T @ xi, xi_cons],
-                                       np.vstack([r, cons]), r, c, 0.05, 1.0, mu, 20)
+                                       np.vstack([r, cons]), r, c, 0.05, mu, 20)
         np.testing.assert_allclose(thin[0], full[0], rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(q @ thin[1], full[1], rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(np.r_[q @ thin[2][:m], thin[2][m:]], full[2],
@@ -673,15 +674,14 @@ class TestSccaCertificate:
                     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
 
-def reference_ladmm_block(u, z, xi, xt, xdata, c, tau, lam_step, mu, n_steps):
+def reference_ladmm_block(u, z, xi, xt, xdata, c, tau, mu, n_steps):
     """The linearised-ADMM block with four mat-vecs per step: the textbook
     form the fused block must reproduce bit for bit."""
     n = xdata.shape[0]
-    coef = mu / lam_step
     for _ in range(n_steps):
         r = xt @ u
         r[:n] -= z
-        u = soft_threshold(u - coef * (xt.T @ (r + xi)) + mu * c, mu * tau)
+        u = soft_threshold(u - mu * (xt.T @ (r + xi)) + mu * c, mu * tau)
         w = xdata @ u + xi[:n]
         nw = np.linalg.norm(w)
         z = w / nw if nw > 1.0 else w
@@ -1015,6 +1015,43 @@ class TestSweep:
             np.testing.assert_array_equal(other.v_dirs, est.v_dirs)
             np.testing.assert_array_equal(other.rho, est.rho)
             assert other.provenance == est.provenance
+
+    @pytest.mark.parametrize("n_grid, V, jobs, workers", [
+        (2, 2, 2, 2), (2, 2, 16, 6), (1, 2, 4, 3), (37, 5, 2, 2)])
+    def test_pool_starts_no_more_workers_than_chunks(self, toy_data, monkeypatch, n_grid, V,
+                                                     jobs, workers):
+        # the pool forks every worker at its first submit, so the worker
+        # count is read from a serial stand-in; no process is started
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize):
+                cells = list(cells)
+                self.chunks = -(-len(cells) // chunksize)
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        folds = make_folds(toy_data.n, V, seed=0)
+        grid = list(np.linspace(0.1, 0.9, n_grid))
+        pooled = sweep_trajectory("rcca", toy_data, grid, folds, 1, seed=3, jobs=jobs)
+        [pool] = pools
+        assert pool.max_workers == workers <= pool.chunks
+        serial = sweep_trajectory("rcca", toy_data, grid, folds, 1, seed=3)
+        assert list(pooled.estimates) == list(serial.estimates)
+        for key, est in serial.estimates.items():
+            np.testing.assert_array_equal(pooled.estimates[key].u_dirs, est.u_dirs)
+            np.testing.assert_array_equal(pooled.estimates[key].v_dirs, est.v_dirs)
+            assert pooled.estimates[key].provenance == est.provenance
 
     def test_pool_workers_run_one_blas_thread(self, toy_data, monkeypatch):
         calls = estimators._openblas_thread_calls()

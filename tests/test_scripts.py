@@ -37,3 +37,17 @@ def test_single_pair_experiment_writes_records_and_summary(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == CANONICAL_PAIR_FIELDS and len(rows) > 1
     assert set(json.loads((tmp_path / "summary.json").read_text())) == {"spls@n=60"}
+
+
+def test_an_unknown_kind_exits_2(tmp_path):
+    done = run_script("single_pair_experiment.py", "--kinds", "foo", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert "invalid choice: 'foo'" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ["single_pair_experiment.py", "bootstrap_panel.py"])
+def test_a_rejected_sample_size_exits_2(tmp_path, name):
+    done = run_script(name, "--n", "1", "--seeds", "1", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert "error: need at least 2 samples, got 1" in done.stderr
+    assert "Traceback" not in done.stderr
