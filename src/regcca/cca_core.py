@@ -85,28 +85,31 @@ class CovarianceSpectra:
         self.ty = float(np.trace(cov.syy))
         self.cross = self.qx.T @ cov.sxy @ self.qy
 
-    def solve(self, K, c=0.0):
-        """Top-K canonical pairs ``(u, v, rho)`` of the model with ridged
-        within-view blocks (1-c)*S + c*I.
+    def solve(self, K, penalties=(0.0,)):
+        """Top-K canonical pairs of the model with ridged within-view blocks
+        (1-c)*S + c*I, for each c of ``penalties``: stacks u, v and rho.
 
         Each block's ridged eigenvalues are floored as ``floored_power``
         floors them (the trace of (1-c)*S + c*I is (1-c)*tr(S) + c*d) and
         raised to -1/2; the rotated cross block, scaled by them on both
-        sides, is the whitened target, whose singular values are rho.  Its
-        singular vectors, scaled again and rotated back, are the directions,
-        with signs canonical on the left singular vectors in the original
-        coordinates.  A floored null direction stays in its own row of the
-        target, so it does not perturb the other correlations.
+        sides, is the whitened target, whose singular values are rho (one
+        stacked SVD for all penalties).  Its singular vectors, scaled again
+        and rotated back, are the directions, with signs canonical on the
+        left singular vectors in the original coordinates.  A floored null
+        direction stays in its own row of the target, so it does not
+        perturb the other correlations.
         """
-        dx, dy = self.wx.size, self.wy.size
-        rx = floored_power((1.0 - c) * self.wx + c, (1.0 - c) * self.tx + c * dx, -0.5)
-        ry = floored_power((1.0 - c) * self.wy + c, (1.0 - c) * self.ty + c * dy, -0.5)
-        left, rho, right_t = np.linalg.svd(rx[:, None] * self.cross * ry, full_matrices=False)
-        a, b = left[:, :K], right_t[:K].T
-        signs = canonical_signs(self.qx @ a)
-        u = self.qx @ (rx[:, None] * a * signs)
-        v = self.qy @ (ry[:, None] * b * signs)
-        return u, v, rho[:K].copy()
+        c = np.asarray(penalties, dtype=float)
+        dx, dy, cc = self.wx.size, self.wy.size, c[:, None]
+        rx = floored_power((1.0 - cc) * self.wx + cc, (1.0 - c) * self.tx + c * dx, -0.5)
+        ry = floored_power((1.0 - cc) * self.wy + cc, (1.0 - c) * self.ty + c * dy, -0.5)
+        target = rx[:, :, None] * self.cross * ry[:, None, :]
+        left, rho, right_t = np.linalg.svd(target, full_matrices=False)
+        a, b = left[:, :, :K], right_t[:, :K].swapaxes(-1, -2)
+        signs = canonical_signs(self.qx @ a)[:, None, :]
+        u = self.qx @ (rx[:, :, None] * a * signs)
+        v = self.qy @ (ry[:, :, None] * b * signs)
+        return u, v, rho[:, :K].copy()
 
 
 def require_pairs(model, K):
@@ -118,14 +121,14 @@ def require_pairs(model, K):
 
 def cca_from_covariance(cov: CovarianceModel, K, algorithm="exact"):
     """Top-K canonical decomposition of a covariance model:
-    ``CovarianceSpectra(cov).solve(K)``.
+    ``CovarianceSpectra(cov).solve(K)`` at the one penalty c=0.
 
     Rank-deficient within-view blocks take the same path as full-rank
     ones, their eigenvalues floored.  When rank(T) < K the remaining pairs
     come from the null-space columns of the SVD and carry zero correlation.
     """
     require_pairs(cov, K)
-    u, v, rho = CovarianceSpectra(cov).solve(K)
+    [u], [v], [rho] = CovarianceSpectra(cov).solve(K)
     return CcaEstimate(u_dirs=u, v_dirs=v, rho=rho, provenance=Provenance(algorithm=algorithm))
 
 

@@ -45,7 +45,7 @@ from .estimators import (
 )
 from . import experiments as ex
 from .glasso import GlassoConvergenceError
-from .metrics import cv_table, validation_splits
+from .metrics import cv_tables, validation_splits
 from .synth import canonical_pair_covariance, mvn_sample, powerlaw_precision
 
 
@@ -339,8 +339,9 @@ def _cmd_sweep(config, outdir, seed, jobs):
         for (i, fold), msg in sorted(traj.failures.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
             warning_count += _warn(f"{kind} penalty[{i}] fold {fold} failed: {msg}")
 
-        for i, penalty in enumerate(kind_grid):
-            table, skipped = cv_table(data, traj.fold_estimates(i), validation, k_list)
+        tables = cv_tables(data, [traj.fold_estimates(i) for i in range(len(kind_grid))],
+                           validation, k_list)
+        for i, (penalty, (table, skipped)) in enumerate(zip(kind_grid, tables)):
             for k, exc in skipped:
                 warning_count += _warn(f"{kind} penalty[{i}] k={k} metrics skipped: {exc}")
             rows += [[kind, penalty, "cv", metric, k, value] for metric, k, value, _ in table]
@@ -453,7 +454,8 @@ def main(argv=None):
     parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel sweep cells (an rcca path runs in-process)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -243,20 +244,40 @@ def save_two_view_csv(data: PairedDataset, x_path, y_path):
         write_csv_table(path, names, mat.tolist())
 
 
+# cell types whose ``str`` is what ``csv`` writes for them (for a float
+# its repr); subclasses such as bool or NumPy's float64 are not among them
+_PLAIN_CELLS = {float, int, str}
+
+
 def write_csv_table(path, header, rows):
     """Write a header row and data rows as CSV; every table the package
     writes goes through here.  ``csv`` writes a Python float as its
     ``repr``, which reads back to the same float, so rows of Python floats
-    (an array's ``tolist()``) round-trip exactly."""
+    (an array's ``tolist()``) round-trip exactly.  A table of list or tuple
+    rows of ``_PLAIN_CELLS`` that ``csv`` would not quote is written as one
+    join of their ``str``, the bytes ``csv.writer`` writes; any other table
+    goes through ``csv.writer``."""
+    table = [header, *rows]
+    text = None
+    if (set(map(type, table)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(table))) <= _PLAIN_CELLS):
+        text = "\r\n".join(",".join(map(str, row)) for row in table) + "\r\n"
+        # csv quotes a field holding a delimiter, a quote or a line break,
+        # and a lone empty field (here an empty line)
+        if ('"' in text or text.count(",") != sum(map(len, table)) - len(table)
+                or not text.count("\r") == text.count("\n") == len(table)
+                or "\r\n\r\n" in "\r\n" + text):
+            text = None
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if text is None:
+            csv.writer(fh).writerows(table)
+        else:
+            fh.write(text)
 
 
 def write_json(path, obj):
     """Write ``obj`` as JSON with indent 2, sorted keys and a trailing
-    newline; every JSON file the package writes goes through here."""
+    newline, in one write; every JSON file the package writes goes through
+    here."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

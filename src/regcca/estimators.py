@@ -152,7 +152,7 @@ def _estimate(kind, penalty, data: PairedDataset, u, v, rho=None, degenerate=Fal
 # ridge CCA
 # ---------------------------------------------------------------------------
 
-def rcca_fit(data: PairedDataset, c, K, spectra=None):
+def rcca_fit(data: PairedDataset, c, K):
     """Ridge-regularised CCA with tied penalty c in [0, 1].
 
     Plug-in CCA on the covariance model with within-view blocks
@@ -162,13 +162,21 @@ def rcca_fit(data: PairedDataset, c, K, spectra=None):
 
     The target is whitened in the eigenbases of Cxx and Cyy
     (``CovarianceSpectra.solve``), so a penalty costs one SVD of a p x q
-    matrix; ``spectra`` (the ``CovarianceSpectra`` of the sample covariance
-    of ``data``) lets a penalty path share one eigendecomposition per view.
+    matrix, and a penalty path (``_rcca_path``) shares one
+    eigendecomposition per view.
     """
     _require_fit_inputs("rcca", c, data, K)
-    if spectra is None:
-        spectra = CovarianceSpectra(center_and_covariance(data)[1])
-    return _estimate("rcca", c, data, *spectra.solve(K, c))
+    [est] = _rcca_path(data, [c], K)
+    return est
+
+
+def _rcca_path(data: PairedDataset, penalties, K):
+    """The rcca estimates of checked ``penalties`` on ``data``, from one
+    ``CovarianceSpectra`` and one stacked solve: those of ``rcca_fit`` bit
+    for bit."""
+    spectra = CovarianceSpectra(center_and_covariance(data)[1])
+    return [_estimate("rcca", c, data, u, v, rho)
+            for c, u, v, rho in zip(penalties, *spectra.solve(K, penalties))]
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +626,14 @@ class _CellFit:
 
     The data and folds are bound once, so a process pool pickles them once
     per chunk of cells rather than once per cell.  Each fold's training
-    split, and for rcca its ``CovarianceSpectra``, are kept once made, so
-    cells of one fold share them.  A solver failure comes back as (None,
-    message) and never aborts the sweep.
+    split is kept once made, so cells of one fold share it.  A solver
+    failure comes back as (None, message) and never aborts the sweep.
     """
 
     def __init__(self, data: PairedDataset, folds: FoldPlan):
         self.data = data
         self.folds = folds
         self._trains = {}
-        self._spectra = {}
 
     def _train(self, fold):
         if fold not in self._trains:
@@ -635,22 +641,36 @@ class _CellFit:
                                   else split_fold(self.data, self.folds, fold)[0])
         return self._trains[fold]
 
-    def __call__(self, cell):
+    def __call__(self, cell, est=None):
+        """The outcome of ``cell``: ``est``, a path's estimate, or the cell's
+        fit, with its fold and derived seed in its provenance."""
         kind, penalty, K, options, penalty_index, fold, seed = cell
-        try:
-            train = self._train(fold)
-            spec = EstimatorSpec(kind=kind, penalty=penalty, K=K, options=options)
-            if kind == "rcca":
-                if fold not in self._spectra:
-                    self._spectra[fold] = CovarianceSpectra(center_and_covariance(train)[1])
-                est = rcca_fit(train, penalty, K, spectra=self._spectra[fold], **options)
-            else:
-                est = fit_estimator(spec, train)
-        except (GlassoConvergenceError, np.linalg.LinAlgError, ValueError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+        if est is None:
+            try:
+                train = self._train(fold)
+                est = fit_estimator(EstimatorSpec(kind, penalty, K, options), train)
+            except (GlassoConvergenceError, np.linalg.LinAlgError, ValueError) as exc:
+                return None, f"{type(exc).__name__}: {exc}"
         est.provenance.fold = fold
         est.provenance.seed = _cell_seed(seed, kind, penalty_index, fold)
         return est, None
+
+    def rcca_fold(self, cells):
+        """The outcomes of the rcca ``cells`` of one fold, one per penalty
+        of the grid: one eigendecomposition per view and one stacked solve.
+        When a cell fails its checks (or is given an option rcca does not
+        take) or the solve raises, every cell is fitted alone, so that each
+        fails, or not, as it would alone."""
+        kind, _, K, options, _, fold, _ = cells[0]
+        penalties = [cell[1] for cell in cells]
+        try:
+            train = self._train(fold)
+            for penalty in penalties:
+                _require_fit_inputs(kind, penalty, train, K)
+            ests = _rcca_path(train, penalties, K, **options)
+        except (np.linalg.LinAlgError, ValueError, TypeError):
+            return [self(cell) for cell in cells]
+        return [self(cell, est) for cell, est in zip(cells, ests)]
 
 
 # chunks per pool worker: few enough that the dataset travels a few times,
@@ -711,9 +731,12 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
     Per-cell solver failures are recorded in ``failures`` and never abort
     the sweep.  Cells are independent; results do not depend on execution
     order, and each cell's derived RNG seed is recorded in its provenance.
-    Cells run fold by fold, so one fold's training split (and rcca's
-    eigendecompositions) serve all its penalties, in the pool once per
-    chunk; ``estimates`` and ``failures`` list them penalty by penalty.
+    Cells run fold by fold, so one fold's training split serves all its
+    penalties, in the pool once per chunk; ``estimates`` and ``failures``
+    list them penalty by penalty.  rcca's path is closed-form and costs
+    less than forking a pool, so it runs in this process whatever ``jobs``
+    is, one stacked solve per fold (``_CellFit.rcca_fold``); the pool
+    serves the iterative kinds.
     """
     grid = require_grid(grid)
     _require_centred(data)
@@ -723,7 +746,10 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
              for fold in list(range(folds.V)) + ["full"]
              for i, penalty in enumerate(grid)]
     fit = _CellFit(data, folds)
-    if jobs > 1:
+    if kind == "rcca":
+        outcomes = [outcome for start in range(0, len(cells), len(grid))
+                    for outcome in fit.rcca_fold(cells[start:start + len(grid)])]
+    elif jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = -(-len(cells) // (_CHUNKS_PER_WORKER * jobs))

@@ -57,9 +57,10 @@ def run_canonical_pair_bench(**overrides):
 
     Returns long-format records (kind, penalty, n, seed, metric, value)
     with the oracle first-pair correlation and the weight/variate errors of
-    the first pair, for every grid point.  A degenerate estimate whose
-    criteria are undefined gets no record, as in the panel; an undefined
-    criterion of a healthy estimate is a RuntimeError.
+    the first pair, for every grid point, and its fit's ``converged`` (not
+    a CSV column).  A degenerate estimate whose criteria are undefined gets
+    no record, as in the panel; an undefined criterion of a healthy
+    estimate is a RuntimeError.
     """
     cfg = preset_config("canonical-pair", CANONICAL_PAIR_DEFAULTS, overrides)
     cov, truth = canonical_pair_covariance(
@@ -94,22 +95,27 @@ def run_canonical_pair_bench(**overrides):
                                         ("wt_u1", err["wt_uk"]),
                                         ("vt_u1", err["vt_uk"])):
                         records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
-                                            metric=mname, value=mval))
+                                            metric=mname, value=mval,
+                                            converged=est.provenance.converged))
     return records
 
 
 def summarise_canonical_pair(records, kinds, n_list):
     """Per (kind, n): ``seeds_used``, the seeds with a scored penalty, and when
     it is positive the medians over them of the grid-best oracle correlation
-    and of the weight/variate errors at that oracle-best penalty."""
+    and of the weight/variate errors at that oracle-best penalty.
+    ``nonconverged_fits`` counts the scored fits with ``converged`` false,
+    present only when it is positive."""
     out = {}
     for kind in kinds:
         for n in n_list:
-            by_seed = {}
+            by_seed, nonconverged = {}, set()
             for r in records:
                 if r["kind"] != kind or r["n"] != n or r["metric"] == "failure":
                     continue
                 by_seed.setdefault(r["seed"], {}).setdefault(r["penalty"], {})[r["metric"]] = r["value"]
+                if not r["converged"]:
+                    nonconverged.add((r["seed"], r["penalty"]))
             # each seed's metrics at its oracle-best penalty
             best = [max(by_pen.values(), key=lambda m: m["rho_oracle"])
                     for _, by_pen in sorted(by_seed.items())]
@@ -117,6 +123,8 @@ def summarise_canonical_pair(records, kinds, n_list):
             if best:
                 out[(kind, n)].update({f"median_{name}": float(np.median([m[name] for m in best]))
                                        for name in ("rho_oracle", "wt_u1", "vt_u1")})
+            if nonconverged:
+                out[(kind, n)]["nonconverged_fits"] = len(nonconverged)
     return out
 
 

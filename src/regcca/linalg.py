@@ -3,10 +3,11 @@
 ``sym_eig`` and ``thin_svd`` return NumPy's tuples, ``(w, q)`` and
 ``(u, s, v)``, with values descending; ``floored_power`` raises floored
 eigenvalues to a power, and is the one clamp every whitening and
-``sym_matrix_power`` use; ``gram_schmidt_reduce`` is the one orthonormaliser
-(``gram_schmidt_metric`` is its strict form, ``reduce_stack`` its stacked
-use); ``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the
-one squared sin-Theta, and ``signed_corrs`` per-column correlations.
+``sym_matrix_power`` use; ``reduce_stack`` is the one orthonormaliser,
+column by column across a stack of blocks (``gram_schmidt_reduce`` is its
+one-block form, ``gram_schmidt_metric`` its strict form);
+``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the one
+squared sin-Theta, and ``signed_corrs`` per-column correlations.
 ``AndersonMemory`` is the one safeguarded type-II Anderson acceleration of
 a fixed-point iteration, shared by the glasso and scca solvers.
 
@@ -14,8 +15,6 @@ Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
 the snapshot and byte-identity tests rely on.
 """
-
-import math
 
 import numpy as np
 
@@ -27,6 +26,7 @@ __all__ = [
     "sym_matrix_power",
     "soft_threshold",
     "canonical_angles",
+    "block_products",
     "pair_sin2",
     "signed_corrs",
     "gram_schmidt_metric",
@@ -55,11 +55,11 @@ def _require_finite(a, name="matrix"):
 
 
 def canonical_signs(left):
-    """+1/-1 per column, the sign that makes the column's largest-magnitude
-    entry positive (ties resolve to the lowest index via argmax; +1 for a
-    zero column)."""
-    idx = np.argmax(np.abs(left), axis=0)
-    signs = np.sign(left[idx, np.arange(left.shape[1])])
+    """+1/-1 per column (of each block of a stack), the sign that makes the
+    column's largest-magnitude entry positive (ties resolve to the lowest
+    index via argmax; +1 for a zero column)."""
+    idx = np.argmax(np.abs(left), axis=-2)
+    signs = np.sign(np.take_along_axis(left, idx[..., None, :], axis=-2)[..., 0, :])
     signs[signs == 0] = 1.0
     return signs
 
@@ -148,38 +148,49 @@ def canonical_angles(z, w):
     return np.clip(np.linalg.svd(z.T @ w, compute_uv=False), 0.0, 1.0)
 
 
-def pair_sin2(q, first, second):
+def block_products(q):
+    """Every block of a (..., B, rows, m) stack against every block of its
+    stack, (..., B, B, m, m): the diagonal holds the Gram matrices, and the
+    leading k x k of each product is that of the blocks' first k columns."""
+    return q.swapaxes(-1, -2)[..., :, None, :, :] @ q[..., None, :, :, :]
+
+
+def pair_sin2(q, first, second, products=None):
     """Squared sin-Theta between the column spans of pairs of blocks.
 
-    ``q`` is a (B, rows, m) stack of orthonormal blocks, padded with zero
-    columns, which span nothing; pair i compares blocks ``first[i]`` and
-    ``second[i]``.  Returns (sin2, k_eff) per pair: k_eff is the smaller
-    dimension, and sin2 is k_eff minus the sum of the squared cosines,
-    from one stacked product and one stacked SVD.
+    ``q`` is a (..., B, rows, m) stack of orthonormal blocks, padded with
+    zero columns, which span nothing; pair i compares blocks ``first[i]``
+    and ``second[i]`` of each stack.  Returns (sin2, k_eff) per pair,
+    (..., pairs): k_eff is the smaller dimension, and sin2 is k_eff minus
+    the sum of the squared cosines, from one stacked product and one
+    stacked SVD.  ``products``, the ``block_products`` of blocks whose
+    first m columns are ``q``, spares forming them again for a prefix.
 
     Each block is checked once, in stack order: ``LinalgError`` names the
     first block with a non-finite entry, then the first whose nonzero
     columns deviate from orthonormality by more than ``ORTH_TOL`` (max
     Gram error), and is raised when a pair has a zero-dimensional block.
     """
-    finite = np.isfinite(q).all(axis=(1, 2))
+    count = q.shape[-3]
+    finite = np.isfinite(q).all(axis=(-2, -1))
     if not finite.all():
-        raise LinalgError(f"block {np.argmin(finite)} contains non-finite entries")
-    # every block against every block: the diagonal holds the Gram matrices
-    products = q.swapaxes(1, 2)[:, None] @ q[None]
-    gram = np.einsum("bbij->bij", products)
-    live = np.einsum("bii->bi", gram) != 0.0
-    gram_dev = np.abs(gram - live[:, :, None] * np.eye(q.shape[2])).max(axis=(1, 2))
+        raise LinalgError(f"block {np.argmin(finite) % count} contains non-finite entries")
+    m = q.shape[-1]
+    products = (block_products(q) if products is None else products)[..., :m, :m]
+    gram = np.einsum("...bbij->...bij", products)
+    live = np.einsum("...bii->...bi", gram) != 0.0
+    gram_dev = np.abs(gram - live[..., None] * np.eye(m)).max(axis=(-2, -1))
     b = np.argmax(gram_dev > ORTH_TOL)
-    if gram_dev[b] > ORTH_TOL:
-        raise LinalgError(f"block {b} columns not orthonormal: Gram deviation {gram_dev[b]:.3e}")
-    dims = np.count_nonzero(live, axis=1)
-    keff = np.minimum(dims[first], dims[second])
+    if gram_dev.flat[b] > ORTH_TOL:
+        raise LinalgError(f"block {b % count} columns not orthonormal: "
+                          f"Gram deviation {gram_dev.flat[b]:.3e}")
+    dims = np.count_nonzero(live, axis=-1)
+    keff = np.minimum(dims[..., first], dims[..., second])
     if not keff.all():
         raise LinalgError("zero-dimensional subspace in angle computation")
     # singular values are non-negative: clamping at 1 bounds each cosine
-    cos = np.minimum(np.linalg.svd(products[first, second], compute_uv=False), 1.0)
-    return keff - np.sum(cos**2, axis=1), keff
+    cos = np.minimum(np.linalg.svd(products[..., first, second, :, :], compute_uv=False), 1.0)
+    return keff - np.sum(cos**2, axis=-1), keff
 
 
 def signed_corrs(z, w):
@@ -195,50 +206,49 @@ def signed_corrs(z, w):
 
 def gram_schmidt_reduce(m, g=None):
     """Orthonormalise columns under the inner product ``<a, b> = a.T G b``
-    (``g=None``: Euclidean), dropping dependent columns.
-
-    Column j is projected off the block Q of the columns kept before it
-    twice, v -= Q (GQ).T v ("twice is enough": Giraud, Langou & Rozloznik
-    2005), and dropped when what is left has norm at most
-    ``DEFAULT_RANK_TOL`` times its own.  Returns (orthonormal block, list
-    of kept column indices).  The routine is prefix-stable: whether column
-    j is kept, and its value, depend only on the columns up to j, bit for
-    bit.
+    (``g=None``: Euclidean), dropping dependent columns: ``reduce_stack``
+    of one block.  Returns (orthonormal block, list of kept column
+    indices).  The routine is prefix-stable: whether column j is kept, and
+    its value, depend only on the columns up to j, bit for bit.
     """
-    m = np.asarray(m, dtype=float)
-    n, k = m.shape
-    # kept columns as rows, and their images under G
-    qt = np.empty((k, n))
-    gqt = qt if g is None else np.empty((k, n))
-    kept = []
-    for j in range(k):
-        v = m[:, j].copy()
-        gv = v if g is None else g @ v
-        norm0 = math.sqrt(max(float(v @ gv), 0.0))
-        q, gq = qt[:len(kept)], gqt[:len(kept)]
-        for _ in range(2):
-            v -= q.T @ (gq @ v)
-        gv = v if g is None else g @ v
-        nrm = math.sqrt(max(float(v @ gv), 0.0))
-        if nrm <= DEFAULT_RANK_TOL * max(norm0, 1e-300):
-            continue
-        qt[len(kept)] = v / nrm
-        if g is not None:
-            gqt[len(kept)] = gv / nrm
-        kept.append(j)
-    return np.ascontiguousarray(qt[:len(kept)].T), kept
+    q = reduce_stack(m, g)
+    kept = np.flatnonzero(q.any(axis=0)).tolist()
+    return np.ascontiguousarray(q[:, kept]), kept
 
 
-def reduce_stack(blocks):
-    """``gram_schmidt_reduce`` of each block of a (B, rows, m) stack, with
-    kept columns in their input places and dropped ones zero, so that
-    columns :k are the reduction of the first k inputs alone."""
+def _metric_norm(v, g):
+    """The norms of a stack of vectors (..., rows) under G, and their images."""
+    gv = v if g is None else (g @ v[..., None])[..., 0]
+    return np.sqrt(np.maximum((v[..., None, :] @ gv[..., None])[..., 0, 0], 0.0)), gv
+
+
+def reduce_stack(blocks, g=None):
+    """Gram-Schmidt of every block of a (..., rows, m) stack under
+    ``<a, b> = a.T G b`` (``g=None``: Euclidean), column by column across
+    all blocks, with kept columns in their input places and dropped ones
+    zero, so that columns :k are the reduction of the first k inputs alone.
+
+    Column j is projected off the columns before it twice, v -= Q (GQ).T v
+    ("twice is enough": Giraud, Langou & Rozloznik 2005), and dropped when
+    what is left has norm at most ``DEFAULT_RANK_TOL`` times its own; a
+    dropped column is zero, so it projects nothing off later ones.
+    """
     blocks = np.asarray(blocks, dtype=float)
-    q = np.zeros_like(blocks)
-    for b, block in enumerate(blocks):
-        qb, kept = gram_schmidt_reduce(block)
-        q[b][:, kept] = qb
-    return q
+    # the columns as rows, and their images under G
+    qt = np.zeros_like(blocks.swapaxes(-1, -2), order="C")
+    gqt = qt if g is None else np.zeros_like(qt)
+    for j in range(blocks.shape[-1]):
+        v = blocks[..., j].copy()
+        norm0, _ = _metric_norm(v, g)
+        q, gq = qt[..., :j, :], gqt[..., :j, :]
+        for _ in range(2):
+            v -= (q.swapaxes(-1, -2) @ (gq @ v[..., None]))[..., 0]
+        nrm, gv = _metric_norm(v, g)
+        keep = ~(nrm <= DEFAULT_RANK_TOL * np.maximum(norm0, 1e-300))[..., None]
+        np.divide(v, nrm[..., None], out=qt[..., j, :], where=keep)
+        if g is not None:
+            np.divide(gv, nrm[..., None], out=gqt[..., j, :], where=keep)
+    return np.ascontiguousarray(qt.swapaxes(-1, -2))
 
 
 def gram_schmidt_metric(m, g=None):

@@ -10,7 +10,8 @@ import numpy as np
 
 from .cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold
-from .linalg import gram_schmidt_reduce, pair_sin2, reduce_stack, signed_corrs, sym_matrix_power
+from .linalg import (block_products, gram_schmidt_reduce, pair_sin2, reduce_stack, signed_corrs,
+                     sym_matrix_power)
 
 __all__ = [
     "AGGREGATIONS",
@@ -24,6 +25,7 @@ __all__ = [
     "estimation_error",
     "cv_instability",
     "cv_table",
+    "cv_tables",
     "mutual_information",
     "gauss_mutual_info",
     "METRIC_FAMILIES",
@@ -39,25 +41,28 @@ def mutual_information(rho):
     Correlations are clamped just below one so degenerate sample CCA keeps
     the metric finite.
     """
-    r = np.clip(np.abs(np.asarray(rho, dtype=float)), 0.0, RHO_CLAMP)
-    return float(-0.5 * np.sum(np.log1p(-(r**2))))
+    return aggregate("mutual_info", rho)
 
 
+# each maps the last axis of a correlation stack to one value
 AGGREGATIONS = {
-    "l1_sum": lambda rho: float(np.sum(np.abs(rho))),
-    "sq_sum": lambda rho: float(np.sum(np.asarray(rho) ** 2)),
-    "mutual_info": mutual_information,
+    "l1_sum": lambda rho: np.sum(np.abs(rho), axis=-1),
+    "sq_sum": lambda rho: np.sum(rho**2, axis=-1),
+    "mutual_info": lambda rho: -0.5 * np.sum(
+        np.log1p(-(np.clip(np.abs(rho), 0.0, RHO_CLAMP) ** 2)), axis=-1),
 }
 
 
 def aggregate(kind, rho):
-    """Map a correlation vector to a scalar with a coordinate-wise
-    increasing aggregation."""
+    """Map a correlation vector to a float with a coordinate-wise
+    increasing aggregation, or a stack of vectors (the last axis) to an
+    array."""
     try:
         f = AGGREGATIONS[kind]
     except KeyError:
         raise ValueError(f"unknown aggregation {kind!r}") from None
-    return f(np.asarray(rho, dtype=float))
+    out = f(np.asarray(rho, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def gauss_mutual_info(cov: CovarianceModel):
@@ -120,7 +125,10 @@ def validation_splits(data: PairedDataset, folds: FoldPlan):
 
 
 class CvCriteria:
-    """Cross-validated criteria of one penalty's fold estimates, at every k.
+    """Cross-validated criteria of one penalty's fold estimates, or of a
+    stack of penalties (a list of such lists, every fold estimate present),
+    at every k.  A criterion of one penalty is a float, of a stack an array
+    with one value per penalty.
 
     Each block is formed once, with ``k_max`` columns: the validation
     variates of every fold, the full-data variates of every estimate, and
@@ -132,7 +140,7 @@ class CvCriteria:
 
     The folds' variates sit in stacks (validation blocks padded with zero
     rows to a common length, which changes no criterion), so the subspace
-    correlations of every fold at a k come from one stacked
+    correlations of every fold and penalty at a k come from one stacked
     ``empirical_canonical_correlations`` call, and the subspace instability
     of all fold pairs from one ``pair_sin2`` call per space on the reduced
     prefix blocks.
@@ -147,27 +155,38 @@ class CvCriteria:
     """
 
     def __init__(self, data: PairedDataset, fold_estimates, k_max, validation=None):
-        self.data = data
-        self.fold_estimates = list(fold_estimates)
-        self.k_max = k_max
-        self.validation = validation
-        self._variates = None
-        self._blocks_cache = None
+        fold_estimates = list(fold_estimates)
+        self.stacked = bool(fold_estimates) and isinstance(fold_estimates[0], (list, tuple))
+        self.by_penalty = fold_estimates if self.stacked else [fold_estimates]
+        self.data, self.k_max, self.validation = data, k_max, validation
+        # the folds with an estimate (all of a stack's penalties have one)
+        self.present = [f for f, e in enumerate(self.by_penalty[0]) if e is not None]
+        # (penalties, folds, p or q, k_max) stacks of the direction columns,
+        # zero where an estimate holds fewer than k_max pairs or there is none
+        self.u, self.v = (np.zeros((len(self.by_penalty), len(self.by_penalty[0]), d, k_max))
+                          for d in (data.p, data.q))
+        for i, ests in enumerate(self.by_penalty):
+            for f, est in enumerate(ests):
+                if est is not None:
+                    self.u[i, f, :, :min(est.k, k_max)] = est.u_dirs[:, :k_max]
+                    self.v[i, f, :, :min(est.k, k_max)] = est.v_dirs[:, :k_max]
+        self._variates = self._blocks_cache = None
+
+    def _value(self, values):
+        """An array over the penalties, or its one float."""
+        return values if self.stacked else float(values[0])
 
     def _validation_variates(self):
-        """(V, n_max, k_max) stacks of every fold's validation variates;
-        zero where a fold's split is shorter, its estimate holds fewer than
-        k_max pairs, or it has none."""
+        """(penalties, V, n_max, k_max) stacks of every fold's validation
+        variates; zero where a fold's split is shorter, its estimate holds
+        fewer than k_max pairs, or it has none."""
         if self._variates is None:
             n_max = max(val.n for val in self.validation)
-            z = np.zeros((len(self.validation), n_max, self.k_max))
+            z = np.zeros((len(self.by_penalty), len(self.validation), n_max, self.k_max))
             w = np.zeros_like(z)
-            for v, (val, est) in enumerate(zip(self.validation, self.fold_estimates)):
-                if est is not None:
-                    zv = val.x @ est.u_dirs[:, :self.k_max]
-                    wv = val.y @ est.v_dirs[:, :self.k_max]
-                    z[v, :val.n, :zv.shape[1]] = zv
-                    w[v, :val.n, :wv.shape[1]] = wv
+            for f, val in enumerate(self.validation):
+                z[:, f, :val.n] = val.x @ self.u[:, f]
+                w[:, f, :val.n] = val.y @ self.v[:, f]
             self._variates = (z, w)
         return self._variates
 
@@ -178,60 +197,58 @@ class CvCriteria:
             raise ValueError(f"unknown mode {mode!r}")
         if self.validation is None:
             raise ValueError("the validation splits are needed for cc_agg")
-        if len(self.fold_estimates) != len(self.validation):
-            raise ValueError(
-                f"need one estimate per fold: got {len(self.fold_estimates)} "
-                f"for V={len(self.validation)}"
-            )
+        if len(self.by_penalty[0]) != len(self.validation):
+            raise ValueError(f"need one estimate per fold: got {len(self.by_penalty[0])} "
+                             f"for V={len(self.validation)}")
         if K > self.k_max:
             raise ValueError(f"K={K} exceeds k_max={self.k_max}")
         # the folds before the first one without K pairs are scored first,
         # so that an error of theirs wins over that fold's
-        ests = self.fold_estimates
-        usable = next((v for v, e in enumerate(ests) if e is None or e.k < K), len(ests))
-        vals = []
+        lacking = [next((f for f, e in enumerate(ests) if e is None or e.k < K), len(ests))
+                   for ests in self.by_penalty]
+        usable = min(lacking)
+        vals = np.zeros((len(self.by_penalty), 0))
         if usable:
             z, w = self._validation_variates()
-            z, w = z[:usable, :, :K], w[:usable, :, :K]
-            if mode == "successive":
-                vals = [aggregate(kind, corr) for corr in signed_corrs(z, w)]
-            else:
-                vals = [aggregate(kind, rho) for rho in empirical_canonical_correlations(z, w)]
-        if usable < len(ests):
-            est = ests[usable]
+            z, w = z[:, :usable, :, :K], w[:, :usable, :, :K]
+            corr = signed_corrs if mode == "successive" else empirical_canonical_correlations
+            vals = aggregate(kind, corr(z, w))
+        if usable < len(self.validation):
+            est = self.by_penalty[lacking.index(usable)][usable]
             if est is None:
                 raise ValueError(f"missing estimate for fold {usable}")
             raise ValueError(f"fold {usable} estimate has {est.k} pairs, need {K}")
-        return float(np.mean(vals)), float(np.std(vals))
+        return self._value(np.mean(vals, axis=-1)), self._value(np.std(vals, axis=-1))
 
     def _blocks(self):
         """Per space ("wt": weights, "vt": full-data variates), the Gram
-        matrix of each raw column across the blocks, (k_max, B, B), and the
-        ``reduce_stack`` of the blocks, which ``instability`` reads."""
+        matrix of each raw column across the blocks, (penalties, k_max, B,
+        B), the ``reduce_stack`` of the blocks and its ``block_products``,
+        which ``instability`` reads by prefix."""
         if self._blocks_cache is None:
-            ests = [e for e in self.fold_estimates if e is not None]
-            u = np.zeros((len(ests), self.data.p, self.k_max))
-            for b, est in enumerate(ests):
-                cols = est.u_dirs[:, :self.k_max]
-                u[b, :, :cols.shape[1]] = cols
-            self._blocks_cache = {
-                space: (np.einsum("bic,dic->cbd", raw, raw), reduce_stack(raw))
-                for space, raw in (("wt", u), ("vt", self.data.x @ u))}
+            u = self.u[:, self.present]
+            self._blocks_cache = {}
+            for space, raw in (("wt", u), ("vt", self.data.x @ u)):
+                q = reduce_stack(raw)
+                self._blocks_cache[space] = (np.einsum("...bic,...dic->...cbd", raw, raw), q,
+                                             block_products(q))
         return self._blocks_cache
 
     def instability(self, k):
         """Fold-to-fold instability at k; see ``cv_instability``."""
-        first, second = np.triu_indices(sum(e is not None for e in self.fold_estimates), 1)
+        first, second = np.triu_indices(len(self.present), 1)
         if first.size == 0:
             raise ValueError("need at least 2 fold estimates")
         if k > self.k_max:
             raise ValueError(f"k={k} exceeds k_max={self.k_max}")
         out = {}
-        for space, (gram, q) in self._blocks().items():
-            out[f"{space}_uk_cv"] = float(np.mean(_vector_sin2(gram[k - 1], first, second)))
+        for space, (gram, q, products) in self._blocks().items():
+            sin2 = _vector_sin2(gram[..., k - 1, :, :], first, second)
+            out[f"{space}_uk_cv"] = self._value(np.mean(sin2, axis=-1))
             # the first k reduced columns are the reduction of the first k
             # input columns alone, as Gram-Schmidt is prefix-stable
-            out[f"{space}_Uk_cv"] = float(np.mean(pair_sin2(q[:, :, :k], first, second)[0]))
+            sin2, _ = pair_sin2(q[..., :k], first, second, products)
+            out[f"{space}_Uk_cv"] = self._value(np.mean(sin2, axis=-1))
         return out
 
 
@@ -254,12 +271,12 @@ def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, 
 
 def _vector_sin2(gram, first, second):
     """1 - cos^2 of the angle between vectors ``first[i]`` and
-    ``second[i]``, from the Gram matrix of the vectors; raises for a zero
-    vector in a pair."""
-    sq = np.diagonal(gram)
-    if not (np.all(sq[first]) and np.all(sq[second])):
+    ``second[i]``, from the Gram matrix of the vectors (or a stack of
+    them); raises for a zero vector in a pair."""
+    sq = np.diagonal(gram, axis1=-2, axis2=-1)
+    if not (np.all(sq[..., first]) and np.all(sq[..., second])):
         raise ValueError("zero vector in angle computation")
-    cos = gram[first, second] / (np.sqrt(sq[first]) * np.sqrt(sq[second]))
+    cos = gram[..., first, second] / (np.sqrt(sq[..., first]) * np.sqrt(sq[..., second]))
     return np.maximum(0.0, 1.0 - cos**2)
 
 
@@ -307,6 +324,30 @@ def metric_name(family, k, cv=False):
     return f"{family}{k}" + ("-cv" if cv else "")
 
 
+def _tables(data, fold_estimates, validation, ks, tolerant=False):
+    """The rows and skipped k of each penalty of ``fold_estimates`` (a list
+    per penalty, each reaching every k of ``ks``) from one ``CvCriteria``;
+    with ``tolerant`` (one penalty), a ValueError skips the rest of its k."""
+    crit = CvCriteria(data, fold_estimates, max(ks, default=0), validation)
+    tables = [([], []) for _ in fold_estimates]
+    for k in ks:
+        try:
+            for family, mode in zip(METRIC_FAMILIES, ("successive", "subspace")):
+                mean, spread = crit.cc_agg(mode, "sq_sum", k)
+                for (rows, _), value, dispersion in zip(tables, mean.tolist(), spread.tolist()):
+                    rows.append((metric_name(family, k, cv=True), k, value, dispersion))
+            inst = crit.instability(k)
+            for family in METRIC_FAMILIES[2:]:
+                values = inst[family.replace("-", "_") + "k_cv"].tolist()
+                for (rows, _), value in zip(tables, values):
+                    rows.append((metric_name(family, k, cv=True), k, value, None))
+        except ValueError as exc:
+            if not tolerant:
+                raise
+            tables[0][1].append((k, exc))
+    return tables
+
+
 def cv_table(data: PairedDataset, fold_estimates, validation, k_list):
     """The ``metrics.csv`` rows (metric, k, value, dispersion) of one
     penalty's fold estimates, and the (k, error) of each k it skipped.
@@ -319,20 +360,35 @@ def cv_table(data: PairedDataset, fold_estimates, validation, k_list):
     """
     reach = min(0 if e is None else e.k for e in fold_estimates)
     ks = [k for k in k_list if k <= reach]
-    crit = CvCriteria(data, fold_estimates, max(ks, default=0), validation)
-    rows, skipped = [], []
-    for k in ks:
+    # degenerate fold estimates make some criteria undefined (with no k to
+    # score, an estimate may be missing)
+    tolerant = bool(ks) and any(e.provenance.degenerate for e in fold_estimates)
+    return _tables(data, [list(fold_estimates)], validation, ks, tolerant)[0]
+
+
+# penalties per stacked pass, which holds a (penalties, V, n, k_max) block
+_CV_STACK = 16
+
+
+def cv_tables(data: PairedDataset, fold_estimates, validation, k_list):
+    """``cv_table`` of each penalty's fold estimates (a list per penalty),
+    yielded in penalty order.  The penalties whose fold estimates are all
+    present and non-degenerate are scored together, in stacks of
+    ``_CV_STACK`` up to the largest K among them (an estimate with fewer
+    pairs raises); any other penalty, and each of a stack that raises,
+    takes ``cv_table`` when its turn comes, so rows, skips and errors are
+    those of one ``cv_table`` call per penalty."""
+    fold_estimates = [list(ests) for ests in fold_estimates]
+    stack = [i for i, ests in enumerate(fold_estimates)
+             if ests and all(e is not None and not e.provenance.degenerate for e in ests)]
+    reach = max((e.k for i in stack for e in fold_estimates[i]), default=0)
+    tables = {}
+    for start in range(0, len(stack), _CV_STACK):
+        chunk = stack[start:start + _CV_STACK]
         try:
-            for family, mode in zip(METRIC_FAMILIES, ("successive", "subspace")):
-                rows.append((metric_name(family, k, cv=True), k,
-                             *crit.cc_agg(mode, "sq_sum", k)))
-            inst = crit.instability(k)
-            rows += [(metric_name(family, k, cv=True), k,
-                      inst[family.replace("-", "_") + "k_cv"], None)
-                     for family in METRIC_FAMILIES[2:]]
-        except ValueError as exc:
-            # degenerate fold estimates make some criteria undefined
-            if not any(e.provenance.degenerate for e in fold_estimates):
-                raise
-            skipped.append((k, exc))
-    return rows, skipped
+            tables.update(zip(chunk, _tables(data, [fold_estimates[i] for i in chunk], validation,
+                                             [k for k in k_list if k <= reach])))
+        except ValueError:
+            pass  # each penalty of the chunk raises, or not, in its own cv_table
+    for i, ests in enumerate(fold_estimates):
+        yield tables[i] if i in tables else cv_table(data, ests, validation, k_list)

@@ -679,6 +679,24 @@ class TestSynthBench:
         assert set(summary[("gcca", 100)]) == {"seeds_used", "median_rho_oracle",
                                                "median_wt_u1", "median_vt_u1"}
 
+    def test_canonical_pair_counts_nonconverged_fits(self, tmp_path):
+        kw = {"n_seeds": 1, "n_list": [60], "kinds": ["rcca"], "grids": {"rcca": [0.2, 0.5]}}
+        records = run_canonical_pair_bench(**kw)
+        assert len(records) == 6 and all(r["converged"] is True for r in records)
+        assert "nonconverged_fits" not in summarise_canonical_pair(records, ["rcca"], [60])[
+            ("rcca", 60)]
+        # the three records of the fit at 0.5 are one fit
+        for r in records:
+            r["converged"] = r["penalty"] != 0.5
+        summary = summarise_canonical_pair(records, ["rcca"], [60])
+        assert summary[("rcca", 60)]["nonconverged_fits"] == 1
+        # the CSV keeps its columns
+        cfg = write_config(tmp_path, "bench.json", {
+            "generator": {"preset": "canonical-pair", "params": kw}})
+        assert main(["synth-bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        header = (tmp_path / "out" / "bench_canonical-pair.csv").read_text().splitlines()[0]
+        assert header == "kind,penalty,n,seed,metric,value"
+
     def test_canonical_pair_raises_on_a_healthy_estimate(self, undefined_criterion):
         with pytest.raises(RuntimeError, match="rcca at penalty 0.2: undefined criterion"):
             run_canonical_pair_bench(n_seeds=1, n_list=[60], kinds=["rcca"],

@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from regcca.datamodel import (
     make_folds,
     save_two_view_csv,
     split_fold,
+    write_csv_table,
     write_json,
 )
 
@@ -192,3 +197,50 @@ def test_write_json_layout(tmp_path):
     write_json(path, {"b": [1.5, None], "a": {"z": True, "y": "s"}})
     assert path.read_text() == (
         '{\n  "a": {\n    "y": "s",\n    "z": true\n  },\n  "b": [\n    1.5,\n    null\n  ]\n}\n')
+
+
+# rows the joined fast path writes, and rows it must leave to csv.writer
+WRITER_ROWS = [
+    ["variable", "comp_1", "comp_2"],
+    ["x1", 0.1, -2.5e-300],
+    [1.0, 2, -3, float("inf"), float("-inf"), float("nan"), 1e16, 0.0, -0.0],
+    ["name, with a comma", 1.0],
+    ['a "quoted" name', 2.0],
+    ["two\nlines", 3.0],
+    ["carriage\rreturn", 4.0],
+    [""],
+    ["", ""],
+    ["", 5.0],
+    [None],
+    [None, 6.0],
+    [True, False, 7.0],
+    [np.float64(0.1), np.float64(float("nan")), 8],
+    [np.int64(3), 9.0],
+    ("a", "tuple", 10.0),
+    [],
+    ["plain"],
+]
+
+
+def csv_writer_bytes(rows):
+    ref = io.StringIO(newline="")
+    csv.writer(ref).writerows(rows)
+    return ref.getvalue().encode()
+
+
+@pytest.mark.parametrize("table", [WRITER_ROWS] + [[row] for row in WRITER_ROWS]
+                         + [[WRITER_ROWS[1], row] for row in WRITER_ROWS])
+def test_csv_table_bytes_are_those_of_csv_writer(tmp_path, table):
+    path = tmp_path / "t.csv"
+    write_csv_table(path, table[0], table[1:])
+    assert path.read_bytes() == csv_writer_bytes(table)
+
+
+def test_json_bytes_are_those_of_json_dump(tmp_path):
+    obj = {"rho": [0.1, float("inf")], "fold": "full", "seed": None, "degenerate": False,
+           "info": {"name, \"quoted\"\n": [1, 2.5e-300]}, "K": 3}
+    path = tmp_path / "m.json"
+    write_json(path, obj)
+    ref = io.StringIO()
+    json.dump(obj, ref, indent=2, sort_keys=True)
+    assert path.read_text() == ref.getvalue() + "\n"

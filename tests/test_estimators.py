@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from regcca import cca_core, estimators
 from regcca.cca_core import cca_from_covariance, sample_cca
-from regcca.datamodel import CovarianceModel, PairedDataset, center_and_covariance, make_folds
+from regcca.datamodel import (
+    CovarianceModel,
+    PairedDataset,
+    center_and_covariance,
+    make_folds,
+    split_fold,
+)
 from regcca.estimators import (
     EstimatorSpec,
     _l1_ball_unit_vector,
@@ -179,9 +185,9 @@ class TestRccaSpectral:
         assert sin2_theta(data.y @ est.v_dirs, data.y @ ref.v_dirs) <= 1e-8
 
     def test_shared_spectra_equal_fresh_fit(self, toy_data):
-        spectra = cca_core.CovarianceSpectra(center_and_covariance(toy_data)[1])
-        for c in (0.0, 0.3, 1.0):
-            shared = rcca_fit(toy_data, c, 3, spectra=spectra)
+        # a path shares one CovarianceSpectra and one stacked solve
+        grid = [0.0, 0.3, 1.0]
+        for c, shared in zip(grid, estimators._rcca_path(toy_data, grid, 3)):
             fresh = rcca_fit(toy_data, c, 3)
             np.testing.assert_array_equal(shared.u_dirs, fresh.u_dirs)
             np.testing.assert_array_equal(shared.v_dirs, fresh.v_dirs)
@@ -190,6 +196,34 @@ class TestRccaSpectral:
     def test_k_outside_range_rejected(self, toy_data):
         with pytest.raises(ValueError, match="outside"):
             rcca_fit(toy_data, 0.5, 6)
+
+    def test_stacked_solve_is_rcca_fit_penalty_by_penalty(self):
+        # a fold's training split has n = 24 rows for p = 30 x variables,
+        # and every pair is asked for: K = min(p, q)
+        rng = np.random.default_rng(67)
+        data, _ = center_and_covariance(PairedDataset(x=rng.standard_normal((36, 30)),
+                                                      y=rng.standard_normal((36, 8))))
+        folds = make_folds(data.n, 3, seed=2)
+        grid = [0.0, 1e-4, 0.5, 1.0]
+        train = split_fold(data, folds, 0)[0]
+        assert train.p >= train.n
+        spectra = cca_core.CovarianceSpectra(center_and_covariance(train)[1])
+        us, vs, rhos = spectra.solve(8, grid)
+        assert us.shape == (4, 30, 8) and vs.shape == (4, 8, 8) and rhos.shape == (4, 8)
+        traj = sweep_trajectory("rcca", data, grid, folds, 8)
+        for i, c in enumerate(grid):
+            [u], [v], [rho] = spectra.solve(8, [c])
+            np.testing.assert_array_equal(us[i], u)
+            np.testing.assert_array_equal(vs[i], v)
+            np.testing.assert_array_equal(rhos[i], rho)
+            for fold in (0, 1, 2, "full"):
+                fold_train = data if fold == "full" else split_fold(data, folds, fold)[0]
+                alone = rcca_fit(fold_train, c, 8)
+                est = traj.estimates[(i, fold)]
+                np.testing.assert_array_equal(est.u_dirs, alone.u_dirs)
+                np.testing.assert_array_equal(est.v_dirs, alone.v_dirs)
+                np.testing.assert_array_equal(est.rho, alone.rho)
+                assert est.provenance.degenerate == alone.provenance.degenerate
 
     def test_sweep_decomposes_each_fold_once(self, toy_data, monkeypatch):
         calls = []
@@ -1006,8 +1040,9 @@ class TestSweep:
         pooled = sweep_trajectory("gcca", toy_data, grid, folds, 1, options=options, seed=3,
                                   jobs=2)
         assert pooled.failures == serial.failures and len(serial.failures) == 12
-        serial = sweep_trajectory("rcca", toy_data, grid, folds, 2, seed=3)
-        pooled = sweep_trajectory("rcca", toy_data, grid, folds, 2, seed=3, jobs=2)
+        grid = [1.2, 1.5, 2.0, 2.5]
+        serial = sweep_trajectory("spls", toy_data, grid, folds, 2, seed=3)
+        pooled = sweep_trajectory("spls", toy_data, grid, folds, 2, seed=3, jobs=2)
         assert list(pooled.estimates) == list(serial.estimates)
         for key, est in serial.estimates.items():
             other = pooled.estimates[key]
@@ -1016,12 +1051,11 @@ class TestSweep:
             np.testing.assert_array_equal(other.rho, est.rho)
             assert other.provenance == est.provenance
 
-    @pytest.mark.parametrize("n_grid, V, jobs, workers", [
-        (2, 2, 2, 2), (2, 2, 16, 6), (1, 2, 4, 3), (37, 5, 2, 2)])
-    def test_pool_starts_no_more_workers_than_chunks(self, toy_data, monkeypatch, n_grid, V,
-                                                     jobs, workers):
-        # the pool forks every worker at its first submit, so the worker
-        # count is read from a serial stand-in; no process is started
+    @staticmethod
+    def serial_pools(monkeypatch):
+        """The pools a sweep constructs, each a serial stand-in for
+        ``ProcessPoolExecutor`` that records its worker and chunk counts;
+        no process is started."""
         pools = []
 
         class SerialPool:
@@ -1041,17 +1075,67 @@ class TestSweep:
                 return map(fn, cells)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return pools
+
+    @staticmethod
+    def assert_same_estimates(traj, ref):
+        assert list(traj.estimates) == list(ref.estimates)
+        for key, est in ref.estimates.items():
+            np.testing.assert_array_equal(traj.estimates[key].u_dirs, est.u_dirs)
+            np.testing.assert_array_equal(traj.estimates[key].v_dirs, est.v_dirs)
+            np.testing.assert_array_equal(traj.estimates[key].rho, est.rho)
+            assert traj.estimates[key].provenance == est.provenance
+
+    @pytest.mark.parametrize("n_grid, V, jobs, workers", [
+        (2, 2, 2, 2), (2, 2, 16, 6), (1, 2, 4, 3), (37, 5, 2, 2)])
+    def test_pool_starts_no_more_workers_than_chunks(self, toy_data, monkeypatch, n_grid, V,
+                                                     jobs, workers):
+        # the pool forks every worker at its first submit, so the worker
+        # count is read from a serial stand-in
+        pools = self.serial_pools(monkeypatch)
         folds = make_folds(toy_data.n, V, seed=0)
-        grid = list(np.linspace(0.1, 0.9, n_grid))
-        pooled = sweep_trajectory("rcca", toy_data, grid, folds, 1, seed=3, jobs=jobs)
+        grid = list(np.linspace(1.1, 2.0, n_grid))
+        pooled = sweep_trajectory("spls", toy_data, grid, folds, 1, seed=3, jobs=jobs)
         [pool] = pools
         assert pool.max_workers == workers <= pool.chunks
-        serial = sweep_trajectory("rcca", toy_data, grid, folds, 1, seed=3)
-        assert list(pooled.estimates) == list(serial.estimates)
-        for key, est in serial.estimates.items():
-            np.testing.assert_array_equal(pooled.estimates[key].u_dirs, est.u_dirs)
-            np.testing.assert_array_equal(pooled.estimates[key].v_dirs, est.v_dirs)
-            assert pooled.estimates[key].provenance == est.provenance
+        self.assert_same_estimates(pooled, sweep_trajectory("spls", toy_data, grid, folds, 1,
+                                                            seed=3))
+
+    def test_rcca_path_runs_in_process(self, toy_data, monkeypatch):
+        pools = self.serial_pools(monkeypatch)
+        folds = make_folds(toy_data.n, 3, seed=0)
+        grid = [0.0, 1e-3, 0.1, 0.5, 1.0]
+        pooled = sweep_trajectory("rcca", toy_data, grid, folds, 3, seed=3, jobs=4)
+        assert pools == []
+        self.assert_same_estimates(pooled, sweep_trajectory("rcca", toy_data, grid, folds, 3,
+                                                            seed=3))
+
+    def test_an_option_rcca_does_not_take_raises_as_in_a_cell(self, toy_data):
+        folds = make_folds(toy_data.n, 2, seed=0)
+        with pytest.raises(TypeError, match=r"rcca_fit\(\) got an unexpected keyword argument"):
+            sweep_trajectory("rcca", toy_data, [0.1, 0.2], folds, 1, options={"bogus": 1})
+
+    @pytest.mark.parametrize("grid, K, failing", [
+        # the two cells of every fold at 1.5 fail, the others are fitted
+        ([0.2, 1.5], 2, {1: "ValueError: rcca penalty 1.5 outside [0.0, 1.0]"}),
+        ([0.2, 0.6], 20, {0: "ValueError: K=20 outside [1, min(p, q)=10]",
+                          1: "ValueError: K=20 outside [1, min(p, q)=10]"}),
+    ])
+    def test_rcca_failures_are_those_of_cells_fitted_alone(self, grid, K, failing):
+        rng = np.random.default_rng(7)
+        data, _ = center_and_covariance(PairedDataset(x=rng.standard_normal((60, 12)),
+                                                      y=rng.standard_normal((60, 10))))
+        folds = make_folds(data.n, 3, seed=0)
+        traj = sweep_trajectory("rcca", data, grid, folds, K, seed=5)
+        cells = [(i, fold) for i in range(len(grid)) for fold in [0, 1, 2, "full"]]
+        assert traj.failures == {(i, fold): failing[i] for i, fold in cells if i in failing}
+        assert list(traj.estimates) == [(i, fold) for i, fold in cells if i not in failing]
+        for (i, fold), est in traj.estimates.items():
+            train = data if fold == "full" else split_fold(data, folds, fold)[0]
+            alone = rcca_fit(train, grid[i], K)
+            np.testing.assert_array_equal(est.u_dirs, alone.u_dirs)
+            np.testing.assert_array_equal(est.rho, alone.rho)
+            assert est.provenance.seed == estimators._cell_seed(5, "rcca", i, fold)
 
     def test_pool_workers_run_one_blas_thread(self, toy_data, monkeypatch):
         calls = estimators._openblas_thread_calls()
@@ -1065,12 +1149,12 @@ class TestSweep:
         def report_threads(*args, **kwargs):
             raise ValueError(f"BLAS threads {get()}")
 
-        monkeypatch.setattr(estimators, "rcca_fit", report_threads)
+        monkeypatch.setattr(estimators, "spls_fit", report_threads)
         folds = make_folds(toy_data.n, 2, seed=0)
         old = get()
         set_(2)  # a count other than one, whatever the host's default
         try:
-            traj = sweep_trajectory("rcca", toy_data, [0.1, 0.5], folds, 1, jobs=2)
+            traj = sweep_trajectory("spls", toy_data, [1.1, 1.5], folds, 1, jobs=2)
             after = get()
         finally:
             set_(old)

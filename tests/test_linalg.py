@@ -220,6 +220,31 @@ class TestPairSin2:
         assert keff == 2 and abs(sin2 - ref) <= 1e-12
 
 
+    def test_leading_axes_reduce_and_compare_block_by_block(self, rng):
+        # a (2, 3) stack of blocks, one with a dependent and one with a zero
+        # column: each block is reduced as it is alone, bit for bit
+        m = rng.standard_normal((2, 3, 40, 4))
+        m[0, 1, :, 2] = m[0, 1, :, 0] - 3.0 * m[0, 1, :, 1]
+        m[1, 2, :, 1] = 0.0
+        q = reduce_stack(m)
+        for i in range(2):
+            for b in range(3):
+                np.testing.assert_array_equal(q[i, b], reduce_stack(m[i, b]))
+                qb, kept = gram_schmidt_reduce(m[i, b])
+                np.testing.assert_array_equal(q[i, b][:, kept], qb)
+        first, second = np.triu_indices(3, 1)
+        sin2, keff = pair_sin2(q, first, second)
+        assert sin2.shape == keff.shape == (2, 3)
+        for i in range(2):
+            ref_sin2, ref_keff = pair_sin2(q[i], first, second)
+            np.testing.assert_array_equal(sin2[i], ref_sin2)
+            np.testing.assert_array_equal(keff[i], ref_keff)
+        assert keff.tolist() == [[3, 4, 3], [4, 3, 3]]
+        q[1, 2, 0, 0] = np.nan
+        with pytest.raises(LinalgError, match="block 2 contains non-finite entries"):
+            pair_sin2(q, first, second)
+
+
 class TestGramSchmidtMetric:
     def test_already_orthonormal_unchanged(self):
         m = np.eye(5)[:, :3]

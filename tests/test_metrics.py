@@ -27,6 +27,7 @@ from regcca.metrics import (
     cv_cc_agg,
     cv_instability,
     cv_table,
+    cv_tables,
     estimation_error,
     gauss_mutual_info,
     metric_name,
@@ -670,6 +671,87 @@ class TestCvCriteria:
         # a penalty with a failed fold cell has no rows
         ests[2] = None
         assert cv_table(data, ests, validation, [1, 2]) == ([], [])
+
+
+def per_penalty_tables(data, by_penalty, validation, k_list):
+    return [cv_table(data, ests, validation, k_list) for ests in by_penalty]
+
+
+def assert_tables_match(tables, ref_tables, atol=1e-12):
+    assert len(tables) == len(ref_tables)
+    for (rows, skipped), (ref_rows, ref_skipped) in zip(tables, ref_tables):
+        assert [r[:2] for r in rows] == [r[:2] for r in ref_rows]
+        assert [r[3] is None for r in rows] == [r[3] is None for r in ref_rows]
+        values = [v for r in rows for v in r[2:] if v is not None]
+        ref_values = [v for r in ref_rows for v in r[2:] if v is not None]
+        assert all(type(v) is float for v in values)
+        np.testing.assert_allclose(values, ref_values, rtol=0, atol=atol)
+        assert [(k, type(e), str(e)) for k, e in skipped] == [
+            (k, type(e), str(e)) for k, e in ref_skipped]
+
+
+@pytest.fixture
+def long_sweep():
+    # 20 penalties: more than one stacked chunk
+    cov, _ = canonical_pair_covariance(8, 6, [0.85, 0.6, 0.4], 2, seed=81)
+    data, _ = center_and_covariance(mvn_sample(cov, 120, seed=82))
+    folds = make_folds(data.n, 4, seed=8)
+    traj = sweep_trajectory("rcca", data, list(np.linspace(0.0, 1.0, 20)), folds, 3)
+    by_penalty = [traj.fold_estimates(i) for i in range(len(traj.grid))]
+    return data, validation_splits(data, folds), by_penalty
+
+
+class TestStackedTables:
+    def test_stacked_rows_match_per_penalty_tables(self, long_sweep):
+        data, validation, by_penalty = long_sweep
+        for k_list in ([1, 3, 5], [2, 1], [4]):
+            tables = list(cv_tables(data, by_penalty, validation, k_list))
+            assert_tables_match(tables, per_penalty_tables(data, by_penalty, validation, k_list))
+        assert len(tables[0][0]) == 0
+
+    def test_missing_and_degenerate_penalties_are_scored_alone(self, long_sweep):
+        data, validation, by_penalty = long_sweep
+        by_penalty[3] = list(by_penalty[3])
+        by_penalty[3][2] = None
+        # a zero second column: the subspace criterion at k >= 2 is undefined
+        by_penalty[17] = list(by_penalty[17])
+        u = by_penalty[17][1].u_dirs.copy()
+        u[:, 1] = 0.0
+        by_penalty[17][1] = _replace_u(by_penalty[17][1], u)
+        by_penalty[17][1].provenance.degenerate = True
+        tables = list(cv_tables(data, by_penalty, validation, [1, 2, 3]))
+        ref = per_penalty_tables(data, by_penalty, validation, [1, 2, 3])
+        assert tables[3] == ref[3] == ([], [])
+        # k = 1 whole, and r2s-cv before the subspace criterion raises at k = 2, 3
+        assert tables[17][0] == ref[17][0] and len(tables[17][0]) == 8
+        assert [k for k, _ in tables[17][1]] == [2, 3]
+        assert_tables_match(tables, ref)
+
+    def test_estimates_of_unequal_k_are_scored_alone(self, long_sweep):
+        data, validation, by_penalty = long_sweep
+        # penalty 4 holds two pairs, the others three
+        by_penalty[4] = [CcaEstimate(e.u_dirs[:, :2], e.v_dirs[:, :2], e.rho[:2], e.provenance)
+                         for e in by_penalty[4]]
+        tables = list(cv_tables(data, by_penalty, validation, [1, 2, 3]))
+        assert {r[1] for r in tables[4][0]} == {1, 2} and {r[1] for r in tables[5][0]} == {1, 2, 3}
+        assert_tables_match(tables, per_penalty_tables(data, by_penalty, validation, [1, 2, 3]))
+
+    def test_an_error_propagates_at_its_penalty(self, long_sweep):
+        # the same zero column on an estimate not flagged degenerate
+        data, validation, by_penalty = long_sweep
+        by_penalty[5] = list(by_penalty[5])
+        u = by_penalty[5][1].u_dirs.copy()
+        u[:, 1] = 0.0
+        by_penalty[5][1] = _replace_u(by_penalty[5][1], u)
+        with pytest.raises(ValueError) as ref:
+            cv_table(data, by_penalty[5], validation, [1, 2])
+        tables = cv_tables(data, by_penalty, validation, [1, 2])
+        before = [next(tables) for _ in range(5)]
+        assert_tables_match(before, per_penalty_tables(data, by_penalty[:5], validation, [1, 2]))
+        with pytest.raises(ValueError) as got:
+            next(tables)
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+        assert str(got.value) == "zero-variance column 1 in first block"
 
 
 class TestReport:
