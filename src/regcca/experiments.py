@@ -13,7 +13,7 @@ from .datamodel import CovarianceModel, center_and_covariance, make_folds
 from .estimators import EstimatorSpec, fit_estimator, sweep_trajectory
 from .glasso import GlassoConvergenceError
 from .linalg import sym_matrix_power
-from .metrics import CvCriteria, estimation_error, succ_cc_agg, validation_splits
+from .metrics import cv_tables, estimation_error, metric_name, succ_cc_agg, validation_splits
 from .synth import (
     banded_within_view_precision,
     bootstrap_covariance,
@@ -191,13 +191,19 @@ def run_bootstrap_panel_bench(**overrides):
     samples.  Records carry CV and oracle correlation criteria plus the
     top-3 subspace errors, per (kind, penalty, seed) cell, and
     ``converged``: whether every fit of the cell (its V fold fits and the
-    full-sample fit) converged.  An undefined criterion of a cell with no
-    degenerate estimate is a RuntimeError.
+    full-sample fit) converged.  The CV criteria are ``cv_tables`` rows, and
+    a cell lacking one gets no record.  An undefined criterion is a
+    RuntimeError unless a degenerate estimate (for CV, a fold one) explains it.
     """
     cfg = preset_config("bootstrap-panel", BOOTSTRAP_PANEL_DEFAULTS, overrides)
-    boot_cov = _bootstrap_truth(cfg)
     kmax = cfg["K"]
+    for kind in cfg["kinds"]:  # a sweep drops the cells it cannot fit without a word
+        for penalty in cfg["grids"][kind]:
+            EstimatorSpec(kind=kind, penalty=penalty, K=kmax)
+    boot_cov = _bootstrap_truth(cfg)
     truth = cca_from_covariance(boot_cov, kmax)
+    cv_rows = {col: metric_name(family, k, cv=True) for col, family, k in
+               (("r2s1_cv", "r2s", 1), ("r2s3_cv", "r2s", kmax), ("R2s3_cv", "R2s", kmax))}
     records = []
     for s in range(cfg["n_seeds"]):
         data = mvn_sample(boot_cov, cfg["n"], seed=500 + s)
@@ -206,29 +212,28 @@ def run_bootstrap_panel_bench(**overrides):
         validation = validation_splits(data, folds)
         for kind in cfg["kinds"]:
             traj = sweep_trajectory(kind, data, cfg["grids"][kind], folds, kmax, seed=s)
-            for i, penalty in enumerate(traj.grid):
-                fold_ests = traj.fold_estimates(i)
-                full = traj.full_estimate(i)
-                if full is None or any(e is None for e in fold_ests):
-                    continue
-                row = dict(kind=kind, penalty=penalty, seed=s)
-                crit = CvCriteria(data, fold_ests, kmax, validation)
+            by_penalty = [traj.fold_estimates(i) for i in range(len(traj.grid))]
+            tables = cv_tables(data, by_penalty, validation, [1, kmax])
+            for i, (penalty, fold_ests) in enumerate(zip(traj.grid, by_penalty)):
                 try:
-                    row["r2s1_cv"] = crit.cc_agg("successive", "sq_sum", 1)[0]
-                    row["r2s3_cv"] = crit.cc_agg("successive", "sq_sum", kmax)[0]
-                    row["R2s3_cv"] = crit.cc_agg("subspace", "sq_sum", kmax)[0]
-                    row["r2s1"] = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1],
-                                              full.v_dirs[:, :1])
+                    cv = {metric: value for metric, _, value, _ in next(tables)[0]}
+                except ValueError as exc:  # on healthy fold estimates: a program fault
+                    raise RuntimeError(f"{kind} at penalty {penalty}: {exc}") from exc
+                full = traj.full_estimate(i)
+                if full is None or any(m not in cv for m in cv_rows.values()):
+                    continue
+                try:
+                    r2s1 = succ_cc_agg("sq_sum", boot_cov, full.u_dirs[:, :1], full.v_dirs[:, :1])
                     err = estimation_error(boot_cov, truth, full, kmax)
                 except ValueError as exc:
-                    # degenerate estimates make some criteria undefined; sweep skips them too
+                    # a degenerate estimate makes the oracle criteria undefined
                     if not any(e.provenance.degenerate for e in fold_ests + [full]):
                         raise RuntimeError(f"{kind} at penalty {penalty}: {exc}") from exc
                     continue
-                row["vt_U3"] = err["vt_Uk"]
-                row["wt_U3"] = err["wt_Uk"]
-                row["converged"] = all(e.provenance.converged for e in fold_ests + [full])
-                records.append(row)
+                records.append(dict(
+                    kind=kind, penalty=penalty, seed=s, **{c: cv[m] for c, m in cv_rows.items()},
+                    r2s1=r2s1, vt_U3=err["vt_Uk"], wt_U3=err["wt_Uk"],
+                    converged=all(e.provenance.converged for e in fold_ests + [full])))
     return records
 
 

@@ -125,10 +125,9 @@ def validation_splits(data: PairedDataset, folds: FoldPlan):
 
 
 class CvCriteria:
-    """Cross-validated criteria of one penalty's fold estimates, or of a
-    stack of penalties (a list of such lists, every fold estimate present),
-    at every k.  A criterion of one penalty is a float, of a stack an array
-    with one value per penalty.
+    """Cross-validated criteria, at every k, of a stack of penalties' fold
+    estimates (a list per penalty; every estimate present in a stack of more
+    than one), each an array with one value per penalty.
 
     Each block is formed once, with ``k_max`` columns: the validation
     variates of every fold, the full-data variates of every estimate, and
@@ -155,9 +154,7 @@ class CvCriteria:
     """
 
     def __init__(self, data: PairedDataset, fold_estimates, k_max, validation=None):
-        fold_estimates = list(fold_estimates)
-        self.stacked = bool(fold_estimates) and isinstance(fold_estimates[0], (list, tuple))
-        self.by_penalty = fold_estimates if self.stacked else [fold_estimates]
+        self.by_penalty = list(fold_estimates)
         self.data, self.k_max, self.validation = data, k_max, validation
         # the folds with an estimate (all of a stack's penalties have one)
         self.present = [f for f, e in enumerate(self.by_penalty[0]) if e is not None]
@@ -171,10 +168,6 @@ class CvCriteria:
                     self.u[i, f, :, :min(est.k, k_max)] = est.u_dirs[:, :k_max]
                     self.v[i, f, :, :min(est.k, k_max)] = est.v_dirs[:, :k_max]
         self._variates = self._blocks_cache = None
-
-    def _value(self, values):
-        """An array over the penalties, or its one float."""
-        return values if self.stacked else float(values[0])
 
     def _validation_variates(self):
         """(penalties, V, n_max, k_max) stacks of every fold's validation
@@ -218,7 +211,7 @@ class CvCriteria:
             if est is None:
                 raise ValueError(f"missing estimate for fold {usable}")
             raise ValueError(f"fold {usable} estimate has {est.k} pairs, need {K}")
-        return self._value(np.mean(vals, axis=-1)), self._value(np.std(vals, axis=-1))
+        return np.mean(vals, axis=-1), np.std(vals, axis=-1)
 
     def _blocks(self):
         """Per space ("wt": weights, "vt": full-data variates), the Gram
@@ -244,11 +237,11 @@ class CvCriteria:
         out = {}
         for space, (gram, q, products) in self._blocks().items():
             sin2 = _vector_sin2(gram[..., k - 1, :, :], first, second)
-            out[f"{space}_uk_cv"] = self._value(np.mean(sin2, axis=-1))
+            out[f"{space}_uk_cv"] = np.mean(sin2, axis=-1)
             # the first k reduced columns are the reduction of the first k
             # input columns alone, as Gram-Schmidt is prefix-stable
             sin2, _ = pair_sin2(q[..., :k], first, second, products)
-            out[f"{space}_Uk_cv"] = self._value(np.mean(sin2, axis=-1))
+            out[f"{space}_Uk_cv"] = np.mean(sin2, axis=-1)
         return out
 
 
@@ -262,10 +255,10 @@ def cv_cc_agg(mode, kind, data: PairedDataset, fold_estimates, folds: FoldPlan, 
     variate blocks.  Validation columns are shifted by training-fold means.
 
     With ``return_dispersion`` the across-fold standard deviation comes
-    back alongside the mean.  One call of ``CvCriteria.cc_agg``.
+    back alongside the mean.  One call of ``CvCriteria.cc_agg`` on a stack of one.
     """
-    crit = CvCriteria(data, fold_estimates, K, validation_splits(data, folds))
-    mean, spread = crit.cc_agg(mode, kind, K)
+    crit = CvCriteria(data, [list(fold_estimates)], K, validation_splits(data, folds))
+    mean, spread = (float(values[0]) for values in crit.cc_agg(mode, kind, K))
     return (mean, spread) if return_dispersion else mean
 
 
@@ -304,8 +297,9 @@ def estimation_error(cov: CovarianceModel, truth: CcaEstimate, est: CcaEstimate,
 def cv_instability(data: PairedDataset, fold_estimates, k):
     """Average squared sin-Theta between estimates from different training
     folds; the variate versions project both estimates through the full
-    data matrix.  One call of ``CvCriteria.instability``."""
-    return CvCriteria(data, fold_estimates, k).instability(k)
+    data matrix.  One call of ``CvCriteria.instability`` on a stack of one."""
+    inst = CvCriteria(data, [list(fold_estimates)], k).instability(k)
+    return {key: float(values[0]) for key, values in inst.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,16 @@ def test_fits_carry_the_diagnostics_the_benchmark_reads(kind, penalty):
         for key in path:
             value = value[key]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), path
+
+
+def test_the_one_penalty_cv_criteria_are_python_floats():
+    # the panel workload stores cv_cc_agg values in its records and takes
+    # max over them; cv_instability is the other one-penalty float form
+    cov, _ = rc.canonical_pair_covariance(6, 5, [0.8, 0.5], 2, seed=3)
+    data, _ = rc.center_and_covariance(rc.mvn_sample(cov, 60, seed=4))
+    folds = rc.make_folds(data.n, 3, seed=5)
+    ests = rc.sweep_trajectory("rcca", data, [0.3], folds, 2).fold_estimates(0)
+    values = [rc.cv_cc_agg("successive", "sq_sum", data, ests, folds, 2),
+              *rc.cv_cc_agg("subspace", "sq_sum", data, ests, folds, 2, return_dispersion=True),
+              *rc.cv_instability(data, ests, 2).values()]
+    assert len(values) == 7 and all(type(v) is float for v in values)

@@ -20,7 +20,7 @@ from regcca.experiments import (
     summarise_canonical_pair,
 )
 from regcca.linalg import thin_svd
-from regcca.metrics import METRIC_FAMILIES
+from regcca.metrics import METRIC_FAMILIES, cv_cc_agg
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_metrics import assert_rows_match, reference_sweep_rows
 
@@ -725,6 +725,50 @@ class TestSynthBench:
         monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
         with pytest.raises(ValueError, match=f"^kind, n_seed not a parameter of {preset}$"):
             run(n_seed=1, kind="rcca")
+
+    @pytest.mark.parametrize("kinds, grids, message", [
+        (["rcca"], {"rcca": [1.5, 2.0]}, r"^rcca penalty 1.5 outside \[0.0, 1.0\]$"),
+        (["foo"], {"foo": [0.1, 0.2]}, "^unknown estimator kind 'foo'$")])
+    def test_bootstrap_panel_rejects_an_impossible_cell_before_any_fit(self, monkeypatch, kinds,
+                                                                       grids, message):
+        # every cell would fail in the sweep, which drops failed cells
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the cells were checked")
+
+        monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
+        with pytest.raises(ValueError, match=message):
+            run_bootstrap_panel_bench(n_seeds=1, kinds=kinds, grids=grids)
+
+    def test_bootstrap_panel_cv_fault_is_a_program_fault(self, monkeypatch):
+        # a CV criterion undefined on healthy fold estimates: not a skip,
+        # and not a ValueError that synth-bench would report as a config error
+        def broken(self, mode, kind, K):
+            raise ValueError("broken criterion")
+
+        monkeypatch.setattr(regcca.metrics.CvCriteria, "cc_agg", broken)
+        with pytest.raises(RuntimeError, match="^rcca at penalty 0.2: broken criterion$"):
+            run_bootstrap_panel_bench(n_seeds=1, kinds=["rcca"], grids={"rcca": [0.2]})
+
+    @pytest.mark.parametrize("K", [3, 2])
+    def test_bootstrap_panel_cv_columns_are_the_sweep_criteria(self, monkeypatch, K):
+        # r2s3_cv and R2s3_cv hold k = K whatever K is
+        sweeps = {}
+
+        def sweep(kind, data, grid, folds, K, **kwargs):
+            traj = sweep_trajectory(kind, data, grid, folds, K, **kwargs)
+            sweeps[kind] = (data, folds, traj)
+            return traj
+
+        monkeypatch.setattr(regcca.experiments, "sweep_trajectory", sweep)
+        records = run_bootstrap_panel_bench(n_seeds=1, kinds=["rcca", "spls"], K=K)
+        assert {r["kind"] for r in records} == {"rcca", "spls"}
+        for r in records:
+            data, folds, traj = sweeps[r["kind"]]
+            ests = traj.fold_estimates(traj.grid.index(r["penalty"]))
+            for column, mode, k in (("r2s1_cv", "successive", 1), ("r2s3_cv", "successive", K),
+                                    ("R2s3_cv", "subspace", K)):
+                ref = cv_cc_agg(mode, "sq_sum", data, ests, folds, k)
+                assert abs(r[column] - ref) <= 1e-12, (r["kind"], r["penalty"], column)
 
     def test_bootstrap_panel_skips_degenerate_cell(self):
         # scca at tau=5 zeroes the directions, so the cell's criteria are undefined

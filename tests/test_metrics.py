@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -511,15 +514,15 @@ class TestCvCriteria:
         ests[2] = _replace_u(ests[2], u)
         assert gram_schmidt_reduce(u)[1] == [0, 1]
         assert gram_schmidt_reduce(data.x @ u)[1] == [0, 1]
-        crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
+        crit = CvCriteria(data, [ests], 3, validation_splits(data, folds))
         for k in (1, 2, 3):
             ref = reference_cv_instability(data, ests, k)
             got = crit.instability(k)
             for key in ref:
-                assert abs(got[key] - ref[key]) <= 1e-12
+                assert abs(got[key][0] - ref[key]) <= 1e-12
             for mode in ("successive", "subspace"):
                 np.testing.assert_allclose(
-                    crit.cc_agg(mode, "sq_sum", k),
+                    [values[0] for values in crit.cc_agg(mode, "sq_sum", k)],
                     reference_cv_cc_agg(mode, "sq_sum", data, ests, folds, k),
                     rtol=0, atol=1e-12)
 
@@ -549,7 +552,7 @@ class TestCvCriteria:
         assert [r[1] for r in rows] == ["r2s2-cv", "r2s1-cv", "R2s1-cv", "wt-u1-cv",
                                         "vt-u1-cv", "wt-U1-cv", "vt-U1-cv", "r2s3-cv"]
         assert_rows_match(rows, ref_rows)
-        crit = CvCriteria(data, ests, 3)
+        crit = CvCriteria(data, [ests], 3)
         with pytest.raises(ValueError, match="zero vector"):
             crit.instability(2)
         with pytest.raises(ValueError, match="zero vector"):
@@ -566,12 +569,12 @@ class TestCvCriteria:
         u = ests[3].u_dirs.copy()
         u[:, 1] = 2.0 * u[:, 0]
         ests[3] = _replace_u(ests[3], u)
-        crit = CvCriteria(data, ests, 3)
+        crit = CvCriteria(data, [ests], 3)
         for k in (1, 2):
             ref = reference_cv_instability(data, ests, k)
             got = crit.instability(k)
             for key in ref:
-                assert abs(got[key] - ref[key]) <= 1e-12
+                assert abs(got[key][0] - ref[key]) <= 1e-12
         with pytest.raises(ValueError, match="zero vector"):
             reference_cv_instability(data, ests, 3)
         with pytest.raises(ValueError, match="zero vector"):
@@ -600,7 +603,7 @@ class TestCvCriteria:
         u = ests[3].u_dirs.copy()
         u[:, :] = 0.0
         ests[3] = _replace_u(ests[3], u)
-        crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
+        crit = CvCriteria(data, [ests], 3, validation_splits(data, folds))
         assert (self._first_error(reference_cv_instability, data, ests, 1)
                 == (ValueError, "zero vector in angle computation"))
         for k in (2, 3):
@@ -617,16 +620,16 @@ class TestCvCriteria:
         # the NaN alone: k = 1 reads only first columns and is defined, the
         # prefix blocks from k = 2 on hold the NaN of the stack's block 2
         ests[3] = healthy_fold_3
-        crit = CvCriteria(data, ests, 3)
+        crit = CvCriteria(data, [ests], 3)
         ref = reference_cv_instability(data, ests, 1)
         got = crit.instability(1)
         for key in ref:
-            assert abs(got[key] - ref[key]) <= 1e-12
+            assert abs(got[key][0] - ref[key]) <= 1e-12
         for k in (2, 3):
             assert (self._first_error(crit.instability, k)
                     == (LinalgError, "block 2 contains non-finite entries"))
         ests[1] = None
-        crit = CvCriteria(data, ests, 3, validation_splits(data, folds))
+        crit = CvCriteria(data, [ests], 3, validation_splits(data, folds))
         assert (self._first_error(crit.cc_agg, "subspace", "sq_sum", 2)
                 == (ValueError, "missing estimate for fold 1"))
 
@@ -645,13 +648,13 @@ class TestCvCriteria:
 
     def test_k_above_k_max_or_missing_splits_rejected(self, k3_setup):
         data, folds, traj = k3_setup
-        crit = CvCriteria(data, traj.fold_estimates(0), 2, validation_splits(data, folds))
+        crit = CvCriteria(data, [traj.fold_estimates(0)], 2, validation_splits(data, folds))
         with pytest.raises(ValueError, match="exceeds k_max"):
             crit.cc_agg("successive", "sq_sum", 3)
         with pytest.raises(ValueError, match="exceeds k_max"):
             crit.instability(3)
         with pytest.raises(ValueError, match="validation splits"):
-            CvCriteria(data, traj.fold_estimates(0), 2).cc_agg("subspace", "sq_sum", 1)
+            CvCriteria(data, [traj.fold_estimates(0)], 2).cc_agg("subspace", "sq_sum", 1)
 
     def test_table_rows_carry_the_correlation_dispersion(self, k3_setup):
         data, folds, traj = k3_setup
@@ -661,11 +664,12 @@ class TestCvCriteria:
         assert skipped == []
         assert [r[0] for r in rows] == [f"{family}{k}-cv" for k in (2, 1)
                                         for family in METRIC_FAMILIES]
-        crit = CvCriteria(data, ests, 2, validation)
+        crit = CvCriteria(data, [ests], 2, validation)
         for metric, k, value, spread in rows:
             if metric.startswith(("r2s", "R2s")):
                 mode = "successive" if metric.startswith("r2s") else "subspace"
-                assert (value, spread) == crit.cc_agg(mode, "sq_sum", k)
+                mean, dispersion = crit.cc_agg(mode, "sq_sum", k)
+                assert (value, spread) == (mean[0], dispersion[0])
             else:
                 assert spread is None
         # a penalty with a failed fold cell has no rows
@@ -690,8 +694,7 @@ def assert_tables_match(tables, ref_tables, atol=1e-12):
             (k, type(e), str(e)) for k, e in ref_skipped]
 
 
-@pytest.fixture
-def long_sweep():
+def twenty_penalty_sweep():
     # 20 penalties: more than one stacked chunk
     cov, _ = canonical_pair_covariance(8, 6, [0.85, 0.6, 0.4], 2, seed=81)
     data, _ = center_and_covariance(mvn_sample(cov, 120, seed=82))
@@ -699,6 +702,11 @@ def long_sweep():
     traj = sweep_trajectory("rcca", data, list(np.linspace(0.0, 1.0, 20)), folds, 3)
     by_penalty = [traj.fold_estimates(i) for i in range(len(traj.grid))]
     return data, validation_splits(data, folds), by_penalty
+
+
+@pytest.fixture
+def long_sweep():
+    return twenty_penalty_sweep()
 
 
 class TestStackedTables:
@@ -752,6 +760,61 @@ class TestStackedTables:
             next(tables)
         assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
         assert str(got.value) == "zero-variance column 1 in first block"
+
+
+# built once for all examples: the property copies an estimate before changing it
+shared_sweep = functools.lru_cache(twenty_penalty_sweep)
+
+
+def perturbed(est, pattern, column):
+    """A copy of ``est`` missing, cut to ``column + 1`` pairs, or with a
+    zero weight column flagged degenerate or not, or flagged degenerate
+    with no zero column."""
+    if pattern == "missing":
+        return None
+    if pattern == "short":
+        return CcaEstimate(est.u_dirs[:, :column + 1], est.v_dirs[:, :column + 1],
+                           est.rho[:column + 1], est.provenance)
+    u = est.u_dirs.copy()
+    if pattern != "flagged":
+        u[:, column] = 0.0
+    return CcaEstimate(u, est.v_dirs, est.rho,
+                       dataclasses.replace(est.provenance, degenerate=pattern != "zero"))
+
+
+class TestStackedTablesProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        penalties=st.lists(st.integers(0, 19), min_size=1, max_size=20),
+        changes=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 3),
+                                   st.sampled_from(["missing", "short", "degenerate", "zero",
+                                                    "flagged"]),
+                                   st.integers(0, 2)), max_size=6),
+        k_list=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    )
+    def test_stacked_tables_are_the_per_penalty_tables(self, penalties, changes, k_list):
+        # up to 20 penalties, so that the healthy ones may fill two stacked passes
+        data, validation, base = shared_sweep()
+        by_penalty = [list(base[i]) for i in penalties]
+        for slot, fold, pattern, column in changes:
+            if slot < len(by_penalty) and by_penalty[slot][fold] is not None:
+                by_penalty[slot][fold] = perturbed(by_penalty[slot][fold], pattern, column)
+        ref, ref_error = [], None
+        for ests in by_penalty:
+            try:
+                ref.append(cv_table(data, ests, validation, k_list))
+            except ValueError as exc:
+                ref_error = (type(exc), str(exc))
+                break
+        tables, error = [], None
+        try:
+            for table in cv_tables(data, by_penalty, validation, k_list):
+                tables.append(table)
+        except ValueError as exc:
+            error = (type(exc), str(exc))
+        # the same error at the same penalty, after the same tables
+        assert error == ref_error
+        assert_tables_match(tables, ref)
 
 
 class TestReport:
