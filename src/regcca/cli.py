@@ -227,9 +227,9 @@ def _fit_listed(listed, data, seed, command):
 def _k_list(config, default):
     """``metrics.k_list``, or ``default`` where the config gives none."""
     k_list = _require(config, "metrics", {}, default={}).get("k_list", default)
-    if (not isinstance(k_list, list) or not k_list
-            or not all(_is_int(k) and k >= 1 for k in k_list)):
-        raise ConfigError("metrics.k_list: must be a nonempty list of positive integers")
+    if (not isinstance(k_list, list) or not all(_is_int(k) and k >= 1 for k in k_list)
+            or not k_list or len(set(k_list)) < len(k_list)):
+        raise ConfigError("metrics.k_list: must be a nonempty list of distinct positive integers")
     return k_list
 
 

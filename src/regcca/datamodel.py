@@ -16,6 +16,7 @@ __all__ = [
     "split_fold",
     "load_two_view_csv",
     "save_two_view_csv",
+    "read_csv_table",
     "write_csv_table",
     "write_json",
 ]
@@ -189,9 +190,7 @@ def split_fold(data: PairedDataset, plan: FoldPlan, v):
 
 
 def _read_view_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = read_csv_table(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     names = [c.strip() for c in rows[0]]
@@ -242,6 +241,12 @@ def save_two_view_csv(data: PairedDataset, x_path, y_path):
     """Write both views in the standard two-view CSV format."""
     for path, names, mat in ((x_path, data.x_names, data.x), (y_path, data.y_names, data.y)):
         write_csv_table(path, names, mat.tolist())
+
+
+def read_csv_table(path):
+    """A CSV file's rows as lists of strings; the read twin of ``write_csv_table``."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 # cell types whose ``str`` is what ``csv`` writes for them (for a float

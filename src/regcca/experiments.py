@@ -52,6 +52,17 @@ def preset_config(preset, defaults, overrides):
     return {**defaults, **overrides}
 
 
+def _check_cells(cfg, K):
+    """Check, before any fit, that each listed kind has a grid and that each
+    (kind, penalty) cell makes an ``EstimatorSpec`` with ``K`` pairs: a
+    sweep drops the cells it cannot fit without a word."""
+    for kind in cfg["kinds"]:
+        if kind not in cfg["grids"]:
+            raise ValueError(f"grids.{kind}: missing, but kinds lists {kind}")
+        for penalty in cfg["grids"][kind]:
+            EstimatorSpec(kind=kind, penalty=penalty, K=K)
+
+
 def run_canonical_pair_bench(**overrides):
     """Error-versus-n experiment on the single-canonical-pair model.
 
@@ -63,6 +74,7 @@ def run_canonical_pair_bench(**overrides):
     estimate is a RuntimeError.
     """
     cfg = preset_config("canonical-pair", CANONICAL_PAIR_DEFAULTS, overrides)
+    _check_cells(cfg, 1)
     cov, truth = canonical_pair_covariance(
         cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
         within_view="suo_sp", seed=cfg["model_seed"],
@@ -197,9 +209,7 @@ def run_bootstrap_panel_bench(**overrides):
     """
     cfg = preset_config("bootstrap-panel", BOOTSTRAP_PANEL_DEFAULTS, overrides)
     kmax = cfg["K"]
-    for kind in cfg["kinds"]:  # a sweep drops the cells it cannot fit without a word
-        for penalty in cfg["grids"][kind]:
-            EstimatorSpec(kind=kind, penalty=penalty, K=kmax)
+    _check_cells(cfg, kmax)
     boot_cov = _bootstrap_truth(cfg)
     truth = cca_from_covariance(boot_cov, kmax)
     cv_rows = {col: metric_name(family, k, cv=True) for col, family, k in
@@ -213,7 +223,7 @@ def run_bootstrap_panel_bench(**overrides):
         for kind in cfg["kinds"]:
             traj = sweep_trajectory(kind, data, cfg["grids"][kind], folds, kmax, seed=s)
             by_penalty = [traj.fold_estimates(i) for i in range(len(traj.grid))]
-            tables = cv_tables(data, by_penalty, validation, [1, kmax])
+            tables = cv_tables(data, by_penalty, validation, sorted({1, kmax}))
             for i, (penalty, fold_ests) in enumerate(zip(traj.grid, by_penalty)):
                 try:
                     cv = {metric: value for metric, _, value, _ in next(tables)[0]}

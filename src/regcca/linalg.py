@@ -26,7 +26,6 @@ __all__ = [
     "sym_matrix_power",
     "soft_threshold",
     "canonical_angles",
-    "block_products",
     "pair_sin2",
     "signed_corrs",
     "gram_schmidt_metric",
@@ -148,14 +147,7 @@ def canonical_angles(z, w):
     return np.clip(np.linalg.svd(z.T @ w, compute_uv=False), 0.0, 1.0)
 
 
-def block_products(q):
-    """Every block of a (..., B, rows, m) stack against every block of its
-    stack, (..., B, B, m, m): the diagonal holds the Gram matrices, and the
-    leading k x k of each product is that of the blocks' first k columns."""
-    return q.swapaxes(-1, -2)[..., :, None, :, :] @ q[..., None, :, :, :]
-
-
-def pair_sin2(q, first, second, products=None):
+def pair_sin2(q, first, second):
     """Squared sin-Theta between the column spans of pairs of blocks.
 
     ``q`` is a (..., B, rows, m) stack of orthonormal blocks, padded with
@@ -163,8 +155,7 @@ def pair_sin2(q, first, second, products=None):
     and ``second[i]`` of each stack.  Returns (sin2, k_eff) per pair,
     (..., pairs): k_eff is the smaller dimension, and sin2 is k_eff minus
     the sum of the squared cosines, from one stacked product and one
-    stacked SVD.  ``products``, the ``block_products`` of blocks whose
-    first m columns are ``q``, spares forming them again for a prefix.
+    stacked SVD.
 
     Each block is checked once, in stack order: ``LinalgError`` names the
     first block with a non-finite entry, then the first whose nonzero
@@ -176,7 +167,8 @@ def pair_sin2(q, first, second, products=None):
     if not finite.all():
         raise LinalgError(f"block {np.argmin(finite) % count} contains non-finite entries")
     m = q.shape[-1]
-    products = (block_products(q) if products is None else products)[..., :m, :m]
+    # every block against every block, (..., B, B, m, m): the diagonal holds the Gram matrices
+    products = q.swapaxes(-1, -2)[..., :, None, :, :] @ q[..., None, :, :, :]
     gram = np.einsum("...bbij->...bij", products)
     live = np.einsum("...bii->...bi", gram) != 0.0
     gram_dev = np.abs(gram - live[..., None] * np.eye(m)).max(axis=(-2, -1))

@@ -10,8 +10,7 @@ import numpy as np
 
 from .cca_core import CcaEstimate, cca_from_covariance, empirical_canonical_correlations
 from .datamodel import CovarianceModel, FoldPlan, PairedDataset, split_fold
-from .linalg import (block_products, gram_schmidt_reduce, pair_sin2, reduce_stack, signed_corrs,
-                     sym_matrix_power)
+from .linalg import gram_schmidt_reduce, pair_sin2, reduce_stack, signed_corrs, sym_matrix_power
 
 __all__ = [
     "AGGREGATIONS",
@@ -216,15 +215,14 @@ class CvCriteria:
     def _blocks(self):
         """Per space ("wt": weights, "vt": full-data variates), the Gram
         matrix of each raw column across the blocks, (penalties, k_max, B,
-        B), the ``reduce_stack`` of the blocks and its ``block_products``,
-        which ``instability`` reads by prefix."""
+        B), and the ``reduce_stack`` of the blocks, which ``instability``
+        reads by prefix."""
         if self._blocks_cache is None:
             u = self.u[:, self.present]
             self._blocks_cache = {}
             for space, raw in (("wt", u), ("vt", self.data.x @ u)):
                 q = reduce_stack(raw)
-                self._blocks_cache[space] = (np.einsum("...bic,...dic->...cbd", raw, raw), q,
-                                             block_products(q))
+                self._blocks_cache[space] = (np.einsum("...bic,...dic->...cbd", raw, raw), q)
         return self._blocks_cache
 
     def instability(self, k):
@@ -235,12 +233,12 @@ class CvCriteria:
         if k > self.k_max:
             raise ValueError(f"k={k} exceeds k_max={self.k_max}")
         out = {}
-        for space, (gram, q, products) in self._blocks().items():
+        for space, (gram, q) in self._blocks().items():
             sin2 = _vector_sin2(gram[..., k - 1, :, :], first, second)
             out[f"{space}_uk_cv"] = np.mean(sin2, axis=-1)
             # the first k reduced columns are the reduction of the first k
             # input columns alone, as Gram-Schmidt is prefix-stable
-            sin2, _ = pair_sin2(q[..., :k], first, second, products)
+            sin2, _ = pair_sin2(q[..., :k], first, second)
             out[f"{space}_Uk_cv"] = np.mean(sin2, axis=-1)
         return out
 

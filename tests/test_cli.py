@@ -489,6 +489,8 @@ class TestConfigErrors:
             "n_seeds": 1, "support_size": 100}}}, "generator.params"),
         ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
             "n_seeds": 1, "rho1": 1.5}}}, "generator.params"),
+        # exit 0 with every k=1 row written twice
+        ("sweep", {"metrics": {"k_list": [1, 1]}}, "metrics.k_list"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -726,18 +728,24 @@ class TestSynthBench:
         with pytest.raises(ValueError, match=f"^kind, n_seed not a parameter of {preset}$"):
             run(n_seed=1, kind="rcca")
 
+    @pytest.mark.parametrize("run, preset_kw", [
+        (run_bootstrap_panel_bench, {}), (run_canonical_pair_bench, {"n_list": [60]})],
+        ids=["bootstrap-panel", "canonical-pair"])
     @pytest.mark.parametrize("kinds, grids, message", [
         (["rcca"], {"rcca": [1.5, 2.0]}, r"^rcca penalty 1.5 outside \[0.0, 1.0\]$"),
-        (["foo"], {"foo": [0.1, 0.2]}, "^unknown estimator kind 'foo'$")])
-    def test_bootstrap_panel_rejects_an_impossible_cell_before_any_fit(self, monkeypatch, kinds,
-                                                                       grids, message):
-        # every cell would fail in the sweep, which drops failed cells
+        (["foo"], {"foo": [0.1, 0.2]}, "^unknown estimator kind 'foo'$"),
+        # a bare KeyError: 'rcca' from the grid lookup
+        (["rcca"], {"spls": [1.5]}, "^grids.rcca: missing, but kinds lists rcca$")])
+    def test_bootstrap_panel_rejects_an_impossible_cell_before_any_fit(
+            self, monkeypatch, kinds, grids, message, run, preset_kw):
+        # both presets: every panel cell would fail in the sweep, which drops
+        # failed cells, and canonical-pair sampled before it fitted one
         def no_sample(*args, **kwargs):
             raise AssertionError("sampled before the cells were checked")
 
         monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
         with pytest.raises(ValueError, match=message):
-            run_bootstrap_panel_bench(n_seeds=1, kinds=kinds, grids=grids)
+            run(n_seeds=1, kinds=kinds, grids=grids, **preset_kw)
 
     def test_bootstrap_panel_cv_fault_is_a_program_fault(self, monkeypatch):
         # a CV criterion undefined on healthy fold estimates: not a skip,

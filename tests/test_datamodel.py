@@ -13,6 +13,7 @@ from regcca.datamodel import (
     center_and_covariance,
     load_two_view_csv,
     make_folds,
+    read_csv_table,
     save_two_view_csv,
     split_fold,
     write_csv_table,
@@ -234,6 +235,16 @@ def test_csv_table_bytes_are_those_of_csv_writer(tmp_path, table):
     path = tmp_path / "t.csv"
     write_csv_table(path, table[0], table[1:])
     assert path.read_bytes() == csv_writer_bytes(table)
+
+
+def test_csv_table_reads_back_the_strings_written(tmp_path):
+    # a float's repr reads back to the same float
+    path = tmp_path / "t.csv"
+    rows = [["x1", 0.1, -2.5e-300], ['a "quoted",\r\nname', 1e16, 5e-324]]
+    write_csv_table(path, ["variable", "comp_1", "comp_2"], rows)
+    table = read_csv_table(path)
+    assert table == [["variable", "comp_1", "comp_2"]] + [[str(c) for c in row] for row in rows]
+    assert [float(c) for row in table[1:] for c in row[1:]] == [0.1, -2.5e-300, 1e16, 5e-324]
 
 
 def test_json_bytes_are_those_of_json_dump(tmp_path):

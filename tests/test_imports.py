@@ -3,7 +3,9 @@
 An underscore-prefixed name is private to the module that defines it: a
 sibling that imports one depends on a detail its owner may change without
 notice.  Dunder names such as ``__version__`` are public.  A module's
-``__all__`` names only what it defines or imports.
+``__all__`` names only what it defines or imports.  Only ``datamodel``
+imports ``csv``: every table is read and written by its one reader and
+one writer.
 """
 
 import ast
@@ -39,6 +41,29 @@ def test_walker_finds_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def imported_modules(source):
+    """The top-level name of every module that ``source`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return found
+
+
+def test_walker_finds_a_csv_import():
+    source = ("import json, csv\nfrom csv import reader\nfrom .datamodel import read_csv_table\n"
+              "def f():\n    import csv as c\n")
+    assert imported_modules(source).count("csv") == 3
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "datamodel.py"),
+                         ids=lambda p: p.name)
+def test_only_datamodel_imports_csv(path):
+    assert "csv" not in imported_modules(path.read_text())
 
 
 def unresolved_exports(module):

@@ -817,6 +817,58 @@ class TestStackedTablesProperty:
         assert_tables_match(tables, ref)
 
 
+@st.composite
+def swept_grids(draw, kind, sizes):
+    """A drawn small dataset, fold plan, K, k_list and strictly increasing
+    grid in the kind's domain with ``sizes`` penalties."""
+    p, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    data = mvn_sample(random_joint_covariance(rng, p, q), draw(st.integers(4 * (p + q), 80)),
+                      seed=seed)
+    data, _ = center_and_covariance(data)
+    folds = make_folds(data.n, draw(st.integers(2, 4)), seed=seed)
+    K = draw(st.integers(1, min(p, q, 2)))
+    k_list = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    points = sorted(draw(st.lists(st.integers(0, 1000), min_size=sizes[0], max_size=sizes[1],
+                                  unique=True)))
+    lo = {"rcca": 0.0, "spls": 1.0}[kind]
+    return data, folds, K, k_list, [lo + point / 1000 for point in points]
+
+
+@pytest.mark.parametrize("kind", ["rcca", "spls"])
+@pytest.mark.parametrize("sizes", [(2, 16), (17, 24)], ids=["one-stack", "two-stacks"])
+class TestGridOrderProperty:
+    """Reversing the grid reverses a sweep, for rcca's stacked path and
+    spls's per-cell path.  More than 16 penalties move the boundaries of
+    the stacked CV passes."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(draw=st.data())
+    def test_a_reversed_grid_reverses_the_sweep(self, kind, sizes, draw):
+        data, folds, K, k_list, grid = draw.draw(swept_grids(kind, sizes))
+        last = len(grid) - 1
+        fwd = sweep_trajectory(kind, data, grid, folds, K)
+        rev = sweep_trajectory(kind, data, grid[::-1], folds, K)
+        # the same estimate at each (penalty, fold), bit for bit; only the
+        # derived seed, which follows the grid index, differs
+        assert set(rev.failures) == {(last - i, fold) for i, fold in fwd.failures}
+        assert set(rev.estimates) == {(last - i, fold) for i, fold in fwd.estimates}
+        for (i, fold), est in fwd.estimates.items():
+            other = rev.estimates[(last - i, fold)]
+            for name in ("u_dirs", "v_dirs", "rho"):
+                assert np.array_equal(getattr(other, name), getattr(est, name))
+            for name in ("penalty", "fold", "degenerate", "converged"):
+                assert getattr(other.provenance, name) == getattr(est.provenance, name)
+        # the same CV rows for each penalty, in reverse order
+        validation = validation_splits(data, folds)
+        tables = list(cv_tables(data, [fwd.fold_estimates(i) for i in range(len(grid))],
+                                validation, k_list))
+        rev_tables = list(cv_tables(data, [rev.fold_estimates(i) for i in range(len(grid))],
+                                    validation, k_list))
+        assert_tables_match(rev_tables[::-1], tables)
+
+
 class TestReport:
     def test_metric_name_builder(self):
         assert metric_name("r2s", 5, cv=True) == "r2s5-cv"
