@@ -3,7 +3,6 @@
 import csv
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -249,35 +248,13 @@ def read_csv_table(path):
         return list(csv.reader(fh))
 
 
-# cell types whose ``str`` is what ``csv`` writes for them (for a float
-# its repr); subclasses such as bool or NumPy's float64 are not among them
-_PLAIN_CELLS = {float, int, str}
-
-
 def write_csv_table(path, header, rows):
     """Write a header row and data rows as CSV; every table the package
     writes goes through here.  ``csv`` writes a Python float as its
     ``repr``, which reads back to the same float, so rows of Python floats
-    (an array's ``tolist()``) round-trip exactly.  A table of list or tuple
-    rows of ``_PLAIN_CELLS`` that ``csv`` would not quote is written as one
-    join of their ``str``, the bytes ``csv.writer`` writes; any other table
-    goes through ``csv.writer``."""
-    table = [header, *rows]
-    text = None
-    if (set(map(type, table)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(table))) <= _PLAIN_CELLS):
-        text = "\r\n".join(",".join(map(str, row)) for row in table) + "\r\n"
-        # csv quotes a field holding a delimiter, a quote or a line break,
-        # and a lone empty field (here an empty line)
-        if ('"' in text or text.count(",") != sum(map(len, table)) - len(table)
-                or not text.count("\r") == text.count("\n") == len(table)
-                or "\r\n\r\n" in "\r\n" + text):
-            text = None
+    (an array's ``tolist()``) round-trip exactly."""
     with open(path, "w", newline="") as fh:
-        if text is None:
-            csv.writer(fh).writerows(table)
-        else:
-            fh.write(text)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_json(path, obj):

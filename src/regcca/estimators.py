@@ -779,6 +779,11 @@ def sweep_trajectory(kind, data: PairedDataset, grid, folds: FoldPlan, K,
 _SAVED_PROVENANCE = ("algorithm", "penalty", "fold", "seed", "degenerate", "converged")
 
 
+def _read_matrix_csv(path):
+    """The values of a direction CSV, without its header and name column."""
+    return np.array([row[1:] for row in read_csv_table(path)[1:]], dtype=float)
+
+
 def save_estimate(est: CcaEstimate, outdir, stem, x_names=None, y_names=None):
     """Persist an estimate as {stem}.json + {stem}_U.csv + {stem}_V.csv."""
     outdir = Path(outdir)
@@ -798,7 +803,7 @@ def load_estimate(outdir, stem):
     outdir = Path(outdir)
     with open(outdir / f"{stem}.json") as fh:
         manifest = json.load(fh)
-    u, v = (np.array([row[1:] for row in read_csv_table(outdir / f"{stem}_{suffix}.csv")[1:]],
-                     dtype=float) for suffix in "UV")
+    u = _read_matrix_csv(outdir / f"{stem}_U.csv")
+    v = _read_matrix_csv(outdir / f"{stem}_V.csv")
     prov = Provenance(**{key: manifest[key] for key in _SAVED_PROVENANCE})
     return CcaEstimate(u_dirs=u, v_dirs=v, rho=np.asarray(manifest["rho"]), provenance=prov)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .cca_core import cca_from_covariance
 from .datamodel import CovarianceModel, center_and_covariance, make_folds
-from .estimators import EstimatorSpec, fit_estimator, sweep_trajectory
+from .estimators import KINDS, EstimatorSpec, fit_estimator, require_grid, sweep_trajectory
 from .glasso import GlassoConvergenceError
 from .linalg import sym_matrix_power
 from .metrics import cv_tables, estimation_error, metric_name, succ_cc_agg, validation_splits
@@ -52,13 +52,21 @@ def preset_config(preset, defaults, overrides):
     return {**defaults, **overrides}
 
 
-def _check_cells(cfg, K):
-    """Check, before any fit, that each listed kind has a grid and that each
-    (kind, penalty) cell makes an ``EstimatorSpec`` with ``K`` pairs: a
-    sweep drops the cells it cannot fit without a word."""
+def _check_cells(cfg, K, sweeps):
+    """Check, before any sample or fit, that each listed kind is known and
+    has a grid, nonempty and strictly monotone where the preset ``sweeps``
+    it, and that each (kind, penalty) cell makes an ``EstimatorSpec`` with
+    ``K`` pairs: a sweep drops the cells it cannot fit without a word."""
     for kind in cfg["kinds"]:
+        if kind not in KINDS:
+            raise ValueError(f"unknown estimator kind {kind!r}")
         if kind not in cfg["grids"]:
             raise ValueError(f"grids.{kind}: missing, but kinds lists {kind}")
+        if sweeps:
+            try:
+                require_grid(cfg["grids"][kind])
+            except ValueError as exc:
+                raise ValueError(f"grids.{kind}: {exc}") from None
         for penalty in cfg["grids"][kind]:
             EstimatorSpec(kind=kind, penalty=penalty, K=K)
 
@@ -74,7 +82,7 @@ def run_canonical_pair_bench(**overrides):
     estimate is a RuntimeError.
     """
     cfg = preset_config("canonical-pair", CANONICAL_PAIR_DEFAULTS, overrides)
-    _check_cells(cfg, 1)
+    _check_cells(cfg, 1, sweeps=False)
     cov, truth = canonical_pair_covariance(
         cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
         within_view="suo_sp", seed=cfg["model_seed"],
@@ -209,7 +217,7 @@ def run_bootstrap_panel_bench(**overrides):
     """
     cfg = preset_config("bootstrap-panel", BOOTSTRAP_PANEL_DEFAULTS, overrides)
     kmax = cfg["K"]
-    _check_cells(cfg, kmax)
+    _check_cells(cfg, kmax, sweeps=True)
     boot_cov = _bootstrap_truth(cfg)
     truth = cca_from_covariance(boot_cov, kmax)
     cv_rows = {col: metric_name(family, k, cv=True) for col, family, k in

@@ -489,7 +489,6 @@ class TestConfigErrors:
             "n_seeds": 1, "support_size": 100}}}, "generator.params"),
         ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
             "n_seeds": 1, "rho1": 1.5}}}, "generator.params"),
-        # exit 0 with every k=1 row written twice
         ("sweep", {"metrics": {"k_list": [1, 1]}}, "metrics.k_list"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
@@ -734,7 +733,7 @@ class TestSynthBench:
     @pytest.mark.parametrize("kinds, grids, message", [
         (["rcca"], {"rcca": [1.5, 2.0]}, r"^rcca penalty 1.5 outside \[0.0, 1.0\]$"),
         (["foo"], {"foo": [0.1, 0.2]}, "^unknown estimator kind 'foo'$"),
-        # a bare KeyError: 'rcca' from the grid lookup
+        (["foo"], {"foo": []}, "^unknown estimator kind 'foo'$"),
         (["rcca"], {"spls": [1.5]}, "^grids.rcca: missing, but kinds lists rcca$")])
     def test_bootstrap_panel_rejects_an_impossible_cell_before_any_fit(
             self, monkeypatch, kinds, grids, message, run, preset_kw):
@@ -746,6 +745,18 @@ class TestSynthBench:
         monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
         with pytest.raises(ValueError, match=message):
             run(n_seeds=1, kinds=kinds, grids=grids, **preset_kw)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([], "^grids.rcca: penalty grid must be nonempty$"),
+        ([0.1, 0.5, 0.3], "^grids.rcca: penalty grid must be strictly monotone$")])
+    def test_bootstrap_panel_rejects_an_unsweepable_grid_before_any_sample(self, monkeypatch,
+                                                                          grid, message):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the grids were checked")
+
+        monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
+        with pytest.raises(ValueError, match=message):
+            run_bootstrap_panel_bench(n_seeds=1, kinds=["rcca"], grids={"rcca": grid})
 
     def test_bootstrap_panel_cv_fault_is_a_program_fault(self, monkeypatch):
         # a CV criterion undefined on healthy fold estimates: not a skip,

@@ -200,7 +200,7 @@ def test_write_json_layout(tmp_path):
         '{\n  "a": {\n    "y": "s",\n    "z": true\n  },\n  "b": [\n    1.5,\n    null\n  ]\n}\n')
 
 
-# rows the joined fast path writes, and rows it must leave to csv.writer
+# rows of every cell type a table may hold, and rows csv must quote
 WRITER_ROWS = [
     ["variable", "comp_1", "comp_2"],
     ["x1", 0.1, -2.5e-300],
