@@ -394,42 +394,22 @@ def _cmd_biplot(config, outdir, seed, jobs):
     return warning_count + sum(_warn(message) for message in coords.warnings)
 
 
-# preset name -> (defaults, run function, columns of its CSV, whether it
-# sweeps each grid, which must then pass require_grid).  A preset runs its
-# seeds serially (--jobs is for sweep only), and a ValueError it raises is
-# a parameter it rejects.
-_PRESETS = {
-    "canonical-pair": (ex.CANONICAL_PAIR_DEFAULTS, ex.run_canonical_pair_bench,
-                       ex.CANONICAL_PAIR_FIELDS, False),
-    "bootstrap-panel": (ex.BOOTSTRAP_PANEL_DEFAULTS, ex.run_bootstrap_panel_bench,
-                        sorted(ex.BOOTSTRAP_PANEL_FIELDS), True),
-}
-
-
 def _cmd_synth_bench(config, outdir, seed, jobs):
     sec = _require(config, "generator", {})
-    preset = _require(sec, "preset", "", "generator")
-    if preset not in _PRESETS:
-        raise ConfigError(f"generator.preset: unknown preset {preset!r}")
-    defaults, run, fields, sweeps = _PRESETS[preset]
+    name = _require(sec, "preset", "", "generator")
+    if name not in ex.PRESETS:
+        raise ConfigError(f"generator.preset: unknown preset {name!r}")
+    preset = ex.PRESETS[name]
     params = _require(sec, "params", {}, "generator", {})
-    _checked("generator.params", ex.preset_config, preset, defaults, params)
-    _check_like("generator.params", params, defaults)
-    grids = params.get("grids", defaults["grids"])
-    for i, kind in enumerate(params.get("kinds", defaults["kinds"])):
-        if kind not in KINDS:
-            raise ConfigError(f"generator.params.kinds[{i}]: unknown kind {kind!r}")
-        if kind not in grids:
-            raise ConfigError(f"generator.params.grids.{kind}: missing, but kinds lists {kind}")
-        if sweeps:
-            _checked(f"generator.params.grids.{kind}", require_grid, grids[kind])
-        for j, penalty in enumerate(grids[kind]):
-            if not penalty_in_domain(kind, penalty):
-                raise ConfigError(f"generator.params.grids.{kind}[{j}]: {penalty} is outside "
-                                  f"the {kind} penalty domain")
-    records = _checked("generator.params", run, **params)
-    write_csv_table(Path(outdir) / f"bench_{preset}.csv", fields,
-                    [[r.get(f) for f in fields] for r in records])
+    cfg = _checked("generator.params", ex.preset_config, name, params)
+    _check_like("generator.params", params, preset["defaults"])
+    try:
+        ex.check_cells(name, cfg)
+    except ValueError as exc:
+        raise ConfigError(f"generator.params.{exc}") from exc
+    records = _checked("generator.params", preset["run"], **params)
+    write_csv_table(Path(outdir) / f"bench_{name}.csv", preset["fields"],
+                    [[r.get(f) for f in preset["fields"]] for r in records])
     return 0
 
 

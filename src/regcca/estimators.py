@@ -53,6 +53,7 @@ __all__ = [
     "fit_estimator",
     "fit_options",
     "require_options",
+    "require_penalty",
     "require_grid",
     "sweep_trajectory",
     "save_estimate",
@@ -77,7 +78,8 @@ def penalty_in_domain(kind, penalty):
     return (lo < penalty if open_lo else lo <= penalty) and penalty <= hi
 
 
-def _require_penalty(kind, penalty):
+def require_penalty(kind, penalty):
+    """Raise unless ``penalty`` is in ``kind``'s domain, naming the domain."""
     if not penalty_in_domain(kind, penalty):
         lo, hi, open_lo = _PENALTY_RANGES[kind]
         raise ValueError(f"{kind} penalty {penalty} outside {'(' if open_lo else '['}{lo}, {hi}]")
@@ -106,7 +108,7 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        _require_penalty(self.kind, self.penalty)
+        require_penalty(self.kind, self.penalty)
         if self.K < 1:
             raise ValueError("K must be at least 1")
 
@@ -119,7 +121,7 @@ def _require_centred(data: PairedDataset):
 def _require_fit_inputs(kind, penalty, data: PairedDataset, K, options=None):
     """What every fit requires: a penalty in the kind's domain, solver
     ``options`` in their ranges, centred data and K in [1, min(p, q)]."""
-    _require_penalty(kind, penalty)
+    require_penalty(kind, penalty)
     require_options(kind, options or {})
     _require_centred(data)
     require_pairs(data, K)

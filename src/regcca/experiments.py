@@ -3,14 +3,21 @@ canonical-pair (acceptance criterion 3) and bootstrap-panel (criterion 4).
 
 Each is a ``*_DEFAULTS`` dict that keyword overrides update, a ``run_*``
 function returning records with the columns in ``*_FIELDS``, and a
-``summarise_*`` function taking medians over seeds.
+``summarise_*`` function taking medians over seeds, named in ``PRESETS``.
 """
 
 import numpy as np
 
 from .cca_core import cca_from_covariance
 from .datamodel import CovarianceModel, center_and_covariance, make_folds
-from .estimators import KINDS, EstimatorSpec, fit_estimator, require_grid, sweep_trajectory
+from .estimators import (
+    KINDS,
+    EstimatorSpec,
+    fit_estimator,
+    require_grid,
+    require_penalty,
+    sweep_trajectory,
+)
 from .glasso import GlassoConvergenceError
 from .linalg import sym_matrix_power
 from .metrics import cv_tables, estimation_error, metric_name, succ_cc_agg, validation_splits
@@ -43,32 +50,34 @@ CANONICAL_PAIR_DEFAULTS = {
 CANONICAL_PAIR_FIELDS = ["kind", "penalty", "n", "seed", "metric", "value"]
 
 
-def preset_config(preset, defaults, overrides):
-    """``defaults`` updated by ``overrides``, each of which must be a key of
-    ``defaults``: a preset takes no keyword it would ignore."""
-    unknown = sorted(set(overrides) - set(defaults))
+def preset_config(preset, overrides):
+    """``preset``'s defaults updated by ``overrides``, each of which must be
+    one of their keys: a preset takes no keyword it would ignore."""
+    unknown = sorted(set(overrides) - set(PRESETS[preset]["defaults"]))
     if unknown:
         raise ValueError(f"{', '.join(unknown)} not a parameter of {preset}")
-    return {**defaults, **overrides}
+    return {**PRESETS[preset]["defaults"], **overrides}
 
 
-def _check_cells(cfg, K, sweeps):
-    """Check, before any sample or fit, that each listed kind is known and
-    has a grid, nonempty and strictly monotone where the preset ``sweeps``
-    it, and that each (kind, penalty) cell makes an ``EstimatorSpec`` with
-    ``K`` pairs: a sweep drops the cells it cannot fit without a word."""
-    for kind in cfg["kinds"]:
+def check_cells(preset, cfg):
+    """Check, before any sample or fit, that each kind ``cfg`` lists is known
+    and has a grid, nonempty and strictly monotone if ``preset`` sweeps it,
+    each penalty in the kind's domain (a sweep drops a cell it cannot fit
+    without a word); a message starts with the parameter it names."""
+    for i, kind in enumerate(cfg["kinds"]):
         if kind not in KINDS:
-            raise ValueError(f"unknown estimator kind {kind!r}")
+            raise ValueError(f"kinds[{i}]: unknown estimator kind {kind!r}")
         if kind not in cfg["grids"]:
             raise ValueError(f"grids.{kind}: missing, but kinds lists {kind}")
-        if sweeps:
-            try:
+        where = f"grids.{kind}"
+        try:
+            if PRESETS[preset]["sweeps"]:
                 require_grid(cfg["grids"][kind])
-            except ValueError as exc:
-                raise ValueError(f"grids.{kind}: {exc}") from None
-        for penalty in cfg["grids"][kind]:
-            EstimatorSpec(kind=kind, penalty=penalty, K=K)
+            for j, penalty in enumerate(cfg["grids"][kind]):
+                where = f"grids.{kind}[{j}]"
+                require_penalty(kind, penalty)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def run_canonical_pair_bench(**overrides):
@@ -81,42 +90,42 @@ def run_canonical_pair_bench(**overrides):
     no record, as in the panel; an undefined criterion of a healthy
     estimate is a RuntimeError.
     """
-    cfg = preset_config("canonical-pair", CANONICAL_PAIR_DEFAULTS, overrides)
-    _check_cells(cfg, 1, sweeps=False)
+    cfg = preset_config("canonical-pair", overrides)
+    check_cells("canonical-pair", cfg)
     cov, truth = canonical_pair_covariance(
         cfg["p"], cfg["q"], [cfg["rho1"]], cfg["support_size"],
         within_view="suo_sp", seed=cfg["model_seed"],
     )
+    # sample every dataset first: center_and_covariance rejects an n below 2
+    datasets = [(n, s, center_and_covariance(mvn_sample(cov, n, seed=1000 * s + n))[0])
+                for n in cfg["n_list"] for s in range(cfg["n_seeds"])]
     records = []
-    for n in cfg["n_list"]:
-        for s in range(cfg["n_seeds"]):
-            data = mvn_sample(cov, n, seed=1000 * s + n)
-            data, _ = center_and_covariance(data)
-            for kind in cfg["kinds"]:
-                for penalty in cfg["grids"][kind]:
-                    spec = EstimatorSpec(kind=kind, penalty=penalty, K=1)
-                    try:
-                        est = fit_estimator(spec, data)
-                    except (GlassoConvergenceError, np.linalg.LinAlgError) as exc:
-                        records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
-                                            metric="failure", value=str(exc)))
-                        continue
-                    try:
-                        rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1],
-                                                 est.v_dirs[:, :1]))
-                        err = estimation_error(cov, truth, est, 1)
-                    except ValueError as exc:
-                        # degenerate estimates make the criteria undefined; on a
-                        # healthy one that is a program fault, not a parameter
-                        if not est.provenance.degenerate:
-                            raise RuntimeError(f"{kind} at penalty {penalty}: {exc}") from exc
-                        continue
-                    for mname, mval in (("rho_oracle", rho_or),
-                                        ("wt_u1", err["wt_uk"]),
-                                        ("vt_u1", err["vt_uk"])):
-                        records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
-                                            metric=mname, value=mval,
-                                            converged=est.provenance.converged))
+    for n, s, data in datasets:
+        for kind in cfg["kinds"]:
+            for penalty in cfg["grids"][kind]:
+                spec = EstimatorSpec(kind=kind, penalty=penalty, K=1)
+                try:
+                    est = fit_estimator(spec, data)
+                except (GlassoConvergenceError, np.linalg.LinAlgError) as exc:
+                    records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
+                                        metric="failure", value=str(exc)))
+                    continue
+                try:
+                    rho_or = abs(succ_cc_agg("l1_sum", cov, est.u_dirs[:, :1],
+                                             est.v_dirs[:, :1]))
+                    err = estimation_error(cov, truth, est, 1)
+                except ValueError as exc:
+                    # degenerate estimates make the criteria undefined; on a
+                    # healthy one that is a program fault, not a parameter
+                    if not est.provenance.degenerate:
+                        raise RuntimeError(f"{kind} at penalty {penalty}: {exc}") from exc
+                    continue
+                for mname, mval in (("rho_oracle", rho_or),
+                                    ("wt_u1", err["wt_uk"]),
+                                    ("vt_u1", err["vt_uk"])):
+                    records.append(dict(kind=kind, penalty=penalty, n=n, seed=s,
+                                        metric=mname, value=mval,
+                                        converged=est.provenance.converged))
     return records
 
 
@@ -215,9 +224,9 @@ def run_bootstrap_panel_bench(**overrides):
     a cell lacking one gets no record.  An undefined criterion is a
     RuntimeError unless a degenerate estimate (for CV, a fold one) explains it.
     """
-    cfg = preset_config("bootstrap-panel", BOOTSTRAP_PANEL_DEFAULTS, overrides)
+    cfg = preset_config("bootstrap-panel", overrides)
+    check_cells("bootstrap-panel", cfg)
     kmax = cfg["K"]
-    _check_cells(cfg, kmax, sweeps=True)
     boot_cov = _bootstrap_truth(cfg)
     truth = cca_from_covariance(boot_cov, kmax)
     cv_rows = {col: metric_name(family, k, cv=True) for col, family, k in
@@ -287,3 +296,12 @@ def summarise_bootstrap_panel(records, kinds):
                 nonconverged_cells=sum(not r["converged"] for r in records if r["kind"] == kind),
             )
     return out
+
+
+PRESETS = {
+    "canonical-pair": {"defaults": CANONICAL_PAIR_DEFAULTS, "sweeps": False,
+                       "run": run_canonical_pair_bench, "fields": CANONICAL_PAIR_FIELDS},
+    "bootstrap-panel": {"defaults": BOOTSTRAP_PANEL_DEFAULTS, "sweeps": True,
+                        "run": run_bootstrap_panel_bench,
+                        "fields": sorted(BOOTSTRAP_PANEL_FIELDS)},
+}

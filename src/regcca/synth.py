@@ -1,6 +1,6 @@
 """Synthetic covariance constructions and Gaussian sampling.
 
-Three families: canonical-pair models (planted sparse direction pairs with
+Three families: canonical pair models (planted sparse direction pairs with
 chosen correlations), power-law sparse-precision graphs, and parametric
 bootstrap covariances built from a fitted regularised model of seed data.
 """

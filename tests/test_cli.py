@@ -11,7 +11,13 @@ import regcca.metrics
 from regcca import estimators
 from regcca.cli import main
 from regcca.compare import overlap_matrix, registered_overlaps, trajectory_comparison
-from regcca.datamodel import center_and_covariance, load_two_view_csv, make_folds, save_two_view_csv
+from regcca.datamodel import (
+    DataError,
+    center_and_covariance,
+    load_two_view_csv,
+    make_folds,
+    save_two_view_csv,
+)
 from regcca.estimators import EstimatorSpec, fit_estimator, sweep_trajectory
 from regcca.experiments import (
     run_bootstrap_panel_bench,
@@ -639,6 +645,22 @@ class TestCompareAndBiplot:
         assert len(lines) == 1  # header only at an impossible threshold
 
 
+# (kinds, grids, T, preset): a fault that a direct run of the preset raises
+# as a ValueError with text T, and that synth-bench prints as
+# "config error: generator.params.T"
+PRESET_FAULTS = [(*fault, preset) for fault in [
+    (["rcca"], {"rcca": [1.5, 2.0]}, "grids.rcca[0]: rcca penalty 1.5 outside [0.0, 1.0]"),
+    (["foo"], {"foo": [0.1, 0.2]}, "kinds[0]: unknown estimator kind 'foo'"),
+    (["foo"], {"foo": []}, "kinds[0]: unknown estimator kind 'foo'"),
+    (["rcca"], {"spls": [1.5]}, "grids.rcca: missing, but kinds lists rcca"),
+] for preset in ["bootstrap-panel", "canonical-pair"]] + [
+    # the panel alone sweeps its grids
+    (["rcca"], {"rcca": []}, "grids.rcca: penalty grid must be nonempty", "bootstrap-panel"),
+    (["rcca"], {"rcca": [0.1, 0.5, 0.3]}, "grids.rcca: penalty grid must be strictly monotone",
+     "bootstrap-panel"),
+]
+
+
 class TestSynthBench:
     def test_canonical_pair_preset_runs_small(self, tmp_path):
         cfg = write_config(tmp_path, "bench.json", {
@@ -727,24 +749,35 @@ class TestSynthBench:
         with pytest.raises(ValueError, match=f"^kind, n_seed not a parameter of {preset}$"):
             run(n_seed=1, kind="rcca")
 
-    @pytest.mark.parametrize("run, preset_kw", [
-        (run_bootstrap_panel_bench, {}), (run_canonical_pair_bench, {"n_list": [60]})],
-        ids=["bootstrap-panel", "canonical-pair"])
-    @pytest.mark.parametrize("kinds, grids, message", [
-        (["rcca"], {"rcca": [1.5, 2.0]}, r"^rcca penalty 1.5 outside \[0.0, 1.0\]$"),
-        (["foo"], {"foo": [0.1, 0.2]}, "^unknown estimator kind 'foo'$"),
-        (["foo"], {"foo": []}, "^unknown estimator kind 'foo'$"),
-        (["rcca"], {"spls": [1.5]}, "^grids.rcca: missing, but kinds lists rcca$")])
+    @pytest.mark.parametrize("kinds, grids, message, preset", PRESET_FAULTS)
     def test_bootstrap_panel_rejects_an_impossible_cell_before_any_fit(
-            self, monkeypatch, kinds, grids, message, run, preset_kw):
-        # both presets: every panel cell would fail in the sweep, which drops
-        # failed cells, and canonical-pair sampled before it fitted one
+            self, tmp_path, monkeypatch, capsys, kinds, grids, message, preset):
+        # both entry points report one text before any sample: the panel's
+        # sweep would drop each impossible cell as failed, without a record
         def no_sample(*args, **kwargs):
             raise AssertionError("sampled before the cells were checked")
 
         monkeypatch.setattr(regcca.experiments, "mvn_sample", no_sample)
-        with pytest.raises(ValueError, match=message):
-            run(n_seeds=1, kinds=kinds, grids=grids, **preset_kw)
+        params = {"n_seeds": 1, "kinds": kinds, "grids": grids,
+                  **({"n_list": [60]} if preset == "canonical-pair" else {})}
+        run = {"bootstrap-panel": run_bootstrap_panel_bench,
+               "canonical-pair": run_canonical_pair_bench}[preset]
+        with pytest.raises(ValueError) as raised:
+            run(**params)
+        assert str(raised.value) == message
+        cfg = write_config(tmp_path, "bench.json", {
+            "generator": {"preset": preset, "params": params}})
+        assert main(["synth-bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: generator.params.{message}"]
+
+    def test_canonical_pair_samples_every_dataset_before_a_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before every dataset was sampled")
+
+        monkeypatch.setattr(regcca.experiments, "fit_estimator", no_fit)
+        with pytest.raises(DataError, match="^need at least 2 samples, got 1$"):
+            run_canonical_pair_bench(n_seeds=1, n_list=[60, 1], kinds=["rcca"],
+                                     grids={"rcca": [0.2]})
 
     @pytest.mark.parametrize("grid, message", [
         ([], "^grids.rcca: penalty grid must be nonempty$"),

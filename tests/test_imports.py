@@ -5,7 +5,8 @@ sibling that imports one depends on a detail its owner may change without
 notice.  Dunder names such as ``__version__`` are public.  A module's
 ``__all__`` names only what it defines or imports.  Only ``datamodel``
 imports ``csv``: every table is read and written by its one reader and
-one writer.
+one writer.  Only ``experiments`` names a preset: its ``PRESETS`` table
+is the one place a preset's rules are looked up.
 """
 
 import ast
@@ -64,6 +65,15 @@ def test_walker_finds_a_csv_import():
                          ids=lambda p: p.name)
 def test_only_datamodel_imports_csv(path):
     assert "csv" not in imported_modules(path.read_text())
+
+
+PRESET_NAMES = ["canonical-pair", "bootstrap-panel"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_experiments_names_a_preset(path):
+    named = [name for name in PRESET_NAMES if name in path.read_text()]
+    assert named == (PRESET_NAMES if path.name == "experiments.py" else [])
 
 
 def unresolved_exports(module):
