@@ -8,7 +8,8 @@ spls   penalised matrix decomposition with Euclidean-metric constraints and
        rank-one deflation; not a true CCA method.
 scca   l1-penalised CCA with covariance-metric constraints, solved by
        interleaved linearised-ADMM blocks with dual recycling, Anderson
-       accelerated and certified by a KKT residual per pair.
+       accelerated, finished by active-set Newton rounds and certified by
+       a KKT residual per pair.
 gcca   graphical-lasso plug-in: estimate the joint precision, invert, run
        exact CCA on the implied covariance.
 
@@ -40,7 +41,7 @@ from .datamodel import (
     write_json,
 )
 from .glasso import GlassoConvergenceError, glasso_fit
-from .linalg import AndersonMemory, signed_corrs, soft_threshold, thin_svd
+from .linalg import AndersonMemory, HandOff, signed_corrs, soft_threshold, thin_svd
 
 __all__ = [
     "EstimatorSpec",
@@ -415,6 +416,149 @@ _SCCA_ANDERSON_DEPTH = 10
 _SCCA_CHECK_EVERY = 5
 # plain steps after the step that replaces a rejected extrapolation
 _SCCA_PLAIN_AFTER_REJECTION = 2
+# the pair certificate at which the Newton finish is first tried
+_SCCA_HANDOFF = 0.1
+# the largest variate sin^2 Theta between a checked LADMM iterate and the
+# finish the pair ends on, per unit of that iterate's certificate: a finish
+# further away may be another stationary point
+_SCCA_PROXIMITY = 1.0
+# the finish solves with both variance constraints active: a hand-off
+# iterate with a variate variance below this is shrinking to the zero pair
+_SCCA_ACTIVE_VARIANCE = 0.5
+# caps of one finish: its active-set rounds and its Newton steps
+_SCCA_ROUNDS = 20
+_SCCA_NEWTON_STEPS = 60
+# a round has settled once the residual of its KKT equations is this small,
+# relative to the largest variance
+_SCCA_NEWTON_TOL = 1e-13
+
+
+def _finish(cxx, cyy, cxy, u, v, u_prev, v_prev, tau, tol):
+    """The Newton finish from the LADMM pair (u, v): ``_pair_newton`` from
+    its unit-variance form, unless a variate variance of (u, v) is below
+    _SCCA_ACTIVE_VARIANCE.  Returns (certificate, u, v) of the result when
+    its rounds settled on a local minimum and it certifies (``_pair_kkt`` at
+    most ``tol``), else None; then the Newton steps and rounds taken."""
+    if min(float(u @ cxx @ u), float(v @ cyy @ v)) < _SCCA_ACTIVE_VARIANCE:
+        return None, 0, 0
+    u, v = _unit_variance(u, cxx), _unit_variance(v, cyy)
+    u_new, v_new, settled, steps, rounds = _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau)
+    if settled and u_new.any() and v_new.any():
+        certificate = _pair_kkt(cxx, cyy, cxy, u_new, v_new, u_prev, v_prev, tau)
+        if certificate <= tol:
+            return (certificate, u_new, v_new), steps, rounds
+    return None, steps, rounds
+
+
+def _objective(cxy, u, v, tau):
+    """The pair objective -u.Cxy.v + tau*(||u||_1 + ||v||_1)."""
+    return float(-u @ cxy @ v + tau * (np.sum(np.abs(u)) + np.sum(np.abs(v))))
+
+
+def _variate_sin2(gram, a, b):
+    """sin^2 Theta between the variates of weights a and b of one view."""
+    ab = float(a @ gram @ b)
+    return 1.0 - ab * ab / (float(a @ gram @ a) * float(b @ gram @ b))
+
+
+def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
+    """Active-set Newton rounds on the KKT system of a pair, from the
+    unit-variance pair (u, v), against the unit-variance pairs before it.
+
+    On the support A of w = (u, v) with signs s the pair's KKT conditions
+    are smooth equations in w_A, the two variance multipliers and the
+    orthogonality multipliers (``_view_kkt`` of both views at once):
+
+        (Lambda G - M) w + tau s + P eta = 0    on A,
+        w_x.Cxx.w_x = w_y.Cyy.w_y = 1,  P.T w = 0,
+
+    with G = diag(Cxx, Cyy), M = [[0, Cxy], [Cxy.T, 0]], Lambda the
+    variance multiplier of each coordinate's view and P = diag(Cxx U_prev,
+    Cyy V_prev).  Their Jacobian is symmetric, with |A| + 2k rows, and each
+    Newton step is one ``np.linalg.solve``, shortened until the residual of
+    the equations falls.  A round takes Newton steps on a frozen support
+    and frozen signs: a coordinate that a step takes across zero is set to
+    zero and leaves A, which starts a new round.  A round has settled once
+    the residual is at most _SCCA_NEWTON_TOL (relative to the largest
+    variance); the off-support coordinates whose rest exceeds tau then join
+    A with the sign that cancels the rest, and a new round starts.  When
+    none does, the rounds have settled, on a local minimum when the
+    Jacobian has one negative eigenvalue per constraint (the Hessian of the
+    Lagrangian is then positive definite on the constraints' tangent space).
+
+    Returns (u, v, whether the rounds settled on a local minimum, Newton
+    steps, rounds), at most _SCCA_ROUNDS rounds and _SCCA_NEWTON_STEPS steps.
+    """
+    p = u.size
+    gram = np.block([[cxx, np.zeros((p, v.size))], [np.zeros((v.size, p)), cyy]])
+    cross = np.block([[np.zeros((p, p)), cxy], [cxy.T, np.zeros((v.size, v.size))]])
+    view = np.eye(2)[(np.arange(gram.shape[0]) >= p).astype(int)]
+    k = u_prev.shape[1]
+    ortho = np.zeros((gram.shape[0], 2 * k))
+    ortho[:p, :k], ortho[p:, k:] = cxx @ u_prev, cyy @ v_prev
+    settled_at = _SCCA_NEWTON_TOL * max(1.0, float(np.max(np.diagonal(gram))))
+    w = np.concatenate([u, v])
+    signs = np.sign(w)
+    active = signs != 0.0
+
+    def equations(w, coef):
+        """The KKT equations on A at (w, coef), the rest of every
+        coordinate, and the multiplier columns: each view's G w, then P."""
+        gw = gram @ w
+        basis = np.column_stack([view * gw[:, None], ortho])
+        rest = basis @ coef - cross @ w
+        eqs = np.concatenate([(rest + tau * signs)[active], 0.5 * (view.T @ (w * gw) - 1.0),
+                              ortho.T @ w])
+        return eqs, rest, basis
+
+    def jacobian(coef, basis):
+        hess = (view @ coef[:2])[active, None] * gram[np.ix_(active, active)] \
+            - cross[np.ix_(active, active)]
+        edge = basis[active]
+        return np.block([[hess, edge], [edge.T, np.zeros((edge.shape[1], edge.shape[1]))]])
+
+    # the multipliers start at their least-squares fit on A
+    basis = np.column_stack([view * (gram @ w)[:, None], ortho])
+    coef = np.linalg.lstsq(basis[active], (cross @ w - tau * signs)[active], rcond=None)[0]
+    steps, rounds = 0, 1
+    while steps < _SCCA_NEWTON_STEPS and active[:p].any() and active[p:].any():
+        eqs, rest, basis = equations(w, coef)
+        if float(np.max(np.abs(eqs))) <= settled_at:
+            outside = ~active & (np.abs(rest) > tau)
+            if not outside.any():
+                negative = np.count_nonzero(np.linalg.eigvalsh(jacobian(coef, basis)) < 0.0)
+                return w[:p], w[p:], bool(negative == coef.size), steps, rounds
+            if rounds == _SCCA_ROUNDS:
+                break
+            signs[outside] = -np.sign(rest[outside])
+        else:
+            try:
+                d = np.linalg.solve(jacobian(coef, basis), -eqs)
+            except np.linalg.LinAlgError:
+                break
+            # halve the step until the residual falls, at most ten times; a
+            # step that overflows is shortened like one whose residual grows
+            merit, t = float(np.linalg.norm(eqs)), 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while t > 1e-3:
+                    w_next, coef_next = w.copy(), coef + t * d[-coef.size:]
+                    w_next[active] += t * d[:-coef.size]
+                    if float(np.linalg.norm(equations(w_next, coef_next)[0])) < merit:
+                        break
+                    t *= 0.5
+            if t < 1e-3:
+                break
+            w, coef = w_next, coef_next
+            steps += 1
+            flipped = active & (np.sign(w) != signs)
+            if not flipped.any():
+                continue
+            if rounds == _SCCA_ROUNDS:
+                break
+            w[flipped] = signs[flipped] = 0.0
+        active = signs != 0.0
+        rounds += 1
+    return w[:p], w[p:], False, steps, rounds
 
 
 def scca_fit(
@@ -442,9 +586,9 @@ def scca_fit(
     the u block and then the v block; the duals carry over
     (``recycle_duals``) or restart from the weights.  Restarted duals make
     the fixed point of the outer map a KKT point only when each block nearly
-    solves its subproblem: with few inner steps (50, say) it is not one, so
-    such a fit runs to ``max_outer`` and reports ``converged=False``; with
-    the 1,000 inner steps of criterion 7 the fits certify.  The outer iteration
+    solves its subproblem: with few inner steps (50, say) it is not one, and
+    the LADMM alone never certifies; the Newton finish below certifies such
+    a pair once the LADMM comes within its hand-off.  The outer iteration
     is type-II Anderson accelerated by ``AndersonMemory``, with two plain
     steps after a rejected extrapolation and the sign pattern of (u, v) as
     the key of the map.
@@ -455,11 +599,28 @@ def scca_fit(
     it is at most ``tol``; ``converged`` means every pair did so within
     ``max_outer`` outer iterations.
 
+    A check whose certificate is at most _SCCA_HANDOFF (after a try, a
+    tenth of the certificate at that try: ``linalg.HandOff``, the rule of
+    glasso's polish) tries the Newton finish: active-set rounds on the
+    pair's KKT system (``_pair_newton``) from the unit-variance iterate,
+    the LADMM state untouched.  Its result counts only when the rounds
+    settled on a local minimum that passes the same certificate; the pair
+    ends there at the first check whose iterate lies within
+    _SCCA_PROXIMITY times its certificate of it in variate sin^2 Theta (a
+    finish further away may be another stationary point, where the LADMM
+    would not go).  A pair that reaches ``max_outer`` returns its checked
+    iterate with the smallest certificate, or the last one if that is
+    smaller.
+
     ``provenance.info`` records ``total_inner_iterations`` (every LADMM
     step run, rejected extrapolations included), ``n_steps_admm``,
     ``recycle_duals`` and per pair ``kkt_residuals``, ``outer_iterations``,
-    ``extrapolations_rejected`` and ``last_outer_moves`` (the l2 moves of u
-    and v in the last accepted outer iteration).
+    ``extrapolations_rejected``, ``last_outer_moves`` (the l2 moves of u
+    and v in the last accepted outer iteration), ``returned`` (where the
+    pair comes from: ``"certified"`` by the LADMM, ``"finish"`` or
+    ``"best"``, the smallest certificate at ``max_outer``), ``finished``
+    (whether it is the finish's), ``newton_steps`` and ``rounds`` (of every
+    finish tried) and ``objective`` (at the unit-variance pair).
     """
     _require_fit_inputs("scca", tau, data, K,
                         {"n_steps_admm": n_steps_admm, "tol": tol, "max_outer": max_outer})
@@ -475,8 +636,9 @@ def scca_fit(
     # the pairs so far, as fitted and at unit variance (the certificate's)
     u_prev, v_prev = np.zeros((data.p, 0)), np.zeros((data.q, 0))
     u_hat, v_hat = u_prev, v_prev
-    info = {"kkt_residuals": [], "outer_iterations": [], "extrapolations_rejected": [],
-            "last_outer_moves": []}
+    info = {key: [] for key in ("kkt_residuals", "outer_iterations", "extrapolations_rejected",
+                                "last_outer_moves", "returned", "finished", "newton_steps",
+                                "rounds", "objective")}
     for k in range(1, K + 1):
         xt = np.vstack([xr, (cxx @ u_prev).T])
         yt = np.vstack([yr, (cyy @ v_prev).T])
@@ -492,7 +654,12 @@ def scca_fit(
         at_u, at_zu, at_xiu, at_v, at_zv, at_xiv = map(slice, np.r_[0, ends[:-1]], ends)
 
         memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH, _SCCA_PLAIN_AFTER_REJECTION)
-        kkt, checked = np.inf, -1
+        handoff = HandOff(_SCCA_HANDOFF)
+        # the last certified finish
+        finish = None
+        # the checked iterate with the smallest certificate
+        best, returned = (np.inf, None, None), "best"
+        kkt, checked, newton_steps, rounds = np.inf, -1, 0, 0
         for it in range(1, max_outer + 1):
             # the outer map, the u block then the v block; xi is updated in
             # place, the rest is replaced
@@ -515,21 +682,46 @@ def scca_fit(
             if it % _SCCA_CHECK_EVERY == 0:
                 kkt, checked = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau), it
                 if kkt <= tol:
+                    returned = "certified"
+                    break
+                if kkt < best[0]:
+                    best = (kkt, u, v)
+                if handoff.due(kkt):
+                    tried, steps, tried_rounds = _finish(cxx, cyy, cxy, u, v, u_hat, v_hat,
+                                                         tau, tol)
+                    newton_steps += steps
+                    rounds += tried_rounds
+                    finish = tried or finish
+                # the finish counts once the iterate comes within reach
+                if finish is not None and max(
+                        _variate_sin2(cxx, u, finish[1]),
+                        _variate_sin2(cyy, v, finish[2])) <= _SCCA_PROXIMITY * kkt:
+                    kkt, u, v = finish
+                    returned = "finish"
                     break
             state = memory.next_point(image)
-        # the pair is the last accepted point
-        u, v = memory.base_image[at_u], memory.base_image[at_v]
-        if checked != it:
-            kkt = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau)
+        if returned == "best":
+            # max_outer reached: the last accepted point, or a better
+            # checked one
+            u, v = memory.base_image[at_u], memory.base_image[at_v]
+            if checked != it:
+                kkt = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau)
+            if best[0] < kkt:
+                kkt, u, v = best
         info["kkt_residuals"].append(kkt)
         info["outer_iterations"].append(it)
         info["extrapolations_rejected"].append(memory.rejected)
         moves = memory.base_residual
         info["last_outer_moves"].append((float(np.linalg.norm(moves[at_u])),
                                          float(np.linalg.norm(moves[at_v]))))
+        info["returned"].append(returned)
+        info["finished"].append(returned == "finish")
+        info["newton_steps"].append(newton_steps)
+        info["rounds"].append(rounds)
         u_prev, v_prev = np.column_stack([u_prev, u]), np.column_stack([v_prev, v])
         u_hat = np.column_stack([u_hat, _unit_variance(u, cxx)])
         v_hat = np.column_stack([v_hat, _unit_variance(v, cyy)])
+        info["objective"].append(_objective(cxy, u_hat[:, -1], v_hat[:, -1], tau))
 
     # every outer iteration runs both blocks, rejected extrapolations included
     info.update(total_inner_iterations=2 * n_steps_admm * sum(info["outer_iterations"]),

@@ -35,34 +35,45 @@ objective is smooth,
 and Newton steps from omega converge quadratically.  Each step is solved
 inexactly by preconditioned conjugate gradients (Dembo, Eisenstat &
 Steihaug 1982) on the Hessian product W D W, W = inv(X), and shortened
-until X stays positive definite; no Hessian is formed.  The polished X is
-returned only when no frozen sign flipped and its KKT residual, by the
-formula of ``kkt_residual``, is at most tol: the certificate of the ADMM.
-Otherwise the ADMM continues from its own state, untouched, and the next
-polish waits until the ADMM's KKT residual has fallen tenfold.
+until X stays positive definite; no Hessian is formed.  The polish runs in
+active-set rounds, in the manner of the semismooth-Newton lasso solvers
+(Li, Sun & Toh 2018): an entry whose frozen sign a step flips is dropped
+from the support, and once a round has settled on its support the
+off-support entries that violate the stationarity conditions join it.  The
+polished X is returned only when its KKT residual, by the formula of
+``kkt_residual``, is at most tol: the certificate of the ADMM.  Otherwise
+the ADMM continues from its own state, untouched, and the next polish
+waits until the ADMM's KKT residual has fallen tenfold (``linalg.HandOff``,
+the rule scca's pair finish follows too).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import AndersonMemory, soft_threshold
+from .linalg import AndersonMemory, HandOff, soft_threshold
 
 __all__ = ["PrecisionEstimate", "GlassoConvergenceError", "glasso_fit", "kkt_residual"]
 
 # Anderson memory: how many recent fixed-point residuals are mixed.
 ANDERSON_MEMORY = 5
 # KKT residual of an ADMM iterate at which the Newton polish is first tried;
-# on criterion-3 (d=60) and panel fold (d=90) covariances 1e-3 took fewer
-# eigendecompositions and less CPU than 1e-4, which reaches the polish later
-POLISH_HANDOFF = 1e-3
+# with active-set rounds, on the criterion-3 (d=60) and panel fold (d=90)
+# covariances, 0.1 took fewer eigendecompositions and less CPU than 3e-2
+# and 1e-3, which reach the polish later, for more CG products
+POLISH_HANDOFF = 0.1
 # the polish aims at a KKT residual of POLISH_DEPTH * tol, near the rounding
 # floor, so that its result does not depend on where its CG solves stopped:
 # polished at tol itself, gcca fits of permuted variables differed by up to
 # 1e-6 where the ADMM's agree to 1e-10
 POLISH_DEPTH = 1e-5
-# caps of one polish: its Newton steps, and the CG steps of one Newton step
-NEWTON_STEPS = 5
+# a round that may not be the last settles at this largest gradient entry on
+# its support: deep enough to tell which entries its support lacks
+ROUND_DEPTH = 1e-3
+# caps of one polish: its active-set rounds, its Newton steps, and the CG
+# steps of one Newton step
+POLISH_ROUNDS = 12
+NEWTON_STEPS = 20
 CG_STEPS = 200
 
 
@@ -152,46 +163,77 @@ def _newton_cg(omega, w, grad, support, eta):
 
 
 def _newton_polish(c, omega, w, lam, tol):
-    """Newton steps from omega (PD, with inverse w) on its support and
-    off-diagonal signs, frozen (see the module docstring).
+    """Active-set Newton rounds from omega (PD, with inverse w); see the
+    module docstring.
 
-    The forcing term of each inexact Newton step is min(0.5, max |grad|),
-    so the steps converge quadratically.  They stop when the KKT residual
-    is at most POLISH_DEPTH * tol, when the gradient on the support is that
-    small (what is left of the residual then lies off the support, where
-    no Newton step reaches, or is rounding), or after NEWTON_STEPS steps.
+    A round takes Newton steps on a frozen support and frozen off-diagonal
+    signs.  A step that flips a frozen sign sets that entry to zero and
+    drops it from the support, which starts a new round.  A round has
+    settled once the largest gradient entry on its support is at most
+    ROUND_DEPTH, or POLISH_DEPTH * tol in the last round; the off-support
+    entries with |G_ij| > lam, G = inv(omega) - C, then join the support
+    with the sign of G_ij and a new round starts.  When there are none, the
+    next round is the last: it aims at a KKT residual of POLISH_DEPTH * tol
+    on the same support.  The forcing term of each inexact Newton step is
+    min(0.5, max |grad|), so the steps converge quadratically.  The polish
+    stops when the KKT residual is at most POLISH_DEPTH * tol, when the last
+    round has settled with nothing to add, or at the cap of POLISH_ROUNDS
+    rounds or NEWTON_STEPS steps.
 
     Returns (omega, w, kkt) of the last iterate, w its inverse, when its KKT
-    residual is at most tol, None when it is not or a frozen sign flipped;
-    then the Newton steps and the d x d products of CG taken.
+    residual is at most tol and None when it is not; then the Newton steps,
+    the d x d products of CG and the rounds taken.
     """
-    support = omega != 0.0
     signs = np.sign(omega)
-    penalty = lam * signs
-    np.fill_diagonal(penalty, 0.0)
-    kkt = np.inf
+    deep = POLISH_DEPTH * tol
+    loose = target = max(ROUND_DEPTH, deep)
+    kkt = _violation(w - c, omega, lam)
     steps = products = 0
-    while steps < NEWTON_STEPS and kkt > POLISH_DEPTH * tol:
+    rounds = 1
+    while steps < NEWTON_STEPS and kkt > deep:
+        support = signs != 0.0
+        penalty = lam * signs
+        np.fill_diagonal(penalty, 0.0)
         grad = np.where(support, c - w + penalty, 0.0)
         largest = float(np.max(np.abs(grad)))
-        if steps and largest <= POLISH_DEPTH * tol:
-            break
+        if largest <= target:
+            g = 0.5 * (w + w.T) - c
+            outside = ~support & (np.abs(g) > lam)
+            if not outside.any():
+                if target == deep:
+                    # what is left of the residual is rounding
+                    break
+                target = deep
+            elif rounds == POLISH_ROUNDS:
+                break
+            else:
+                signs[outside] = np.sign(g[outside])
+                target = loose
+                rounds += 1
+            continue
         delta, cg_steps = _newton_cg(omega, w, grad, support, min(0.5, largest))
         steps += 1
         products += 4 * cg_steps
         t = 1.0
         while True:
             candidate = omega + t * delta
+            # off the support omega stays exactly zero; an entry that
+            # crossed zero is set to it, and a PD diagonal stays positive
+            flipped = np.sign(candidate) != signs
+            candidate[flipped] = 0.0
             inv = _pd_inverse(candidate)
             if inv is not None:
                 break
             t *= 0.5
         omega, w = candidate, inv
-        # off the support omega stays exactly zero, and a PD diagonal positive
-        if not np.array_equal(np.sign(omega), signs):
-            return None, steps, products
         kkt = _violation(w - c, omega, lam)
-    return ((omega, w, kkt) if kkt <= tol else None), steps, products
+        if flipped.any():
+            if rounds == POLISH_ROUNDS:
+                break
+            signs[flipped] = 0.0
+            target = loose
+            rounds += 1
+    return ((omega, w, kkt) if kkt <= tol else None), steps, products, rounds
 
 
 def _penalty_prox(s, thr):
@@ -220,8 +262,9 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     whenever both ADMM residuals fall below 10 * tol; the solve stops as
     soon as it is at most ``tol``.  A check whose residual is at most
     POLISH_HANDOFF (at first; after a rejected polish, a tenth of the
-    residual at that polish) hands the iterate to the Newton polish, at
-    most NEWTON_STEPS steps of at most CG_STEPS CG steps each, aimed at a
+    residual at that polish: ``linalg.HandOff``) hands the iterate to the
+    Newton polish, at most POLISH_ROUNDS active-set rounds and NEWTON_STEPS
+    steps of at most CG_STEPS CG steps each, whose last round aims at a
     residual of POLISH_DEPTH * tol.  Its result is returned when it
     certifies by the same KKT residual and ``tol``; otherwise the ADMM
     continues.  Either way the returned precision has a KKT residual of at
@@ -249,7 +292,8 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     and ``dual_residual``, the ``kkt_residual`` of the returned precision,
     the final ``rho``, ``newton_steps`` and ``cg_products`` (Newton steps
     and the d x d matrix products of their CG solves, four per CG step,
-    over every polish, rejected ones included), ``polished`` (whether the
+    over every polish, rejected ones included), ``polish_rounds`` (the
+    active-set rounds of every polish), ``polished`` (whether the
     returned precision is the polish's) and ``converged``.
     ``GlassoConvergenceError.diagnostics`` holds the same keys.
     """
@@ -275,8 +319,8 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
     kkt = np.inf
     it = 0
     polish = None
-    next_polish = POLISH_HANDOFF
-    newton_steps = cg_products = 0
+    handoff = HandOff(POLISH_HANDOFF)
+    newton_steps = cg_products = polish_rounds = 0
     check_every = 10
     for it in range(1, max_iter + 1):
         x = _logdet_prox(2.0 * z - s, c, rho)
@@ -308,14 +352,14 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
             kkt = np.inf if inv is None else _violation(inv - c, omega, lam)
             if kkt <= tol:
                 break
-            if kkt <= next_polish:
-                polish, steps, products = _newton_polish(c, omega, inv, lam, tol)
+            if handoff.due(kkt):
+                polish, steps, products, rounds = _newton_polish(c, omega, inv, lam, tol)
                 newton_steps += steps
                 cg_products += products
+                polish_rounds += rounds
                 if polish is not None:
                     omega, inv, kkt = polish
                     break
-                next_polish = kkt / 10.0
 
         if factor != 1.0:
             # rescale U = S - Z to the new rho, a new map for the memory
@@ -332,6 +376,7 @@ def glasso_fit(c, lam, tol=1e-7, max_iter=5000):
         "rho": rho,
         "newton_steps": newton_steps,
         "cg_products": cg_products,
+        "polish_rounds": polish_rounds,
         "polished": polish is not None,
         "converged": kkt <= tol,
     }

@@ -9,7 +9,8 @@ one-block form, ``gram_schmidt_metric`` its strict form);
 ``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the one
 squared sin-Theta, and ``signed_corrs`` per-column correlations.
 ``AndersonMemory`` is the one safeguarded type-II Anderson acceleration of
-a fixed-point iteration, shared by the glasso and scca solvers.
+a fixed-point iteration, and ``HandOff`` the one rule for when an iterative
+solver tries its Newton finish; the glasso and scca solvers share both.
 
 Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
@@ -32,6 +33,7 @@ __all__ = [
     "gram_schmidt_reduce",
     "reduce_stack",
     "AndersonMemory",
+    "HandOff",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -351,3 +353,26 @@ class AndersonMemory:
     def extrapolate(self):
         """The affine combination of the images with the ``weights``."""
         return np.einsum("i,ij->j", self.weights(), self.images[: self.count]).reshape(self.shape)
+
+
+class HandOff:
+    """When an iterative solver hands its iterate to a finish that may fail
+    (glasso's Newton polish, scca's pair finish): the one rule of both.
+
+    The first try comes at the first check whose residual is at most
+    ``first``, a module constant of the solver; after a try, the next waits
+    until the residual has fallen tenfold below that try's, so failed tries
+    cost at most one per decade of the residual.  ``tries`` counts them.
+    """
+
+    def __init__(self, first):
+        self.threshold = first
+        self.tries = 0
+
+    def due(self, residual):
+        """Whether a check of this residual tries the finish; counts the try."""
+        if not residual <= self.threshold:
+            return False
+        self.tries += 1
+        self.threshold = residual / 10.0
+        return True

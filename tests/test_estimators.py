@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regcca import cca_core, estimators
+from regcca import cca_core, estimators, glasso
 from regcca.cca_core import cca_from_covariance, sample_cca
 from regcca.datamodel import (
     CovarianceModel,
@@ -30,7 +30,7 @@ from regcca.estimators import (
     sweep_trajectory,
 )
 from regcca.experiments import CANONICAL_PAIR_DEFAULTS
-from regcca.linalg import signed_corrs, soft_threshold, thin_svd
+from regcca.linalg import HandOff, signed_corrs, soft_threshold, thin_svd
 from regcca.synth import canonical_pair_covariance, mvn_sample
 from test_cca_core import reference_cca_from_covariance
 from test_metrics import _ref_subspace_sin2
@@ -708,6 +708,157 @@ class TestSccaCertificate:
                     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
 
+def pair_sin2(data, a, b, j):
+    """The larger over the two views of the variate sin^2 Theta between
+    pair j of estimates a and b."""
+    out = 0.0
+    for view, da, db in ((data.x, a.u_dirs, b.u_dirs), (data.y, a.v_dirs, b.v_dirs)):
+        za, zb = view @ da[:, j], view @ db[:, j]
+        out = max(out, 1.0 - (za @ zb) ** 2 / ((za @ za) * (zb @ zb)))
+    return out
+
+
+def sample_covariances(data):
+    """Cxx, Cyy and Cxy of centred data, divisor n."""
+    return data.x.T @ data.x / data.n, data.y.T @ data.y / data.n, data.x.T @ data.y / data.n
+
+
+class TestSccaFinish:
+    def test_the_hand_off_rule(self):
+        # one rule, shared by glasso's polish and the scca finish
+        assert glasso.HandOff is estimators.HandOff is HandOff
+        handoff = HandOff(0.1)
+        assert not handoff.due(0.2) and handoff.tries == 0
+        assert handoff.due(0.08) and handoff.tries == 1
+        # a retry waits until the residual has fallen tenfold below 0.08
+        assert not handoff.due(0.05) and not handoff.due(0.0081)
+        assert handoff.due(0.0079) and handoff.tries == 2
+        assert not handoff.due(0.0008) and handoff.due(0.00078)
+        assert not HandOff(0.0).due(1e-300)
+
+    @pytest.mark.slow
+    def test_criterion_3_pairs_match_the_plain_reference(self, monkeypatch):
+        # each (n, seed, tau) of the criterion-3 grid at K=3, whose first pair
+        # is the K=1 fit, against the LADMM alone with 20,000 outer
+        # iterations; a pair is compared where both fits certify it and
+        # every pair before it, so that both solved one problem
+        uncertified = slow = 0
+        for seed in range(10):
+            for n in (100, 400):
+                data = criterion_3_sample(n, seed)
+                for tau in (0.02, 0.05, 0.1, 0.2):
+                    est = scca_fit(data, tau, 3)
+                    first = scca_fit(data, tau, 1)
+                    monkeypatch.setattr(estimators, "_SCCA_HANDOFF", 0.0)
+                    ref = scca_fit(data, tau, 3, max_outer=20_000)
+                    monkeypatch.undo()
+                    # the same pair; only the rescaling of three columns
+                    # against one may round differently
+                    for key in ("kkt_residuals", "outer_iterations", "returned"):
+                        assert first.provenance.info[key][0] == est.provenance.info[key][0]
+                    np.testing.assert_allclose(first.u_dirs[:, 0], est.u_dirs[:, 0], rtol=1e-13)
+                    np.testing.assert_allclose(first.v_dirs[:, 0], est.v_dirs[:, 0], rtol=1e-13)
+                    assert ref.provenance.converged
+                    info = est.provenance.info
+                    assert info["kkt_residuals"][0] <= 1e-6
+                    for j in range(3):
+                        if info["kkt_residuals"][j] > 1e-6:
+                            assert info["returned"][j] == "best"
+                            uncertified += 1
+                            break
+                        zero = not est.u_dirs[:, j].any(), not ref.u_dirs[:, j].any()
+                        assert zero[0] == zero[1]
+                        if not zero[0]:
+                            assert pair_sin2(data, est, ref, j) <= 1e-8
+                    slow += sum(it > 2000 for it in ref.provenance.info["outer_iterations"])
+        # the finish leaves no more pairs uncertified than the LADMM alone
+        # would at max_outer=2000
+        assert uncertified <= slow
+
+    def test_a_far_finish_is_rejected(self, monkeypatch, toy_data):
+        # at tau=0 the second canonical pair is a certified KKT point of the
+        # first pair's problem, and far from it: the LADMM continues
+        # untouched, and the fit is the LADMM's bit for bit
+        far = sample_cca(toy_data, 2)
+        tries = []
+
+        def lands_far(*args):
+            tries.append(args)
+            return far.u_dirs[:, 1], far.v_dirs[:, 1], True, 0, 0
+
+        monkeypatch.setattr(estimators, "_pair_newton", lands_far)
+        est = scca_fit(toy_data, 0.0, 1)
+        cxx, cyy, cxy = sample_covariances(toy_data)
+        assert estimators._pair_kkt(cxx, cyy, cxy, far.u_dirs[:, 1], far.v_dirs[:, 1],
+                                    np.zeros((6, 0)), np.zeros((5, 0)), 0.0) <= 1e-6
+        monkeypatch.setattr(estimators, "_SCCA_HANDOFF", 0.0)
+        plain = scca_fit(toy_data, 0.0, 1)
+        assert tries and est.provenance.info["returned"] == ["certified"]
+        np.testing.assert_array_equal(est.u_dirs, plain.u_dirs)
+        np.testing.assert_array_equal(est.v_dirs, plain.v_dirs)
+        np.testing.assert_array_equal(est.rho, plain.rho)
+        assert est.provenance.info == plain.provenance.info
+
+    def test_the_rounds_tell_a_minimum_from_a_saddle(self, toy_data):
+        # at tau=0 each canonical pair is a KKT point of the first pair's
+        # problem; only the first is a minimum
+        pairs = sample_cca(toy_data, 2)
+        cxx, cyy, cxy = sample_covariances(toy_data)
+        for j, minimum in ((0, True), (1, False)):
+            u, v = pairs.u_dirs[:, j], pairs.v_dirs[:, j]
+            u_new, v_new, settled, _, rounds = estimators._pair_newton(
+                cxx, cyy, cxy, u, v, np.zeros((6, 0)), np.zeros((5, 0)), 0.0)
+            assert settled is minimum and rounds == 1
+            assert pair_sin2(toy_data, *(estimators._estimate("scca", 0.0, toy_data, a[:, None],
+                                                              b[:, None])
+                                         for a, b in ((u, v), (u_new, v_new))), 0) <= 1e-12
+
+    def test_a_shrinking_iterate_is_not_finished(self, toy_data):
+        # an iterate of small variance is heading for the zero pair, which
+        # the LADMM certifies; the finish, which fixes unit variance, is
+        # not tried
+        est = scca_fit(toy_data, 0.02, 1)
+        cxx, cyy, cxy = sample_covariances(toy_data)
+        u, v = est.u_dirs[:, 0], est.v_dirs[:, 0]
+        args = (np.zeros((6, 0)), np.zeros((5, 0)), 0.02, 1e-6)
+        assert estimators._finish(cxx, cyy, cxy, u, v, *args)[0] is not None
+        assert estimators._finish(cxx, cyy, cxy, 0.5 * u, v, *args) == (None, 0, 0)
+
+    def test_a_capped_pair_returns_its_best_checked_iterate(self, monkeypatch, toy_data):
+        # the certificate reads 1 too high but at the third check (outer
+        # iteration 15), so that check holds the smallest; 33 outer
+        # iterations make six checks and a last evaluation
+        checks = []
+        pair_kkt = estimators._pair_kkt
+
+        def third_is_best(*args):
+            checks.append(pair_kkt(*args))
+            return checks[-1] + (len(checks) != 3)
+
+        monkeypatch.setattr(estimators, "_pair_kkt", third_is_best)
+        monkeypatch.setattr(estimators, "_SCCA_HANDOFF", 0.0)
+        est = scca_fit(toy_data, 0.02, 1, max_outer=33, tol=1e-300)
+        info = est.provenance.info
+        assert len(checks) == 7 and info["outer_iterations"] == [33]
+        assert info["returned"] == ["best"] and info["finished"] == [False]
+        assert info["kkt_residuals"] == [checks[2]]
+        monkeypatch.undo()
+        [kkt] = scca_kkt_residuals(toy_data, 0.02, est.u_dirs, est.v_dirs)
+        assert kkt == pytest.approx(checks[2], rel=1e-6) and kkt > 10 * checks[-1]
+
+    def test_pairs_record_their_finish(self, toy_data):
+        est = scca_fit(toy_data, 0.02, 2)
+        info = est.provenance.info
+        assert info["returned"] == ["finish", "finish"] and info["finished"] == [True, True]
+        assert all(steps > 0 for steps in info["newton_steps"])
+        assert all(rounds >= 1 for rounds in info["rounds"])
+        cxx, cyy, cxy = sample_covariances(toy_data)
+        for j, objective in enumerate(info["objective"]):
+            u, v = est.u_dirs[:, j], est.v_dirs[:, j]
+            assert objective == pytest.approx(estimators._objective(cxy, u, v, 0.02), abs=1e-12)
+            assert objective < 0.0
+
+
 def reference_ladmm_block(u, z, xi, xt, xdata, c, tau, mu, n_steps):
     """The linearised-ADMM block with four mat-vecs per step: the textbook
     form the fused block must reproduce bit for bit."""
@@ -745,14 +896,14 @@ class TestFusedLadmm:
             self.assert_bit_identical(monkeypatch, data, tau, 1)
 
     def test_fresh_duals(self, monkeypatch, toy_data):
-        # fresh duals with few inner steps never certify (the fixed point of
-        # the fresh-dual map is not a KKT point), so the fit is capped at
-        # 10 outer iterations, and shown to end uncertified
+        # the fixed point of the fresh-dual map with few inner steps is not
+        # a KKT point, so the LADMM alone never certifies; the Newton finish
+        # from a check near it does
         est = self.assert_bit_identical(monkeypatch, toy_data, 0.02, 1, n_steps_admm=50,
                                         recycle_duals=False, max_outer=10)
-        assert not est.provenance.converged
-        assert est.provenance.info["outer_iterations"] == [10]
-        assert min(est.provenance.info["kkt_residuals"]) > 1e-6
+        info = est.provenance.info
+        assert est.provenance.converged and info["finished"] == [True]
+        assert max(info["kkt_residuals"]) <= 1e-6
 
     def test_more_variables_than_samples(self, monkeypatch):
         cov, _ = canonical_pair_covariance(30, 30, [0.9], 5, within_view="suo_sp", seed=7)
@@ -768,15 +919,15 @@ class TestFusedLadmm:
         # reads (here n=150 is not a multiple of the 4-row gemv block)
         cov, _ = canonical_pair_covariance(10, 8, [0.85, 0.6, 0.4], 2, seed=31)
         data, _ = center_and_covariance(mvn_sample(cov, 150, seed=32))
-        # fresh duals never certify here (see test_fresh_duals): 64 outer
-        # iterations per pair
+        # fresh duals never certify here by the LADMM alone (see
+        # test_fresh_duals): the finish certifies each pair
         options = ({} if recycle
                    else {"n_steps_admm": 50, "recycle_duals": False, "max_outer": 64})
         est = scca_fit(data, 0.02, 3, **options)
         if not recycle:
-            assert not est.provenance.converged
-            assert est.provenance.info["outer_iterations"] == [64, 64, 64]
-            assert min(est.provenance.info["kkt_residuals"]) > 1e-6
+            assert est.provenance.converged
+            assert est.provenance.info["finished"] == [True, True, True]
+            assert max(est.provenance.info["kkt_residuals"]) <= 1e-6
         monkeypatch.setattr(estimators, "_ladmm_block", reference_ladmm_block)
         ref = scca_fit(data, 0.02, 3, **options)
         assert est.provenance.info["total_inner_iterations"] == \

@@ -832,16 +832,16 @@ def swept_grids(draw, kind, sizes):
     k_list = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
     points = sorted(draw(st.lists(st.integers(0, 1000), min_size=sizes[0], max_size=sizes[1],
                                   unique=True)))
-    lo = {"rcca": 0.0, "spls": 1.0}[kind]
+    lo = {"rcca": 0.0, "spls": 1.0, "scca": 0.0}[kind]
     return data, folds, K, k_list, [lo + point / 1000 for point in points]
 
 
-@pytest.mark.parametrize("kind", ["rcca", "spls"])
+@pytest.mark.parametrize("kind", ["rcca", "spls", "scca"])
 @pytest.mark.parametrize("sizes", [(2, 16), (17, 24)], ids=["one-stack", "two-stacks"])
 class TestGridOrderProperty:
-    """Reversing the grid reverses a sweep, for rcca's stacked path and
-    spls's per-cell path.  More than 16 penalties move the boundaries of
-    the stacked CV passes."""
+    """Reversing the grid reverses a sweep, for rcca's stacked path and the
+    per-cell path of spls and of scca, whose pairs the Newton finish ends.
+    More than 16 penalties move the boundaries of the stacked CV passes."""
 
     # no shrink phase: each shrink step refits two sweeps, so shrinking a
     # failure takes minutes where reporting it takes seconds
@@ -851,8 +851,11 @@ class TestGridOrderProperty:
     def test_a_reversed_grid_reverses_the_sweep(self, kind, sizes, draw):
         data, folds, K, k_list, grid = draw.draw(swept_grids(kind, sizes))
         last = len(grid) - 1
-        fwd = sweep_trajectory(kind, data, grid, folds, K)
-        rev = sweep_trajectory(kind, data, grid[::-1], folds, K)
+        # the property holds for any options: a cap on scca's outer
+        # iterations bounds the time of a slow drawn pair
+        options = {"max_outer": 200} if kind == "scca" else None
+        fwd = sweep_trajectory(kind, data, grid, folds, K, options)
+        rev = sweep_trajectory(kind, data, grid[::-1], folds, K, options)
         # the same estimate at each (penalty, fold), bit for bit; only the
         # derived seed, which follows the grid index, differs
         assert set(rev.failures) == {(last - i, fold) for i, fold in fwd.failures}

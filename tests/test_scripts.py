@@ -2,6 +2,7 @@
 them: a separate interpreter with the package on PYTHONPATH."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -22,7 +23,8 @@ def run_script(name, *args):
                           text=True, timeout=600)
 
 
-@pytest.mark.parametrize("name", ["single_pair_experiment.py", "bootstrap_panel.py"])
+@pytest.mark.parametrize("name", ["single_pair_experiment.py", "bootstrap_panel.py",
+                                  "bench_pairs.py"])
 def test_help(name):
     done = run_script(name, "--help")
     assert done.returncode == 0, done.stderr
@@ -51,3 +53,18 @@ def test_a_rejected_sample_size_exits_2(tmp_path, name):
     assert done.returncode == 2
     assert "error: need at least 2 samples, got 1" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_bench_pairs_summarises_quartiles_and_wins():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    runs = [{side: {"metrics": {"cpu_s": {"value": value}, "success_frac": {"value": 1.0}}}
+             for side, value in zip(("parent", "change"), values)}
+            for values in ((1.0, 0.8), (1.2, 0.9), (0.9, 1.0), (1.1, 1.1))]
+    summary = bench_pairs.summarise(runs, {"cpu_s": "lower", "success_frac": "higher"})
+    # a lower cpu_s wins, a tie counts for neither side
+    assert summary["cpu_s"]["change_wins"] == 2
+    assert summary["cpu_s"]["parent"] == {"q1": 0.975, "median": 1.05, "q3": 1.125}
+    assert summary["cpu_s"]["change"]["median"] == 0.95
+    assert summary["success_frac"]["change_wins"] == 0
