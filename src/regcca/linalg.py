@@ -362,17 +362,15 @@ class HandOff:
     The first try comes at the first check whose residual is at most
     ``first``, a module constant of the solver; after a try, the next waits
     until the residual has fallen tenfold below that try's, so failed tries
-    cost at most one per decade of the residual.  ``tries`` counts them.
+    cost at most one per decade of the residual.
     """
 
     def __init__(self, first):
         self.threshold = first
-        self.tries = 0
 
     def due(self, residual):
-        """Whether a check of this residual tries the finish; counts the try."""
+        """Whether a check of this residual tries the finish."""
         if not residual <= self.threshold:
             return False
-        self.tries += 1
         self.threshold = residual / 10.0
         return True

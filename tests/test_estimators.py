@@ -708,7 +708,7 @@ class TestSccaCertificate:
                     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
 
-def pair_sin2(data, a, b, j):
+def pair_variate_sin2(data, a, b, j):
     """The larger over the two views of the variate sin^2 Theta between
     pair j of estimates a and b."""
     out = 0.0
@@ -728,11 +728,10 @@ class TestSccaFinish:
         # one rule, shared by glasso's polish and the scca finish
         assert glasso.HandOff is estimators.HandOff is HandOff
         handoff = HandOff(0.1)
-        assert not handoff.due(0.2) and handoff.tries == 0
-        assert handoff.due(0.08) and handoff.tries == 1
+        assert not handoff.due(0.2) and handoff.due(0.08)
         # a retry waits until the residual has fallen tenfold below 0.08
         assert not handoff.due(0.05) and not handoff.due(0.0081)
-        assert handoff.due(0.0079) and handoff.tries == 2
+        assert handoff.due(0.0079)
         assert not handoff.due(0.0008) and handoff.due(0.00078)
         assert not HandOff(0.0).due(1e-300)
 
@@ -769,7 +768,7 @@ class TestSccaFinish:
                         zero = not est.u_dirs[:, j].any(), not ref.u_dirs[:, j].any()
                         assert zero[0] == zero[1]
                         if not zero[0]:
-                            assert pair_sin2(data, est, ref, j) <= 1e-8
+                            assert pair_variate_sin2(data, est, ref, j) <= 1e-8
                     slow += sum(it > 2000 for it in ref.provenance.info["outer_iterations"])
         # the finish leaves no more pairs uncertified than the LADMM alone
         # would at max_outer=2000
@@ -809,9 +808,9 @@ class TestSccaFinish:
             u_new, v_new, settled, _, rounds = estimators._pair_newton(
                 cxx, cyy, cxy, u, v, np.zeros((6, 0)), np.zeros((5, 0)), 0.0)
             assert settled is minimum and rounds == 1
-            assert pair_sin2(toy_data, *(estimators._estimate("scca", 0.0, toy_data, a[:, None],
-                                                              b[:, None])
-                                         for a, b in ((u, v), (u_new, v_new))), 0) <= 1e-12
+            # Newton stays at the KKT point it starts from
+            assert max(estimators._variate_sin2(cxx, u, u_new),
+                       estimators._variate_sin2(cyy, v, v_new)) <= 1e-12
 
     def test_a_shrinking_iterate_is_not_finished(self, toy_data):
         # an iterate of small variance is heading for the zero pair, which
