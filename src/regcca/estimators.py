@@ -456,9 +456,11 @@ def _objective(cxy, u, v, tau):
 
 
 def _variate_sin2(gram, a, b):
-    """sin^2 Theta between the variates of weights a and b of one view."""
-    ab = float(a @ gram @ b)
-    return 1.0 - ab * ab / (float(a @ gram @ a) * float(b @ gram @ b))
+    """sin^2 Theta between the variates of weights a and b of one view; 1
+    when either variate is zero (an LADMM iterate can shrink to zero after
+    a finish was found)."""
+    ab, norms = float(a @ gram @ b), float(a @ gram @ a) * float(b @ gram @ b)
+    return 1.0 - ab * ab / norms if norms > 0.0 else 1.0
 
 
 def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):

@@ -823,6 +823,14 @@ class TestSccaFinish:
         assert estimators._finish(cxx, cyy, cxy, u, v, *args)[0] is not None
         assert estimators._finish(cxx, cyy, cxy, 0.5 * u, v, *args) == (None, 0, 0)
 
+    def test_a_zero_variate_is_far_from_any_finish(self, toy_data):
+        # an LADMM iterate that shrinks to zero after a finish was found
+        # lies at no angle to it, so never within reach of it
+        cxx, _, _ = sample_covariances(toy_data)
+        u = np.arange(1.0, 7.0)
+        assert estimators._variate_sin2(cxx, np.zeros(6), u) == 1.0
+        assert estimators._variate_sin2(cxx, u, 2.0 * u) == pytest.approx(0.0, abs=1e-15)
+
     def test_a_capped_pair_returns_its_best_checked_iterate(self, monkeypatch, toy_data):
         # the certificate reads 1 too high but at the third check (outer
         # iteration 15), so that check holds the smallest; 33 outer
