@@ -431,6 +431,10 @@ _SCCA_NEWTON_STEPS = 60
 # a round has settled once the residual of its KKT equations is this small,
 # relative to the largest variance
 _SCCA_NEWTON_TOL = 1e-13
+# the first shift, relative to the largest variance, of a Newton step's
+# Hessian whose Jacobian has the wrong inertia; each further shift is 4x,
+# up to the largest variance
+_SCCA_SHIFT = 1e-4
 
 
 def _finish(cxx, cyy, cxy, u, v, u_prev, v_prev, tau, tol):
@@ -478,9 +482,14 @@ def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
     variance multiplier of each coordinate's view and P = diag(Cxx U_prev,
     Cyy V_prev).  Their Jacobian is symmetric, with |A| + 2k rows, and each
     Newton step is one ``np.linalg.solve``, shortened until the residual of
-    the equations falls.  A round takes Newton steps on a frozen support
-    and frozen signs: a coordinate that a step takes across zero is set to
-    zero and leaves A, which starts a new round.  A round has settled once
+    the equations falls.  At a round's first step, and after a shifted one,
+    the Jacobian must have one negative eigenvalue per constraint; where it
+    has not, the step would head for a saddle, and its Hessian block is
+    shifted by a multiple of the identity until it has (the inertia
+    correction of interior-point solvers, Nocedal & Wright 2006, sec.
+    19.3).  A round takes Newton steps on a frozen support and frozen
+    signs: a coordinate that a step takes across zero is set to zero and
+    leaves A, which starts a new round.  A round has settled once
     the residual is at most _SCCA_NEWTON_TOL (relative to the largest
     variance); the off-support coordinates whose rest exceeds tau then join
     A with the sign that cancels the rest, and a new round starts.  When
@@ -498,7 +507,7 @@ def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
     k = u_prev.shape[1]
     ortho = np.zeros((gram.shape[0], 2 * k))
     ortho[:p, :k], ortho[p:, k:] = cxx @ u_prev, cyy @ v_prev
-    settled_at = _SCCA_NEWTON_TOL * max(1.0, float(np.max(np.diagonal(gram))))
+    scale = max(1.0, float(np.max(np.diagonal(gram))))
     w = np.concatenate([u, v])
     signs = np.sign(w)
     active = signs != 0.0
@@ -522,10 +531,10 @@ def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
     # the multipliers start at their least-squares fit on A
     basis = np.column_stack([view * (gram @ w)[:, None], ortho])
     coef = np.linalg.lstsq(basis[active], (cross @ w - tau * signs)[active], rcond=None)[0]
-    steps, rounds = 0, 1
+    steps, rounds, check = 0, 1, True
     while steps < _SCCA_NEWTON_STEPS and active[:p].any() and active[p:].any():
         eqs, rest, basis = equations(w, coef)
-        if float(np.max(np.abs(eqs))) <= settled_at:
+        if float(np.max(np.abs(eqs))) <= _SCCA_NEWTON_TOL * scale:
             outside = ~active & (np.abs(rest) > tau)
             if not outside.any():
                 negative = np.count_nonzero(np.linalg.eigvalsh(jacobian(coef, basis)) < 0.0)
@@ -534,8 +543,20 @@ def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
                 break
             signs[outside] = -np.sign(rest[outside])
         else:
+            # a Jacobian of the wrong inertia would step towards a saddle
+            # (a coordinate that joined turns back across zero): shift the
+            # Hessian until it has one negative eigenvalue per constraint.
+            # The inertia is checked at a round's first step, and after a
+            # shifted step
+            jac = jacobian(coef, basis)
+            shift, shifted = _SCCA_SHIFT * scale, False
+            while check and shift <= scale and \
+                    np.count_nonzero(np.linalg.eigvalsh(jac) < 0.0) != coef.size:
+                jac[np.diag_indices(int(np.count_nonzero(active)))] += shift
+                shift, shifted = 4.0 * shift, True
+            check = shifted
             try:
-                d = np.linalg.solve(jacobian(coef, basis), -eqs)
+                d = np.linalg.solve(jac, -eqs)
             except np.linalg.LinAlgError:
                 break
             # halve the step until the residual falls, at most ten times; a
@@ -559,7 +580,7 @@ def _pair_newton(cxx, cyy, cxy, u, v, u_prev, v_prev, tau):
                 break
             w[flipped] = signs[flipped] = 0.0
         active = signs != 0.0
-        rounds += 1
+        rounds, check = rounds + 1, True
     return w[:p], w[p:], False, steps, rounds
 
 
@@ -610,19 +631,18 @@ def scca_fit(
     ends there at the first check whose iterate lies within
     _SCCA_PROXIMITY times its certificate of it in variate sin^2 Theta (a
     finish further away may be another stationary point, where the LADMM
-    would not go).  A pair that reaches ``max_outer`` returns its checked
-    iterate with the smallest certificate, or the last one if that is
-    smaller.
+    would not go).  A pair that reaches ``max_outer`` is its last accepted
+    iterate.
 
     ``provenance.info`` records ``total_inner_iterations`` (every LADMM
     step run, rejected extrapolations included), ``n_steps_admm``,
     ``recycle_duals`` and per pair ``kkt_residuals``, ``outer_iterations``,
     ``extrapolations_rejected``, ``last_outer_moves`` (the l2 moves of u
     and v in the last accepted outer iteration), ``returned`` (where the
-    pair comes from: ``"certified"`` by the LADMM, ``"finish"`` or
-    ``"best"``, the smallest certificate at ``max_outer``), ``finished``
-    (whether it is the finish's), ``newton_steps`` and ``rounds`` (of every
-    finish tried) and ``objective`` (at the unit-variance pair).
+    pair comes from: ``"certified"`` by the LADMM, ``"finish"``, or
+    ``"capped"``, the last iterate at ``max_outer``), ``newton_steps`` and
+    ``rounds`` (of every finish tried) and ``objective`` (at the
+    unit-variance pair).
     """
     _require_fit_inputs("scca", tau, data, K,
                         {"n_steps_admm": n_steps_admm, "tol": tol, "max_outer": max_outer})
@@ -639,8 +659,8 @@ def scca_fit(
     u_prev, v_prev = np.zeros((data.p, 0)), np.zeros((data.q, 0))
     u_hat, v_hat = u_prev, v_prev
     info = {key: [] for key in ("kkt_residuals", "outer_iterations", "extrapolations_rejected",
-                                "last_outer_moves", "returned", "finished", "newton_steps",
-                                "rounds", "objective")}
+                                "last_outer_moves", "returned", "newton_steps", "rounds",
+                                "objective")}
     for k in range(1, K + 1):
         xt = np.vstack([xr, (cxx @ u_prev).T])
         yt = np.vstack([yr, (cyy @ v_prev).T])
@@ -658,9 +678,7 @@ def scca_fit(
         memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH, _SCCA_PLAIN_AFTER_REJECTION)
         handoff = HandOff(_SCCA_HANDOFF)
         # the last certified finish
-        finish = None
-        # the checked iterate with the smallest certificate
-        best, returned = (np.inf, None, None), "best"
+        finish, returned = None, "capped"
         kkt, checked, newton_steps, rounds = np.inf, -1, 0, 0
         for it in range(1, max_outer + 1):
             # the outer map, the u block then the v block; xi is updated in
@@ -686,8 +704,6 @@ def scca_fit(
                 if kkt <= tol:
                     returned = "certified"
                     break
-                if kkt < best[0]:
-                    best = (kkt, u, v)
                 if handoff.due(kkt):
                     tried, steps, tried_rounds = _finish(cxx, cyy, cxy, u, v, u_hat, v_hat,
                                                          tau, tol)
@@ -702,14 +718,11 @@ def scca_fit(
                     returned = "finish"
                     break
             state = memory.next_point(image)
-        if returned == "best":
-            # max_outer reached: the last accepted point, or a better
-            # checked one
+        if returned == "capped":
+            # max_outer reached: the pair is the last accepted point
             u, v = memory.base_image[at_u], memory.base_image[at_v]
             if checked != it:
                 kkt = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau)
-            if best[0] < kkt:
-                kkt, u, v = best
         info["kkt_residuals"].append(kkt)
         info["outer_iterations"].append(it)
         info["extrapolations_rejected"].append(memory.rejected)
@@ -717,7 +730,6 @@ def scca_fit(
         info["last_outer_moves"].append((float(np.linalg.norm(moves[at_u])),
                                          float(np.linalg.norm(moves[at_v]))))
         info["returned"].append(returned)
-        info["finished"].append(returned == "finish")
         info["newton_steps"].append(newton_steps)
         info["rounds"].append(rounds)
         u_prev, v_prev = np.column_stack([u_prev, u]), np.column_stack([v_prev, v])

@@ -762,7 +762,7 @@ class TestSccaFinish:
                     assert info["kkt_residuals"][0] <= 1e-6
                     for j in range(3):
                         if info["kkt_residuals"][j] > 1e-6:
-                            assert info["returned"][j] == "best"
+                            assert info["returned"][j] == "capped"
                             uncertified += 1
                             break
                         zero = not est.u_dirs[:, j].any(), not ref.u_dirs[:, j].any()
@@ -812,6 +812,22 @@ class TestSccaFinish:
             assert max(estimators._variate_sin2(cxx, u, u_new),
                        estimators._variate_sin2(cyy, v, v_new)) <= 1e-12
 
+    def test_a_start_near_a_saddle_is_not_drawn_to_it(self, monkeypatch, toy_data):
+        # near the second canonical pair (a saddle of the first pair's
+        # problem at tau=0) the Jacobian has the wrong inertia: the shifted
+        # step does not reduce the residual and no step is taken; unshifted
+        # steps (a first shift above the largest variance) go to the saddle
+        pairs = sample_cca(toy_data, 2)
+        cxx, cyy, cxy = sample_covariances(toy_data)
+        u = estimators._unit_variance(pairs.u_dirs[:, 1] + 0.1 * pairs.u_dirs[:, 0], cxx)
+        v = estimators._unit_variance(pairs.v_dirs[:, 1] + 0.1 * pairs.v_dirs[:, 0], cyy)
+        args = (cxx, cyy, cxy, u, v, np.zeros((6, 0)), np.zeros((5, 0)), 0.0)
+        assert estimators._pair_newton(*args)[2:] == (False, 0, 1)
+        monkeypatch.setattr(estimators, "_SCCA_SHIFT", 10.0)
+        u_new, _, settled, steps, _ = estimators._pair_newton(*args)
+        assert not settled and steps > 0
+        assert estimators._variate_sin2(cxx, u_new, pairs.u_dirs[:, 1]) <= 1e-12
+
     def test_a_shrinking_iterate_is_not_finished(self, toy_data):
         # an iterate of small variance is heading for the zero pair, which
         # the LADMM certifies; the finish, which fixes unit variance, is
@@ -831,32 +847,31 @@ class TestSccaFinish:
         assert estimators._variate_sin2(cxx, np.zeros(6), u) == 1.0
         assert estimators._variate_sin2(cxx, u, 2.0 * u) == pytest.approx(0.0, abs=1e-15)
 
-    def test_a_capped_pair_returns_its_best_checked_iterate(self, monkeypatch, toy_data):
-        # the certificate reads 1 too high but at the third check (outer
-        # iteration 15), so that check holds the smallest; 33 outer
-        # iterations make six checks and a last evaluation
+    def test_a_capped_pair_returns_its_last_iterate(self, monkeypatch, toy_data):
+        # 33 outer iterations make six checks, none certified, and end
+        # between checks: the pair is the last accepted iterate, with its
+        # certificate evaluated there
         checks = []
         pair_kkt = estimators._pair_kkt
 
-        def third_is_best(*args):
+        def recorded(*args):
             checks.append(pair_kkt(*args))
-            return checks[-1] + (len(checks) != 3)
+            return checks[-1]
 
-        monkeypatch.setattr(estimators, "_pair_kkt", third_is_best)
+        monkeypatch.setattr(estimators, "_pair_kkt", recorded)
         monkeypatch.setattr(estimators, "_SCCA_HANDOFF", 0.0)
         est = scca_fit(toy_data, 0.02, 1, max_outer=33, tol=1e-300)
         info = est.provenance.info
         assert len(checks) == 7 and info["outer_iterations"] == [33]
-        assert info["returned"] == ["best"] and info["finished"] == [False]
-        assert info["kkt_residuals"] == [checks[2]]
+        assert info["returned"] == ["capped"] and info["kkt_residuals"] == [checks[-1]]
         monkeypatch.undo()
         [kkt] = scca_kkt_residuals(toy_data, 0.02, est.u_dirs, est.v_dirs)
-        assert kkt == pytest.approx(checks[2], rel=1e-6) and kkt > 10 * checks[-1]
+        assert kkt == pytest.approx(checks[-1], rel=1e-6)
 
     def test_pairs_record_their_finish(self, toy_data):
         est = scca_fit(toy_data, 0.02, 2)
         info = est.provenance.info
-        assert info["returned"] == ["finish", "finish"] and info["finished"] == [True, True]
+        assert info["returned"] == ["finish", "finish"]
         assert all(steps > 0 for steps in info["newton_steps"])
         assert all(rounds >= 1 for rounds in info["rounds"])
         cxx, cyy, cxy = sample_covariances(toy_data)
@@ -909,7 +924,7 @@ class TestFusedLadmm:
         est = self.assert_bit_identical(monkeypatch, toy_data, 0.02, 1, n_steps_admm=50,
                                         recycle_duals=False, max_outer=10)
         info = est.provenance.info
-        assert est.provenance.converged and info["finished"] == [True]
+        assert est.provenance.converged and info["returned"] == ["finish"]
         assert max(info["kkt_residuals"]) <= 1e-6
 
     def test_more_variables_than_samples(self, monkeypatch):
@@ -933,7 +948,7 @@ class TestFusedLadmm:
         est = scca_fit(data, 0.02, 3, **options)
         if not recycle:
             assert est.provenance.converged
-            assert est.provenance.info["finished"] == [True, True, True]
+            assert est.provenance.info["returned"] == ["finish"] * 3
             assert max(est.provenance.info["kkt_residuals"]) <= 1e-6
         monkeypatch.setattr(estimators, "_ladmm_block", reference_ladmm_block)
         ref = scca_fit(data, 0.02, 3, **options)

@@ -196,20 +196,56 @@ def corrupt(omega, how):
     return bad
 
 
+def wrong_pattern_problem(source):
+    """(c, lam) of a wrong-pattern polish case.  n=40 < p+q=60: a singular
+    sample covariance; and one d=90 fold."""
+    if source == "panel_fold":
+        return panel_fold_covariance(), 0.05
+    return canonical_pair_sample_covariance(40, seed=40), 0.1
+
+
 class TestNewtonPolish:
     @pytest.mark.parametrize("how", ["drop", "add", "flip"])
     @pytest.mark.parametrize("source", ["canonical_pair_n40", "panel_fold"])
     def test_a_wrong_pattern_is_rejected_and_the_admm_certifies(self, monkeypatch, source,
                                                                  how):
-        # the first polish starts from a wrong support or sign pattern; its
-        # active-set rounds reject the wrong pattern (an entry whose sign
-        # flips is dropped, a missing one joins) and certify the support of
-        # the fit without the wrong start, so the ADMM stops there.  n=40 <
-        # p+q=60: a singular sample covariance; and one d=90 fold
-        if source == "panel_fold":
-            c, lam = panel_fold_covariance(), 0.05
-        else:
-            c, lam = canonical_pair_sample_covariance(40, seed=40), 0.1
+        # the first polish starts from a wrong support or sign pattern and
+        # may take one active-set round, too few to mend it: it is
+        # rejected, the ADMM continues, and a later polish certifies
+        c, lam = wrong_pattern_problem(source)
+        polish = glasso._newton_polish
+        results = []
+
+        def first_on_a_wrong_pattern(c, omega, w, lam, tol):
+            if results:
+                results.append(polish(c, omega, w, lam, tol))
+                return results[-1]
+            omega = corrupt(omega, how)
+            with monkeypatch.context() as m:
+                m.setattr(glasso, "POLISH_ROUNDS", 1)
+                results.append(polish(c, omega, np.linalg.inv(omega), lam, tol))
+            return results[-1]
+
+        monkeypatch.setattr(glasso, "_newton_polish", first_on_a_wrong_pattern)
+        est = glasso_fit(c, lam)
+        diag = est.diagnostics
+        assert results[0][0] is None
+        assert len(results) > 1 and results[-1][0] is not None
+        assert diag["polished"] and diag["converged"]
+        assert diag["newton_steps"] == sum(steps for _, steps, _, _ in results)
+        assert diag["polish_rounds"] == sum(rounds for *_, rounds in results)
+        assert kkt_residual(c, est.omega, lam) == diag["kkt_residual"] <= 1e-7
+        # the fit without the wrong start has the same support
+        monkeypatch.setattr(glasso, "_newton_polish", polish)
+        np.testing.assert_array_equal(est.omega != 0.0, glasso_fit(c, lam).omega != 0.0)
+
+    @pytest.mark.parametrize("how", ["drop", "add", "flip"])
+    @pytest.mark.parametrize("source", ["canonical_pair_n40", "panel_fold"])
+    def test_the_rounds_mend_a_wrong_pattern(self, monkeypatch, source, how):
+        # with its full rounds the first polish from a wrong pattern drops
+        # the entry whose sign flips or adds the missing one, and certifies
+        # the support of the fit without the wrong start
+        c, lam = wrong_pattern_problem(source)
         polish = glasso._newton_polish
         results = []
 
@@ -228,7 +264,6 @@ class TestNewtonPolish:
         assert diag["newton_steps"] == results[0][1]
         assert diag["polish_rounds"] == results[0][3] > 1
         assert kkt_residual(c, est.omega, lam) == diag["kkt_residual"] <= 1e-7
-        # the fit without the wrong start has the same support
         monkeypatch.setattr(glasso, "_newton_polish", polish)
         np.testing.assert_array_equal(est.omega != 0.0, glasso_fit(c, lam).omega != 0.0)
 
