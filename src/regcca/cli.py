@@ -161,13 +161,18 @@ def _load_dataset(config, seed):
 
 
 def _generator_covariance(name, params):
+    if name == "powerlaw":
+        # the joint dimension d, of which the first p variables are x
+        d, p = (_check_int(f"generator.params.{key}", _require(params, key, 0, "generator.params"),
+                           positive=True) for key in ("d", "p"))
+        del params["d"], params["p"]
+        if p >= d:
+            raise ConfigError(f"generator.params.p: expected an int below d={d}, got {p}")
     try:
         if name == "canonical_pair":
             cov, _ = canonical_pair_covariance(**params)
             return cov
         if name == "powerlaw":
-            d = int(params.pop("d"))
-            p = int(params.pop("p"))
             return CovarianceModel.from_joint(np.linalg.inv(powerlaw_precision(d=d, **params)), p)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"generator.params: {exc}") from exc

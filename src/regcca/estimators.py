@@ -7,9 +7,8 @@ rcca   ridge-regularised CCA: plug-in CCA on (1-c)*C + c*I within-view blocks;
 spls   penalised matrix decomposition with Euclidean-metric constraints and
        rank-one deflation; not a true CCA method.
 scca   l1-penalised CCA with covariance-metric constraints, solved by
-       interleaved linearised-ADMM blocks with dual recycling, Anderson
-       accelerated, finished by active-set Newton rounds and certified by
-       a KKT residual per pair.
+       interleaved linearised-ADMM blocks with dual recycling, finished by
+       active-set Newton rounds and certified by a KKT residual per pair.
 gcca   graphical-lasso plug-in: estimate the joint precision, invert, run
        exact CCA on the implied covariance.
 
@@ -41,7 +40,7 @@ from .datamodel import (
     write_json,
 )
 from .glasso import GlassoConvergenceError, glasso_fit
-from .linalg import AndersonMemory, HandOff, signed_corrs, soft_threshold, thin_svd
+from .linalg import HandOff, signed_corrs, soft_threshold, thin_svd
 
 __all__ = [
     "EstimatorSpec",
@@ -410,12 +409,8 @@ def scca_kkt_residuals(data: PairedDataset, tau, u_dirs, v_dirs):
             for k in range(u_hat.shape[1])]
 
 
-# type-II Anderson memory of the scca outer map
-_SCCA_ANDERSON_DEPTH = 10
 # outer iterations between evaluations of the pair certificate
 _SCCA_CHECK_EVERY = 5
-# plain steps after the step that replaces a rejected extrapolation
-_SCCA_PLAIN_AFTER_REJECTION = 2
 # the pair certificate at which the Newton finish is first tried
 _SCCA_HANDOFF = 0.1
 # the largest variate sin^2 Theta between a checked LADMM iterate and the
@@ -611,10 +606,7 @@ def scca_fit(
     the fixed point of the outer map a KKT point only when each block nearly
     solves its subproblem: with few inner steps (50, say) it is not one, and
     the LADMM alone never certifies; the Newton finish below certifies such
-    a pair once the LADMM comes within its hand-off.  The outer iteration
-    is type-II Anderson accelerated by ``AndersonMemory``, with two plain
-    steps after a rejected extrapolation and the sign pattern of (u, v) as
-    the key of the map.
+    a pair once the LADMM comes within its hand-off.
 
     The stop rule is a certificate: the pair's KKT residual (``_view_kkt``
     of u and of v, the larger of the two), evaluated at the unit-variance
@@ -631,14 +623,12 @@ def scca_fit(
     ends there at the first check whose iterate lies within
     _SCCA_PROXIMITY times its certificate of it in variate sin^2 Theta (a
     finish further away may be another stationary point, where the LADMM
-    would not go).  A pair that reaches ``max_outer`` is its last accepted
-    iterate.
+    would not go).  A pair that reaches ``max_outer`` is its last iterate.
 
     ``provenance.info`` records ``total_inner_iterations`` (every LADMM
-    step run, rejected extrapolations included), ``n_steps_admm``,
-    ``recycle_duals`` and per pair ``kkt_residuals``, ``outer_iterations``,
-    ``extrapolations_rejected``, ``last_outer_moves`` (the l2 moves of u
-    and v in the last accepted outer iteration), ``returned`` (where the
+    step run), ``n_steps_admm``, ``recycle_duals`` and per pair
+    ``kkt_residuals``, ``outer_iterations``, ``last_outer_moves`` (the l2
+    moves of u and v in the last outer iteration), ``returned`` (where the
     pair comes from: ``"certified"`` by the LADMM, ``"finish"``, or
     ``"capped"``, the last iterate at ``max_outer``), ``newton_steps`` and
     ``rounds`` (of every finish tried) and ``objective`` (at the
@@ -658,9 +648,8 @@ def scca_fit(
     # the pairs so far, as fitted and at unit variance (the certificate's)
     u_prev, v_prev = np.zeros((data.p, 0)), np.zeros((data.q, 0))
     u_hat, v_hat = u_prev, v_prev
-    info = {key: [] for key in ("kkt_residuals", "outer_iterations", "extrapolations_rejected",
-                                "last_outer_moves", "returned", "newton_steps", "rounds",
-                                "objective")}
+    info = {key: [] for key in ("kkt_residuals", "outer_iterations", "last_outer_moves",
+                                "returned", "newton_steps", "rounds", "objective")}
     for k in range(1, K + 1):
         xt = np.vstack([xr, (cxx @ u_prev).T])
         yt = np.vstack([yr, (cyy @ v_prev).T])
@@ -669,36 +658,17 @@ def scca_fit(
 
         u, v = _scca_init(cxy, tau, k)
         u, v = _unit_variance(u, cxx), _unit_variance(v, cyy)
-        # the state (u, z_u, xi_u, v, z_v, xi_v) as one vector, and where
-        # each part sits in it
-        state = np.concatenate([u, *_fresh_duals(u, xt, mx), v, *_fresh_duals(v, yt, my)])
-        ends = np.cumsum([data.p, mx, xt.shape[0], data.q, my, yt.shape[0]])
-        at_u, at_zu, at_xiu, at_v, at_zv, at_xiv = map(slice, np.r_[0, ends[:-1]], ends)
-
-        memory = AndersonMemory(state.shape, _SCCA_ANDERSON_DEPTH, _SCCA_PLAIN_AFTER_REJECTION)
+        (z_u, xi_u), (z_v, xi_v) = _fresh_duals(u, xt, mx), _fresh_duals(v, yt, my)
         handoff = HandOff(_SCCA_HANDOFF)
         # the last certified finish
         finish, returned = None, "capped"
         kkt, checked, newton_steps, rounds = np.inf, -1, 0, 0
         for it in range(1, max_outer + 1):
-            # the outer map, the u block then the v block; xi is updated in
-            # place, the rest is replaced
-            u, z_u, xi_u = state[at_u], state[at_zu], state[at_xiu].copy()
-            v, z_v, xi_v = state[at_v], state[at_zv], state[at_xiv].copy()
             if not recycle_duals:
                 (z_u, xi_u), (z_v, xi_v) = _fresh_duals(u, xt, mx), _fresh_duals(v, yt, my)
+            u_last, v_last = u, v
             u, z_u, xi_u = _ladmm_block(u, z_u, xi_u, xt, xr, cxy @ v, tau, mu_x, n_steps_admm)
             v, z_v, xi_v = _ladmm_block(v, z_v, xi_v, yt, yr, cxy.T @ u, tau, mu_y, n_steps_admm)
-            image = np.concatenate([u, z_u, xi_u, v, z_v, xi_v])
-            f = image - state
-            res = float(np.linalg.norm(f))
-            if memory.rejects(res):
-                state = memory.base_image
-                continue
-            # on one sign pattern of (u, v) the outer map is affine but for
-            # the ball projection; a new pattern is a new map, whose
-            # residuals do not mix with the old ones
-            memory.accept(f, image, res, np.sign(np.concatenate([u, v])))
             if it % _SCCA_CHECK_EVERY == 0:
                 kkt, checked = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau), it
                 if kkt <= tol:
@@ -714,21 +684,17 @@ def scca_fit(
                 if finish is not None and max(
                         _variate_sin2(cxx, u, finish[1]),
                         _variate_sin2(cyy, v, finish[2])) <= _SCCA_PROXIMITY * kkt:
-                    kkt, u, v = finish
                     returned = "finish"
                     break
-            state = memory.next_point(image)
-        if returned == "capped":
-            # max_outer reached: the pair is the last accepted point
-            u, v = memory.base_image[at_u], memory.base_image[at_v]
-            if checked != it:
-                kkt = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau)
+        info["last_outer_moves"].append((float(np.linalg.norm(u - u_last)),
+                                         float(np.linalg.norm(v - v_last))))
+        if returned == "finish":
+            kkt, u, v = finish
+        elif returned == "capped" and checked != it:
+            # max_outer reached: the pair is the last iterate
+            kkt = _pair_kkt(cxx, cyy, cxy, u, v, u_hat, v_hat, tau)
         info["kkt_residuals"].append(kkt)
         info["outer_iterations"].append(it)
-        info["extrapolations_rejected"].append(memory.rejected)
-        moves = memory.base_residual
-        info["last_outer_moves"].append((float(np.linalg.norm(moves[at_u])),
-                                         float(np.linalg.norm(moves[at_v]))))
         info["returned"].append(returned)
         info["newton_steps"].append(newton_steps)
         info["rounds"].append(rounds)
@@ -737,7 +703,7 @@ def scca_fit(
         v_hat = np.column_stack([v_hat, _unit_variance(v, cyy)])
         info["objective"].append(_objective(cxy, u_hat[:, -1], v_hat[:, -1], tau))
 
-    # every outer iteration runs both blocks, rejected extrapolations included
+    # every outer iteration runs both blocks
     info.update(total_inner_iterations=2 * n_steps_admm * sum(info["outer_iterations"]),
                 n_steps_admm=n_steps_admm, recycle_duals=recycle_duals)
     converged = all(r <= tol for r in info["kkt_residuals"])

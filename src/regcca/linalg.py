@@ -8,9 +8,9 @@ column by column across a stack of blocks (``gram_schmidt_reduce`` is its
 one-block form, ``gram_schmidt_metric`` its strict form);
 ``canonical_angles`` gives principal-angle cosines, ``pair_sin2`` the one
 squared sin-Theta, and ``signed_corrs`` per-column correlations.
-``AndersonMemory`` is the one safeguarded type-II Anderson acceleration of
-a fixed-point iteration, and ``HandOff`` the one rule for when an iterative
-solver tries its Newton finish; the glasso and scca solvers share both.
+``AndersonMemory`` is the safeguarded type-II Anderson acceleration of
+glasso's ADMM, and ``HandOff`` the one rule for when an iterative solver
+tries its Newton finish, shared by the glasso and scca solvers.
 
 Everything here is deterministic: eigen/singular vectors are sign-canonicalised
 so that repeated runs (and different platforms) produce identical output, which
@@ -262,8 +262,8 @@ def gram_schmidt_metric(m, g=None):
 
 class AndersonMemory:
     """Type-II Anderson acceleration of a fixed-point iteration s <- T(s)
-    with its safeguard (Walker & Ni 2011; Fu, Zhang & Boyd 2020): the one
-    policy of the glasso and scca solvers.
+    with its safeguard (Walker & Ni 2011; Fu, Zhang & Boyd 2020), as the
+    glasso ADMM runs it.
 
     The memory keeps the last ``depth`` residuals f_j = T(s_j) - s_j and
     images T(s_j), flattened, with the Gram matrix of the residuals updated
@@ -272,26 +272,24 @@ class AndersonMemory:
     each ``next_point``.  The memory ``rejects`` an extrapolation whose
     residual norm exceeds the one of the base point, the last point given
     to ``accept``: the solver then steps to ``base_image``, the plain
-    step from the base point, and ``plain_after_rejection`` plain steps
-    follow.  A new ``key`` of the map (glasso's ADMM penalty, scca's sign
-    pattern) clears the memory, as residuals of two maps do not mix.
+    step from the base point.  A new ``key`` of the map (glasso's ADMM
+    penalty) clears the memory, as residuals of two maps do not mix.
     ``accepted`` and ``rejected`` count the extrapolations.
     """
 
-    def __init__(self, shape, depth, plain_after_rejection=0):
+    def __init__(self, shape, depth):
         size = int(np.prod(shape))
         self.shape = shape
         self.depth = depth
-        self.plain_after_rejection = plain_after_rejection
         self.residuals = np.empty((depth, size))
         self.images = np.empty((depth, size))
         self.gram = np.empty((depth, depth))
         self.count = self.head = 0
         self.key = None
-        # the base point's residual, its norm and its image
-        self.base_residual, self.base_norm, self.base_image = None, np.inf, None
+        # the base point's residual norm and its image
+        self.base_norm, self.base_image = np.inf, None
         self.extrapolated = False
-        self.accepted = self.rejected = self.plain = 0
+        self.accepted = self.rejected = 0
 
     def clear(self):
         self.count = self.head = 0
@@ -303,7 +301,6 @@ class AndersonMemory:
             return False
         self.rejected += 1
         self.extrapolated = False
-        self.plain = self.plain_after_rejection
         return True
 
     def accept(self, residual, image, res, key):
@@ -313,17 +310,14 @@ class AndersonMemory:
         if not np.array_equal(key, self.key):
             self.clear()
         self.key = key
-        self.base_residual, self.base_norm, self.base_image = residual, res, image
+        self.base_norm, self.base_image = res, image
         self.push(residual, image)
 
     def next_point(self, image, mix=True):
-        """The extrapolation, or ``image`` when ``mix`` is false, fewer than
-        two slots are filled or a plain step is due."""
-        self.extrapolated = mix and self.count > 1 and not self.plain
-        if self.extrapolated:
-            return self.extrapolate()
-        self.plain = max(self.plain - 1, 0)
-        return image
+        """The extrapolation, or ``image`` when ``mix`` is false or fewer
+        than two slots are filled."""
+        self.extrapolated = mix and self.count > 1
+        return self.extrapolate() if self.extrapolated else image
 
     def push(self, residual, image):
         i = self.head

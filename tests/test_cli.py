@@ -496,6 +496,33 @@ class TestConfigErrors:
         ("synth-bench", {"generator": {"preset": "canonical-pair", "params": {
             "n_seeds": 1, "rho1": 1.5}}}, "generator.params"),
         ("sweep", {"metrics": {"k_list": [1, 1]}}, "metrics.k_list"),
+        ("fit", {"data": {"x_csv": "no_such_x.csv", "y_csv": "no_such_y.csv"}}, "data:"),
+        ("sweep", {"grid": {"per_decade": 3}}, "grid: need either"),
+        ("fit", {"estimators": []}, "estimators: must list"),
+        ("fit", {"estimators": [{"kind": "pls", "penalty": 0.5, "K": 1}]}, "estimators[0].kind"),
+        ("fit", {"estimators": [{"kind": "rcca", "K": 1}]}, "estimators[0].penalty"),
+        ("sweep", {"estimators": [{"kind": "spls", "K": 1}]}, "grid: no legal penalties"),
+        ("fit", {"data": None, "generator": {"name": "gaussian", "n": 40}}, "generator.name"),
+        # powerlaw's d and p were cast by int(): exit 0 as d=20, p=12 or d=1,
+        # and a NumPy message for p >= d or p = 0
+        ("fit", {"data": None, "generator": {"name": "powerlaw", "n": 40,
+                                            "params": {"d": 20.7, "p": 12, "gamma": 3.0}}},
+         "generator.params.d"),
+        ("fit", {"data": None, "generator": {"name": "powerlaw", "n": 40,
+                                            "params": {"d": 20, "p": 12.9, "gamma": 3.0}}},
+         "generator.params.p"),
+        ("fit", {"data": None, "generator": {"name": "powerlaw", "n": 40,
+                                            "params": {"d": True, "p": 1, "gamma": 3.0}}},
+         "generator.params.d"),
+        ("fit", {"data": None, "generator": {"name": "powerlaw", "n": 40,
+                                            "params": {"d": 20, "p": 20, "gamma": 3.0}}},
+         "generator.params.p"),
+        ("fit", {"data": None, "generator": {"name": "powerlaw", "n": 40,
+                                            "params": {"d": 20, "p": 0, "gamma": 3.0}}},
+         "generator.params.p"),
+        ("fit", {"data": None, "generator": {"name": "powerlaw", "n": 40,
+                                            "params": {"p": 5, "gamma": 3.0}}},
+         "generator.params.d"),
     ])
     def test_config_faults_exit_2(self, tmp_path, toy_csv, capsys, command, section, field):
         config = {"data": {"x_csv": toy_csv[0], "y_csv": toy_csv[1]},
@@ -508,6 +535,20 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert [ln for ln in err.splitlines() if ln.startswith("config error:")
                 and field in ln]
+
+    def test_a_fit_on_the_powerlaw_generator(self, tmp_path):
+        cfg = write_config(tmp_path, "ok.json", {
+            "generator": {"name": "powerlaw", "n": 60, "sample_seed": 4,
+                          "params": {"d": 9, "p": 5, "gamma": 3.0, "seed": 1}},
+            "estimators": [{"kind": "rcca", "penalty": 0.5, "K": 2}]})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        # the first p = 5 of the d = 9 variables are x, the other 4 are y
+        for name, rows in (("U", 5), ("V", 4)):
+            with open(out / f"fit_00_rcca_{name}.csv", newline="") as fh:
+                table = list(csv.reader(fh))
+            assert table[0] == ["variable", "comp_1", "comp_2"] and len(table) == rows + 1
+        assert json.loads((out / "fit_00_rcca.json").read_text())["converged"]
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     def test_negative_seed_flag_exits_2(self, tmp_path, toy_csv, capsys, command):

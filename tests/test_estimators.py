@@ -362,6 +362,23 @@ class TestSpls:
         cos = abs(est.u_dirs[:, 0] @ left[:, 0]) / np.linalg.norm(est.u_dirs[:, 0])
         assert cos >= 1 - 1e-6
 
+    def test_zero_cross_covariance_gives_zero_pairs(self):
+        # centred, mutually orthogonal columns of a Hadamard matrix: the
+        # sample cross-covariance is exactly zero, and each pair returns
+        # before the alternation starts
+        h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+        h8 = np.kron(np.kron(h2, h2), h2)
+        data, cov = center_and_covariance(PairedDataset(x=h8[:, 1:4], y=h8[:, 4:7]))
+        np.testing.assert_array_equal(cov.sxy, 0.0)
+        # one sweep of the alternation would not converge
+        u, v, d, converged = _pmd_pair(cov.sxy, 1.5, max_sweeps=1)
+        assert converged and d == 0.0 and not u.any() and not v.any()
+        est = spls_fit(data, 1.5, 2)
+        assert est.provenance.converged and est.provenance.degenerate
+        np.testing.assert_array_equal(est.u_dirs, 0.0)
+        np.testing.assert_array_equal(est.v_dirs, 0.0)
+        np.testing.assert_array_equal(est.rho, 0.0)
+
     def test_rank_one_axis_aligned(self, rng):
         # sample cross-covariance proportional to e1 e1': columns drawn
         # mean-zero and mutually orthogonal, with only the first shared
@@ -689,9 +706,7 @@ class TestSccaCertificate:
 
     @pytest.mark.parametrize("n", [100, 400])
     def test_thin_factor_keeps_the_work_on_criterion_3(self, monkeypatch, n):
-        # the fit on the n-row blocks makes the same decisions; Anderson's
-        # least-squares weights carry rounding differences up to 1e-10 into
-        # the directions
+        # the fit on the n-row blocks makes the same decisions
         for seed in range(3):
             data = criterion_3_sample(n, seed)
             for tau in (0.02, 0.05, 0.1, 0.2):
@@ -699,8 +714,7 @@ class TestSccaCertificate:
                 monkeypatch.setattr(estimators, "_thin_factor", lambda block: block)
                 ref = scca_fit(data, tau, 1)
                 monkeypatch.undo()
-                for key in ("total_inner_iterations", "outer_iterations",
-                            "extrapolations_rejected"):
+                for key in ("total_inner_iterations", "outer_iterations"):
                     assert est.provenance.info[key] == ref.provenance.info[key]
                 assert est.provenance.converged == ref.provenance.converged
                 for a, b in ((est.u_dirs, ref.u_dirs), (est.v_dirs, ref.v_dirs)):
@@ -738,9 +752,10 @@ class TestSccaFinish:
     @pytest.mark.slow
     def test_criterion_3_pairs_match_the_plain_reference(self, monkeypatch):
         # each (n, seed, tau) of the criterion-3 grid at K=3, whose first pair
-        # is the K=1 fit, against the LADMM alone with 20,000 outer
-        # iterations; a pair is compared where both fits certify it and
-        # every pair before it, so that both solved one problem
+        # is the K=1 fit, against the LADMM alone at tol 1e-8 (at 1e-6 the
+        # reference itself can sit 1.2e-8 from the exact pair); a pair is
+        # compared where both fits certify it and every pair before it, so
+        # that both solved one problem
         uncertified = slow = 0
         for seed in range(10):
             for n in (100, 400):
@@ -749,7 +764,8 @@ class TestSccaFinish:
                     est = scca_fit(data, tau, 3)
                     first = scca_fit(data, tau, 1)
                     monkeypatch.setattr(estimators, "_SCCA_HANDOFF", 0.0)
-                    ref = scca_fit(data, tau, 3, max_outer=20_000)
+                    ref = scca_fit(data, tau, 3, tol=1e-8, max_outer=100_000)
+                    plain = scca_fit(data, tau, 3, max_outer=20_000)
                     monkeypatch.undo()
                     # the same pair; only the rescaling of three columns
                     # against one may round differently
@@ -769,7 +785,7 @@ class TestSccaFinish:
                         assert zero[0] == zero[1]
                         if not zero[0]:
                             assert pair_variate_sin2(data, est, ref, j) <= 1e-8
-                    slow += sum(it > 2000 for it in ref.provenance.info["outer_iterations"])
+                    slow += sum(it > 2000 for it in plain.provenance.info["outer_iterations"])
         # the finish leaves no more pairs uncertified than the LADMM alone
         # would at max_outer=2000
         assert uncertified <= slow
@@ -849,7 +865,7 @@ class TestSccaFinish:
 
     def test_a_capped_pair_returns_its_last_iterate(self, monkeypatch, toy_data):
         # 33 outer iterations make six checks, none certified, and end
-        # between checks: the pair is the last accepted iterate, with its
+        # between checks: the pair is the last iterate, with its
         # certificate evaluated there
         checks = []
         pair_kkt = estimators._pair_kkt
@@ -1088,8 +1104,8 @@ class TestCommonContract:
         np.testing.assert_allclose(np.mean((toy_data.x @ est.u_dirs) ** 2, axis=0), 1.0)
 
     def test_scca_options_are_pinned(self):
-        # the Anderson memory, the certificate's check interval and the step
-        # fraction are constants: a new scca knob is a new row here
+        # the certificate's check interval and the step fraction are
+        # constants: a new scca knob is a new row here
         assert estimators.fit_options("scca") == {
             "n_steps_admm": 5, "tol": 1e-6, "max_outer": 2000, "recycle_duals": True}
 

@@ -268,6 +268,35 @@ class TestNewtonPolish:
         np.testing.assert_array_equal(est.omega != 0.0, glasso_fit(c, lam).omega != 0.0)
 
 
+    def test_a_step_out_of_the_cone_is_halved(self, monkeypatch):
+        # the first Newton step, scaled a thousandfold, leaves the
+        # positive-definite cone: it is halved until the iterate is back
+        # inside, and the fit still certifies
+        c, lam = canonical_pair_sample_covariance(100, seed=0), 0.1
+        newton_cg, pd_inverse = glasso._newton_cg, glasso._pd_inverse
+        calls = []
+
+        def first_step_scaled(*args):
+            delta, steps = newton_cg(*args)
+            calls.append("step")
+            return (1000.0 * delta if calls.count("step") == 1 else delta), steps
+
+        def outside_the_cone(omega):
+            inv = pd_inverse(omega)
+            calls.append(inv is None)
+            return inv
+
+        monkeypatch.setattr(glasso, "_newton_cg", first_step_scaled)
+        monkeypatch.setattr(glasso, "_pd_inverse", outside_the_cone)
+        diag = glasso_fit(c, lam).diagnostics
+        # the candidates of the first step: at t = 1, 1/2 and 1/4 outside
+        # the cone, at t = 1/8 inside
+        first = calls.index("step") + 1
+        assert calls[first:first + 4] == [True, True, True, False]
+        assert diag["polished"] and diag["converged"]
+        assert diag["kkt_residual"] <= 1e-7
+
+
 class TestGlassoFit:
     def test_vanishing_penalty_recovers_inverse(self, rng):
         c = random_correlation(rng, 8)

@@ -434,18 +434,14 @@ class TestAndersonMemory:
         assert memory.base_image is base and memory.base_norm == base_norm
         assert not memory.extrapolated and not memory.rejects(2.0 * base_norm)
 
-    @pytest.mark.parametrize("plain_after_rejection", [0, 2])
-    def test_plain_steps_follow_a_rejection(self, rng, plain_after_rejection):
-        memory = AndersonMemory((3,), 4, plain_after_rejection)
+    def test_extrapolation_resumes_after_a_rejection(self, rng):
+        memory = AndersonMemory((3,), 4)
         memory.next_point(self._filled(memory, rng, 2))
         assert memory.rejects(2.0 * memory.base_norm)
-        # the step from the base point is accepted, then the plain steps
-        # run before the next extrapolation
-        steps = []
-        for _ in range(plain_after_rejection + 1):
-            image = self._filled(memory, rng, 1)
-            steps.append(memory.next_point(image) is not image)
-        assert steps == [False] * plain_after_rejection + [True]
+        # the step from the base point is accepted, and the next point is
+        # an extrapolation again
+        image = self._filled(memory, rng, 1)
+        assert memory.next_point(image) is not image and memory.extrapolated
         assert memory.accepted == 0
 
     def test_a_new_key_clears_the_memory(self, rng):

@@ -55,10 +55,15 @@ def test_a_rejected_sample_size_exits_2(tmp_path, name):
     assert "Traceback" not in done.stderr
 
 
-def test_bench_pairs_summarises_quartiles_and_wins():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summarises_quartiles_and_wins():
+    bench_pairs = load_bench_pairs()
     runs = [{side: {"metrics": {"cpu_s": {"value": value}, "success_frac": {"value": 1.0}}}
              for side, value in zip(("parent", "change"), values)}
             for values in ((1.0, 0.8), (1.2, 0.9), (0.9, 1.0), (1.1, 1.1))]
@@ -68,3 +73,17 @@ def test_bench_pairs_summarises_quartiles_and_wins():
     assert summary["cpu_s"]["parent"] == {"q1": 0.975, "median": 1.05, "q3": 1.125}
     assert summary["cpu_s"]["change"]["median"] == 0.95
     assert summary["success_frac"]["change_wins"] == 0
+
+
+def test_bench_pairs_alternates_the_first_tree():
+    calls = []
+
+    def measure(side, i):
+        calls.append((side, i))
+        return {"metrics": {"cpu_s": {"value": float(i)}}}
+
+    runs = load_bench_pairs().alternating(3, measure, "cpu_s")
+    assert calls == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
+                     ("parent", 2), ("change", 2)]
+    assert [run["first"] for run in runs] == ["parent", "change", "parent"]
+    assert runs[1]["change"] == {"metrics": {"cpu_s": {"value": 1.0}}}
